@@ -2,10 +2,12 @@
 
 Verification harness for the operators: u_t + c.grad(u) = 0 on the unit
 square/cube with periodic boundaries, exact solution
-prod_i sin(omega*pi*(x_i - c_i t)).  Squares are split into two
-triangles, cubes into six tetrahedra (Kuhn split, conforming across
-cells).  Facet coupling uses penalty terms on the shared facet
-quadrature; 'upwind' dissipates energy, 'central' conserves it.
+prod_i sin(omega*pi*(x_i - c_i t)).  The mesh is an integer lattice of
+m^d cells, each split alike: squares into two triangles, cubes into six
+tetrahedra (Kuhn split, conforming across cells).  Facets are paired by
+exact lattice keys, the sum of their integer vertices modulo d m.
+Facet coupling uses penalty terms on the shared facet quadrature;
+'upwind' dissipates energy, 'central' conserves it.
 
 The boundary metric terms are formed from J * A^{-T} N so the discrete
 energy identity telescopes across interfaces to floating-point
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import n_basis, simplex_gauss_rule, vandermonde
+from .basis import simplex_gauss_rule, vandermonde
 from .operators import SBPOperator
 from .simplex import reference_simplex
 
@@ -53,57 +55,62 @@ class MeshError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# element splitting
+# the periodic mesh: an integer lattice of cells, each split alike
 
 
-def _split_squares(m: int) -> np.ndarray:
-    """(2 m^2, 3, 2) triangle vertices tiling periodic [0,1]^2."""
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            c00 = (i / m, j / m)
-            c10 = ((i + 1) / m, j / m)
-            c01 = (i / m, (j + 1) / m)
-            c11 = ((i + 1) / m, (j + 1) / m)
-            tris.append((c00, c10, c01))
-            tris.append((c11, c01, c10))
-    return np.asarray(tris, dtype=float)
+def _cell_simplices(d: int) -> np.ndarray:
+    """(T, d+1, d) integer vertices of the simplices splitting a unit cell.
 
-
-def _split_cubes(m: int) -> np.ndarray:
-    """(6 m^3, 4, 3) Kuhn-split tetrahedra; conforming across cells."""
-    tets = []
-    paths = list(itertools.permutations(range(3)))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                base = np.array([i, j, k], dtype=float)
-                for perm in paths:
-                    v = [base.copy()]
-                    cur = base.copy()
-                    for axis in perm:
-                        cur = cur.copy()
-                        cur[axis] += 1.0
-                        v.append(cur)
-                    tets.append(np.asarray(v) / m)
-    return np.asarray(tets)
-
-
-def _element_vertices(dim: int, m: int) -> np.ndarray:
-    if dim == 2:
-        verts = _split_squares(m)
-    elif dim == 3:
-        verts = _split_cubes(m)
+    Squares split into 2 triangles, cubes into the 6 Kuhn tetrahedra (one
+    per axis order of the walk from 0 to (1,1,1)), conforming across
+    cells.  Negatively oriented simplices get their last two vertices
+    swapped; facets are vertex subsets, so conformity is unaffected.
+    """
+    if d == 2:
+        simp = np.array([[[0, 0], [1, 0], [0, 1]],
+                         [[1, 1], [0, 1], [1, 0]]])
+    elif d == 3:
+        steps = np.eye(4, 3, k=-1, dtype=int)    # rows 0, e_0, e_1, e_2
+        simp = np.array([np.cumsum(steps[[0, *np.add(perm, 1)]], axis=0)
+                         for perm in itertools.permutations(range(3))])
     else:
-        raise MeshError(f"no periodic mesh in dimension {dim}")
-    # swap two vertices of any negatively oriented element; facets are
-    # vertex subsets, so conformity is unaffected
-    edges = verts[:, 1:] - verts[:, :1]
-    neg = np.linalg.det(edges) < 0
-    tmp = verts[neg, dim - 1].copy()
-    verts[neg, dim - 1] = verts[neg, dim]
-    verts[neg, dim] = tmp
-    return verts
+        raise MeshError(f"no periodic mesh in dimension {d}")
+    neg = np.linalg.det(simp[:, 1:] - simp[:, :1]) < 0
+    simp[neg, d - 1:] = simp[neg, d - 1:][:, ::-1]
+    return simp
+
+
+def _lattice(d: int, m: int) -> np.ndarray:
+    """(T m^d, d+1, d) integer vertices of the periodic mesh.
+
+    Element k is simplex k % T of cell k // T, cells in lexicographic
+    order; physical vertices are these divided by m.
+    """
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    return (cells[:, None, None, :]
+            + _cell_simplices(d)).reshape(-1, d + 1, d)
+
+
+def _pair_facets(ivert: np.ndarray, m: int) -> np.ndarray:
+    """(K, d+1) flat index k2 (d+1) + f2 of each facet's periodic partner.
+
+    Facet f, opposite vertex f, is keyed by the sum of its integer
+    vertices modulo d m: d m times its wrapped centroid, computed
+    exactly.  A stable sort of the keys brings the two sides of each
+    interface together.
+    """
+    K, nv, d = ivert.shape
+    ksum = np.mod(ivert.sum(axis=1, keepdims=True) - ivert, d * m)
+    keys = (ksum @ (d * m) ** np.arange(d)).ravel()
+    counts = np.unique(keys, return_counts=True)[1]
+    if np.any(counts != 2):
+        raise MeshError(
+            f"{np.count_nonzero(counts != 2)} facets are not shared by "
+            f"exactly two elements (nonconforming split?)")
+    order = np.argsort(keys, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    return partner.reshape(K, nv)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +134,6 @@ class AdvectionProblem:
     vol_idx: list[np.ndarray]  # per reference facet
     ext_flat: list[np.ndarray]  # (K, n_f) flat indices into u.ravel()
     coef: list[np.ndarray]     # (K, n_f) SAT coefficients / (J H)
-    alpha: np.ndarray          # (K, d+1) signed facet flux scale
     _spec_radius_bound: float = field(default=0.0)
 
     @property
@@ -141,41 +147,6 @@ class AdvectionProblem:
     @property
     def n_dof(self) -> int:
         return self.verts.shape[0] * self.op.n_nodes
-
-
-def _wrap_key(pt: np.ndarray) -> tuple:
-    w = np.mod(np.round(pt, 12), 1.0)
-    return tuple(np.round(w, 12))
-
-
-def _pair_facets(verts: np.ndarray) -> dict:
-    """Map each (element, facet) to its periodic partner.
-
-    Facets are keyed by the wrapped centroid: only a facet lying in a
-    periodic boundary plane has a centroid coordinate at 1, so interior
-    facets whose vertices merely touch the far boundary cannot alias.
-    Vertices are sorted before averaging so both sides of an interface
-    sum in the same order and produce bitwise-equal keys.
-    """
-    K, nv, d = verts.shape
-    elem = reference_simplex(d)
-    table: dict[tuple, list] = {}
-    for k in range(K):
-        for f, facet in enumerate(elem.facets):
-            pts = sorted(tuple(verts[k, v]) for v in facet.vertex_ids)
-            centroid = np.asarray(pts).mean(axis=0)
-            key = _wrap_key(centroid)
-            table.setdefault(key, []).append((k, f))
-    partner = {}
-    for key, sides in table.items():
-        if len(sides) != 2:
-            raise MeshError(
-                f"facet shared by {len(sides)} elements (nonconforming "
-                f"split?): {key}")
-        (ka, fa), (kb, fb) = sides
-        partner[(ka, fa)] = (kb, fb)
-        partner[(kb, fb)] = (ka, fa)
-    return partner
 
 
 def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
@@ -194,8 +165,8 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
-    verts = _element_vertices(d, m)
-    K = verts.shape[0]
+    ivert = _lattice(d, m)
+    verts = ivert / m
     elem = reference_simplex(d)
     ref_v = elem.vertices
 
@@ -221,36 +192,35 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     area_vec = J[:, None, None] * np.einsum("kji,fj->kfi", Ainv, N)
     alpha = area_vec @ c                                   # (K, d+1)
 
-    partner = _pair_facets(verts)
-    n = op.n_nodes
+    # match each facet's nodes to its partner's by periodic minimum image
+    k2, f2 = np.divmod(_pair_facets(ivert, m), d + 1)      # (K, d+1)
     vol_idx = [fop.vol_idx for fop in op.facets]
-    bwts = [fop.weights for fop in op.facets]
-    ext_flat = [np.empty((K, vi.size), dtype=int) for vi in vol_idx]
-    for k in range(K):
-        for f in range(d + 1):
-            k2, f2 = partner[(k, f)]
-            pl = phys[k, vol_idx[f]]
-            pr = phys[k2, vol_idx[f2]]
-            diff = pl[:, None, :] - pr[None, :, :]
-            diff -= np.round(diff)            # periodic minimum image
-            dist = np.linalg.norm(diff, axis=2)
-            match = np.argmin(dist, axis=1)
-            if dist[np.arange(match.size), match].max() > 1e-9 or \
-                    np.unique(match).size != match.size:
-                raise MeshError(
-                    f"facet nodes of elements {k}/{k2} do not collocate")
-            ext_flat[f][k] = k2 * n + vol_idx[f2][match]
-
-    coef = []
-    for f in range(d + 1):
-        phi = alpha[:, f, None] * bwts[f][None, :]         # (K, n_f)
+    vi = np.stack(vol_idx)                                 # (d+1, n_f)
+    ext_flat, coef = [], []
+    for f, fop in enumerate(op.facets):
+        theirs = vi[f2[:, f]]                              # (K, n_f)
+        diff = (phys[:, vi[f], None, :]
+                - phys[k2[:, f, None], theirs][:, None, :, :])
+        diff -= np.round(diff)
+        dist = np.linalg.norm(diff, axis=3)                # (K, n_f, n_f)
+        match = np.argmin(dist, axis=2)
+        srt = np.sort(match, axis=1)
+        bad = ((dist.min(axis=2).max(axis=1) > 1e-9)
+               | np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if np.any(bad):
+            k = np.flatnonzero(bad)[0]
+            raise MeshError(f"facet nodes of elements {k}/{k2[k, f]} do "
+                            f"not collocate")
+        ext_flat.append(k2[:, f, None] * op.n_nodes
+                        + np.take_along_axis(theirs, match, 1))
+        phi = alpha[:, f, None] * fop.weights[None, :]     # (K, n_f)
         s = np.minimum(phi, 0.0) if flux == "upwind" else 0.5 * phi
-        coef.append(s / (J[:, None] * op.H[vol_idx[f]][None, :]))
+        coef.append(s / (J[:, None] * op.H[vi[f]][None, :]))
 
     prob = AdvectionProblem(
         op=op, m=m, c=c, flux=flux, omega=omega, verts=verts, A=A,
         b=bvec, J=J, phys=phys, hw=hw, Gvol=Gvol, vol_idx=vol_idx,
-        ext_flat=ext_flat, coef=coef, alpha=alpha)
+        ext_flat=ext_flat, coef=coef)
     prob._spec_radius_bound = _row_sum_bound(prob)
     return prob
 
@@ -401,18 +371,14 @@ def assemble_dense(prob: AdvectionProblem) -> np.ndarray:
     op = prob.op
     n = op.n_nodes
     K = prob.n_elements
-    N = K * n
-    L = np.zeros((N, N))
-    for k in range(K):
-        blk = np.zeros((n, n))
-        for j in range(op.dim):
-            blk -= prob.Gvol[k, j] * op.D[j]
-        L[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
+    L = np.zeros((K, n, K, n))
+    diag = np.arange(K)
+    L[diag, :, diag, :] = -np.einsum("kj,jab->kab", prob.Gvol, op.D)
+    L = L.reshape(K * n, K * n)
     for f in range(op.dim + 1):
-        for k in range(K):
-            rows = k * n + prob.vol_idx[f]
-            L[rows, rows] += prob.coef[f][k]
-            L[rows, prob.ext_flat[f][k]] -= prob.coef[f][k]
+        rows = diag[:, None] * n + prob.vol_idx[f]
+        L[rows, rows] += prob.coef[f]
+        L[rows, prob.ext_flat[f]] -= prob.coef[f]
     return L
 
 

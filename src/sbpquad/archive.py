@@ -34,6 +34,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 _RULE_FORMAT = "quadrature-rule"
 _OP_FORMAT = "sbp-operator"
+#: arrays an operator archive stores, checked against the rebuild on load
+_OP_ARRAYS = {"H": "norm", "E": "boundary operator", "Q": "stiffness",
+              "D": "derivative"}
 
 _DIM = {"interval": 1, "tri": 2, "tet": 3}
 
@@ -149,13 +152,23 @@ def operator_from_dict(data: dict, check: bool = True) -> SBPOperator:
     if data.get("format") != _OP_FORMAT:
         raise ArchiveError(
             f"not an operator archive: {data.get('format')!r}")
+    if data.get("schema") != SCHEMA_VERSION:
+        raise ArchiveError(f"unsupported schema {data.get('schema')!r}")
     rule = rule_from_dict(data["rule"])
     op = build_operator(rule, p=int(data["p"]))
     if check:
-        stored = np.asarray(data["H"])
-        if stored.shape != op.H.shape or \
-                not np.allclose(stored, op.H, rtol=0, atol=1e-13):
-            raise ArchiveError("stored norm disagrees with rebuild")
+        for name, what in _OP_ARRAYS.items():
+            ref = np.asarray(getattr(op, name))
+            try:
+                stored = np.asarray(data[name], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ArchiveError(f"unreadable {what} {name}: {exc}") from exc
+            # the norm keeps its absolute tolerance; the others scale
+            atol = 1e-13 * (1.0 if name == "H" else np.abs(ref).max())
+            if stored.shape != ref.shape or \
+                    not np.allclose(stored, ref, rtol=0, atol=atol):
+                raise ArchiveError(
+                    f"stored {what} {name} disagrees with rebuild")
     return op
 
 

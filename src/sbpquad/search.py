@@ -35,7 +35,6 @@ __all__ = [
     "lg_rule",
     "facet_quadrature",
     "SearchSpec",
-    "DesignVector",
     "SearchOptions",
     "random_design",
     "residual",
@@ -295,24 +294,6 @@ class SearchSpec:
                               provenance=provenance or {})
         validate_rule(rule)
         return rule
-
-
-@dataclass
-class DesignVector:
-    """A design vector bound to its search spec."""
-
-    spec: SearchSpec
-    values: np.ndarray
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.values[self.spec.weight_slice]
-
-    def params(self, orbit: int) -> np.ndarray:
-        return self.values[self.spec.param_slices[orbit]]
-
-    def free(self) -> np.ndarray:
-        return self.values[self.spec.free_mask]
 
 
 @dataclass

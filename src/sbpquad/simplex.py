@@ -38,7 +38,6 @@ __all__ = [
     "orbit_structure",
     "orbit_size",
     "orbit_kinds",
-    "kind_is_facet",
     "kind_param_count",
     "SymmetryOrbit",
     "GroupSignature",
@@ -168,30 +167,30 @@ def reference_simplex(d: int) -> ReferenceSimplex:
 # 0 and 1/2 come out bit-exact.
 
 _F = Fraction
-_GENERATORS: dict[tuple[int, str], tuple[tuple, tuple, bool]] = {
-    # (dim, kind): (base, coeff rows, is_facet)
-    (2, "S1"): ((_F(1, 3),) * 3, ((), (), ()), False),
-    (2, "S21"): ((0, 0, 1), ((1,), (1,), (-2,)), False),
-    (2, "S111"): ((0, 0, 1), ((1, 0), (0, 1), (-1, -1)), False),
-    (2, "Svert"): ((1, 0, 0), ((), (), ()), True),
-    (2, "SmidEdge"): ((_F(1, 2), _F(1, 2), 0), ((), (), ()), True),
-    (2, "Sedge"): ((0, 1, 0), ((1,), (-1,), (0,)), True),
-    (3, "S1"): ((_F(1, 4),) * 4, ((), (), (), ()), False),
-    (3, "S31"): ((0, 0, 0, 1), ((1,), (1,), (1,), (-3,)), False),
+_GENERATORS: dict[tuple[int, str], tuple[tuple, tuple]] = {
+    # (dim, kind): (base, coeff rows)
+    (2, "S1"): ((_F(1, 3),) * 3, ((), (), ())),
+    (2, "S21"): ((0, 0, 1), ((1,), (1,), (-2,))),
+    (2, "S111"): ((0, 0, 1), ((1, 0), (0, 1), (-1, -1))),
+    (2, "Svert"): ((1, 0, 0), ((), (), ())),
+    (2, "SmidEdge"): ((_F(1, 2), _F(1, 2), 0), ((), (), ())),
+    (2, "Sedge"): ((0, 1, 0), ((1,), (-1,), (0,))),
+    (3, "S1"): ((_F(1, 4),) * 4, ((), (), (), ())),
+    (3, "S31"): ((0, 0, 0, 1), ((1,), (1,), (1,), (-3,))),
     (3, "S22"): ((0, 0, _F(1, 2), _F(1, 2)),
-                 ((1,), (1,), (-1,), (-1,)), False),
+                 ((1,), (1,), (-1,), (-1,))),
     (3, "S211"): ((0, 0, 0, 1),
-                  ((1, 0), (1, 0), (0, 1), (-2, -1)), False),
+                  ((1, 0), (1, 0), (0, 1), (-2, -1))),
     (3, "S1111"): ((0, 0, 0, 1),
-                   ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), False),
+                   ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))),
     (3, "SfaceCent"): ((_F(1, 3), _F(1, 3), _F(1, 3), 0),
-                       ((), (), (), ()), True),
-    (3, "Svert"): ((1, 0, 0, 0), ((), (), (), ()), True),
-    (3, "SmidEdge"): ((_F(1, 2), _F(1, 2), 0, 0), ((), (), (), ()), True),
-    (3, "Sface21"): ((0, 0, 1, 0), ((1,), (1,), (-2,), (0,)), True),
-    (3, "Sedge"): ((0, 1, 0, 0), ((1,), (-1,), (0,), (0,)), True),
+                       ((), (), (), ())),
+    (3, "Svert"): ((1, 0, 0, 0), ((), (), (), ())),
+    (3, "SmidEdge"): ((_F(1, 2), _F(1, 2), 0, 0), ((), (), (), ())),
+    (3, "Sface21"): ((0, 0, 1, 0), ((1,), (1,), (-2,), (0,))),
+    (3, "Sedge"): ((0, 1, 0, 0), ((1,), (-1,), (0,), (0,))),
     (3, "Sface111"): ((0, 0, 1, 0),
-                      ((1, 0), (0, 1), (-1, -1), (0, 0)), True),
+                      ((1, 0), (0, 1), (-1, -1), (0, 0))),
 }
 
 #: canonical ordering rank; facet kinds sort before interior kinds
@@ -216,7 +215,6 @@ class OrbitStructure:
     kind: str
     dim: int
     n_params: int
-    is_facet: bool
     base: np.ndarray        # (size, d+1)
     coeff: np.ndarray       # (size, d+1, n_params)
     size: int
@@ -231,7 +229,7 @@ def orbit_structure(kind: str, d: int) -> OrbitStructure:
         return _STRUCT_CACHE[key]
     if key not in _GENERATORS:
         raise ValueError(f"unknown orbit kind {kind!r} for dimension {d}")
-    base, coeff, is_facet = _GENERATORS[key]
+    base, coeff = _GENERATORS[key]
     m = d + 1
     n_params = len(coeff[0])
     # distinct permutations, decided symbolically on (base_i, coeff_i) rows
@@ -252,8 +250,7 @@ def orbit_structure(kind: str, d: int) -> OrbitStructure:
             coeff_arr[k, i, :] = [float(c) for c in coeff[sigma[i]]]
     base_arr.flags.writeable = False
     coeff_arr.flags.writeable = False
-    struct = OrbitStructure(kind, d, n_params, is_facet, base_arr,
-                            coeff_arr, size)
+    struct = OrbitStructure(kind, d, n_params, base_arr, coeff_arr, size)
     _STRUCT_CACHE[key] = struct
     return struct
 
@@ -266,10 +263,6 @@ def orbit_kinds(d: int) -> list[str]:
 
 def orbit_size(kind: str, d: int) -> int:
     return orbit_structure(kind, d).size
-
-
-def kind_is_facet(kind: str, d: int) -> bool:
-    return orbit_structure(kind, d).is_facet
 
 
 def kind_param_count(kind: str, d: int) -> int:
@@ -419,13 +412,6 @@ def min_node_spacing(nodes: NodeSet | np.ndarray) -> float:
     return float(dist.min())
 
 
-def _facet_reference_map(elem: ReferenceSimplex, facet: Facet):
-    """Vertices of the (d-1)-reference simplex used for facet-local coords."""
-    if elem.dim == 1:
-        return None
-    return reference_simplex(elem.dim - 1).vertices
-
-
 def facet_restriction(nodes: NodeSet, facet_id: int,
                       elem: ReferenceSimplex | None = None,
                       tol: float = 1e-12):
@@ -441,8 +427,7 @@ def facet_restriction(nodes: NodeSet, facet_id: int,
     sub = nodes.bary[np.ix_(idx, list(facet.vertex_ids))]
     if nodes.dim == 1:
         return idx, np.zeros((idx.size, 0))
-    ref_facet_verts = _facet_reference_map(elem, facet)
-    return idx, sub @ ref_facet_verts
+    return idx, sub @ reference_simplex(nodes.dim - 1).vertices
 
 
 def node_set_is_symmetric(nodes: NodeSet, tol: float = 1e-10) -> bool:

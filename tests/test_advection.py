@@ -5,6 +5,8 @@ import pytest
 
 from sbpquad.advection import (
     MeshError,
+    _lattice,
+    _pair_facets,
     assemble_dense,
     build_problem,
     certification_horizon,
@@ -92,12 +94,21 @@ def test_mesh_nodes_inside_box(name, request):
     assert prob.phys.max() <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("name", ["p1_problem", "p2_problem",
-                                  "tet_problem"])
-def test_interface_nodes_collocated(name, request):
+@pytest.fixture(scope="module")
+def mesh_operators(tri_lgl_results, tet_result):
+    return {"p1": build_operator(tri_lgl_results[1].rule),
+            "p2": build_operator(tri_lgl_results[3].rule),
+            "tet": build_operator(tet_result.rule)}
+
+
+# m = 2 is where facet keys built from wrapped vertices alone would alias
+@pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
+@pytest.mark.parametrize("name", ["p1", "p2", "tet"])
+def test_interface_nodes_collocated(mesh_operators, name, m):
     """Every SAT partner node sits at the same physical point modulo
     the periodic wrap."""
-    prob = request.getfixturevalue(name)
+    op = mesh_operators[name]
+    prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D)
     d = prob.dim
     flat = prob.phys.reshape(-1, d)
     for f in range(d + 1):
@@ -106,6 +117,14 @@ def test_interface_nodes_collocated(name, request):
         diff = mine - theirs
         diff -= np.round(diff)
         assert np.abs(diff).max() < 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pair_facets_rejects_a_missing_element(d):
+    ivert = _lattice(d, 3)
+    assert _pair_facets(ivert, 3).shape == (ivert.shape[0], d + 1)
+    with pytest.raises(MeshError, match="exactly two"):
+        _pair_facets(ivert[1:], 3)
 
 
 def test_mesh_rejects_interval_operators():
@@ -197,6 +216,25 @@ def test_dense_operator_matches_rhs(p1_problem):
                                  p1_problem.op.n_nodes))
         assert np.allclose(L @ u.reshape(-1), rhs(p1_problem, u).reshape(-1),
                            atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["p2_problem", "tet_problem"])
+def test_dense_operator_matches_element_loop(name, request):
+    """The vectorized assembly equals a per-element loop bit for bit."""
+    prob = request.getfixturevalue(name)
+    op, n = prob.op, prob.op.n_nodes
+    ref = np.zeros((prob.n_dof, prob.n_dof))
+    for k in range(prob.n_elements):
+        blk = np.zeros((n, n))
+        for j in range(op.dim):
+            blk -= prob.Gvol[k, j] * op.D[j]
+        ref[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
+    for f in range(op.dim + 1):
+        for k in range(prob.n_elements):
+            rows = k * n + prob.vol_idx[f]
+            ref[rows, rows] += prob.coef[f][k]
+            ref[rows, prob.ext_flat[f][k]] -= prob.coef[f][k]
+    assert np.array_equal(assemble_dense(prob), ref)
 
 
 def test_step_matrix_matches_rk4(p1_problem):

@@ -175,6 +175,35 @@ def test_operator_archive_checks_norm(tri_lgl_results, tmp_path):
     assert operator_from_dict(data, check=False).p == op.p
 
 
+@pytest.mark.parametrize("name", ["E", "Q", "D"])
+def test_operator_archive_checks_every_array(tri_lgl_results, name):
+    op = build_operator(tri_lgl_results[2].rule)
+    data = operator_to_dict(op)
+    arr = np.asarray(data[name])
+    arr[np.unravel_index(np.abs(arr).argmax(), arr.shape)] *= 1.0 + 1e-9
+    data[name] = arr.tolist()
+    with pytest.raises(ArchiveError, match=f"{name} disagrees"):
+        operator_from_dict(data)
+    assert operator_from_dict(data, check=False).p == op.p
+
+
+def test_operator_archive_rejects_wrong_shape(tri_lgl_results):
+    data = operator_to_dict(build_operator(tri_lgl_results[2].rule))
+    data["D"] = data["D"][:1]
+    with pytest.raises(ArchiveError, match="D disagrees"):
+        operator_from_dict(data)
+    data["Q"] = [[1.0], [2.0, 3.0]]
+    with pytest.raises(ArchiveError, match="unreadable"):
+        operator_from_dict(data)
+
+
+def test_operator_archive_checks_schema(tri_lgl_results):
+    data = operator_to_dict(build_operator(tri_lgl_results[2].rule))
+    data["schema"] = 2
+    with pytest.raises(ArchiveError, match="schema"):
+        operator_from_dict(data)
+
+
 # ----------------------------------------------------------------------
 # command-line interface
 
