@@ -422,9 +422,12 @@ def max_stable_dt(prob: AdvectionProblem, T: float | None = None,
     """Largest dt whose RK4 propagator keeps the energy nonincreasing.
 
     Doubles/halves to bracket the threshold, then golden-section
-    shrinks the bracket to the requested relative width; returns the
-    certified-stable lower edge.
+    shrinks the bracket to the requested relative width, or until the
+    bracket has no float strictly inside; returns the certified-stable
+    lower edge.
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be positive and finite, not {rel_tol}")
     if T is None:
         T = certification_horizon(prob)
     L = assemble_dense(prob)
@@ -451,6 +454,8 @@ def max_stable_dt(prob: AdvectionProblem, T: float | None = None,
                 raise RuntimeError("no stable timestep found")
     while (hi - lo) > rel_tol * lo:
         mid = hi - (hi - lo) / _GOLDEN
+        if not lo < mid < hi:
+            break
         if stable(mid):
             lo = mid
         else:

@@ -2,19 +2,35 @@
 
 Collapsed-coordinate Koornwinder-Dubiner bases, orthonormal with respect
 to the plain Lebesgue measure of the bi-unit elements from
-:mod:`sbpquad.simplex`.  Jacobi polynomials are evaluated with the
-normalized three-term recurrence, so values and derivatives are stable
-well past total degree 40.
+:mod:`sbpquad.simplex`, built the same way in every dimension d.  A point
+x has the collapsed coordinates
+
+    a_l = 2 (1 + x_l) / ((3 - d + l) - sum_{m>l} x_m) - 1,  a_{d-1} = x_{d-1}
+
+(a_l = -1 where the denominator vanishes), and mode (i_0, ..., i_{d-1}) is
+
+    2^{d(d-1)/4} prod_l P~_{i_l}^{(2 s_l + l, 0)}(a_l) (1 - a_l)^{s_l},
+    s_l = i_0 + ... + i_{l-1},
+
+with P~ the orthonormal Jacobi polynomials.  Each level's table comes
+from one normalized three-term recurrence run over all alpha of that
+level at once, so values and derivatives are stable well past total
+degree 40.  Gradients use the product rule, d/dx_m = D_m + sum_{l<m}
+(1 + a_l)/2 D_l with D_l = d/da_l times da_l/dx_l.  That factor divides
+by prod_{m>l} (1 - a_m)/2, so D_l carries each later (1 - a_m) power
+lowered by one and stays finite at vertices and edges.
 
 Mode ordering is graded: total degree ascending, and within one degree
-the first collapsed index ascending (then the second, for the tet).  The
-first mode is the constant 1/sqrt(|Omega|).
+the multi-indices in lexicographic order.  The first mode is the
+constant 1/sqrt(|Omega|).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -41,25 +57,69 @@ def n_basis(q: int, d: int) -> int:
 
 def mode_indices(q: int, d: int) -> list[tuple[int, ...]]:
     """Graded mode index list; len equals n_basis(q, d)."""
-    out: list[tuple[int, ...]] = []
-    if d == 1:
-        out = [(n,) for n in range(q + 1)]
-    elif d == 2:
-        for n in range(q + 1):
-            for i in range(n + 1):
-                out.append((i, n - i))
-    elif d == 3:
-        for n in range(q + 1):
-            for i in range(n + 1):
-                for j in range(n - i + 1):
-                    out.append((i, j, n - i - j))
-    else:
+    if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    return out
+    modes = (m for m in itertools.product(range(q + 1), repeat=d)
+             if sum(m) <= q)
+    return sorted(modes, key=lambda m: (sum(m), m))
 
 
 # ----------------------------------------------------------------------
 # normalized Jacobi polynomials
+
+
+@lru_cache(maxsize=256)
+def _recurrence(alphas: tuple[float, ...], beta: float, n: int):
+    """Per-alpha coefficients: P~_0, the terms and norm of P~_1, and the
+    a_i, b_i of P~_{i+1} = ((x - b_i) P~_i - a_{i-1} P~_{i-1}) / a_i."""
+    cols = []
+    for alpha in alphas:
+        gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1)
+                  * math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+                             - math.lgamma(alpha + beta + 1)))
+        gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
+        a = [2.0 / (2 + alpha + beta)
+             * math.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3))]
+        b = [0.0]
+        for i in range(1, n):
+            h1 = 2.0 * i + alpha + beta
+            a.append(2.0 / (h1 + 2)
+                     * math.sqrt((i + 1) * (i + 1 + alpha + beta)
+                                 * (i + 1 + alpha) * (i + 1 + beta)
+                                 / (h1 + 1) / (h1 + 3)))
+            b.append(-(alpha ** 2 - beta ** 2) / h1 / (h1 + 2))
+        cols.append([1.0 / math.sqrt(gamma0), alpha + beta + 2,
+                     (alpha - beta) / 2, math.sqrt(gamma1)] + a + b)
+    table = np.array(cols).T[..., None]
+    table.flags.writeable = False
+    m = len(a)
+    return table[0], table[1], table[2], table[3], table[4:4 + m], table[-m:]
+
+
+def _jacobi_table(x: np.ndarray, alphas: tuple[float, ...], beta: float,
+                  n: int) -> np.ndarray:
+    """P~_0..P~_n at the points x (1-D) for every alpha at once, shape
+    (n+1, len(alphas), len(x))."""
+    p0, c1, c0, s1, a, b = _recurrence(alphas, beta, n)
+    vals = np.empty((n + 1, len(alphas), len(x)))
+    vals[0] = p0
+    if n:
+        vals[1] = (c1 * x / 2 + c0) / s1
+    for i in range(1, n):
+        vals[i + 1] = ((x - b[i]) * vals[i] - a[i - 1] * vals[i - 1]) / a[i]
+    return vals
+
+
+def _jacobi_derivative_table(x: np.ndarray, alphas: tuple[float, ...],
+                             beta: float, n: int) -> np.ndarray:
+    """Derivatives of P~_0..P~_n, laid out as in :func:`_jacobi_table`."""
+    out = np.zeros((n + 1, len(alphas), len(x)))
+    if n:
+        k = np.arange(1, n + 1)[:, None, None]
+        al = np.array(alphas)[:, None]
+        out[1:] = np.sqrt(k * (k + al + beta + 1)) * _jacobi_table(
+            x, tuple(alpha + 1 for alpha in alphas), beta + 1, n - 1)
+    return out
 
 
 def jacobi(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
@@ -69,81 +129,58 @@ def jacobi(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
     Returns an array of shape (n+1,) + x.shape.
     """
     x = np.asarray(x, dtype=float)
-    vals = np.empty((n + 1,) + x.shape)
-    gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1)
-              * math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + 1)
-                         - math.lgamma(alpha + beta + 1)))
-    vals[0] = 1.0 / math.sqrt(gamma0)
-    if n == 0:
-        return vals
-    gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
-    vals[1] = ((alpha + beta + 2) * x / 2 + (alpha - beta) / 2) \
-        / math.sqrt(gamma1)
-    aold = (2.0 / (2 + alpha + beta)
-            * math.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3)))
-    for i in range(1, n):
-        h1 = 2.0 * i + alpha + beta
-        anew = (2.0 / (h1 + 2)
-                * math.sqrt((i + 1) * (i + 1 + alpha + beta)
-                            * (i + 1 + alpha) * (i + 1 + beta)
-                            / (h1 + 1) / (h1 + 3)))
-        bnew = -(alpha ** 2 - beta ** 2) / h1 / (h1 + 2)
-        vals[i + 1] = ((x - bnew) * vals[i] - aold * vals[i - 1]) / anew
-        aold = anew
-    return vals
+    return _jacobi_table(x.ravel(), (float(alpha),), float(beta),
+                         n).reshape((n + 1,) + x.shape)
 
 
 def jacobi_derivative(x: np.ndarray, alpha: float, beta: float,
                       n: int) -> np.ndarray:
     """First derivatives of the orthonormal Jacobi polynomials P~_0..P~_n."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros((n + 1,) + x.shape)
-    if n == 0:
-        return out
-    shifted = jacobi(x, alpha + 1, beta + 1, n - 1)
-    for k in range(1, n + 1):
-        out[k] = math.sqrt(k * (k + alpha + beta + 1)) * shifted[k - 1]
-    return out
+    return _jacobi_derivative_table(x.ravel(), (float(alpha),), float(beta),
+                                    n).reshape((n + 1,) + x.shape)
 
 
 # ----------------------------------------------------------------------
-# collapsed coordinates
+# collapsed coordinates and Vandermonde matrices
 
 _SING_TOL = 1e-13
 
 
-def _collapse_tri(x, y):
-    denom = 1.0 - y
-    a = np.where(np.abs(denom) > _SING_TOL,
-                 2.0 * (1.0 + x) / np.where(np.abs(denom) > _SING_TOL,
-                                            denom, 1.0) - 1.0,
-                 -1.0)
-    return a, y.copy()
+@lru_cache(maxsize=None)
+def _plan(q: int, d: int):
+    """Per level l: the mode indices i_l, the powers s_l and the level's
+    Jacobi alphas 2 s + l for s = 0..max s_l; and the scale 2^{d(d-1)/4}."""
+    i = np.array(mode_indices(q, d)).reshape(-1, d).T
+    s = np.cumsum(i, axis=0) - i
+    i.flags.writeable = s.flags.writeable = False
+    levels = tuple((i[l], s[l], tuple(2.0 * k + l for k in range(top + 1)))
+                   for l, top in enumerate(s.max(axis=1)))
+    return levels, 2.0 ** (d * (d - 1) / 4)
 
 
-def _collapse_tet(x, y, z):
-    den_a = -(y + z)
-    a = np.where(np.abs(den_a) > _SING_TOL,
-                 2.0 * (1.0 + x) / np.where(np.abs(den_a) > _SING_TOL,
-                                            den_a, 1.0) - 1.0,
-                 -1.0)
-    den_b = 1.0 - z
-    b = np.where(np.abs(den_b) > _SING_TOL,
-                 2.0 * (1.0 + y) / np.where(np.abs(den_b) > _SING_TOL,
-                                            den_b, 1.0) - 1.0,
-                 -1.0)
-    return a, b, z.copy()
-
-
-def _check_closure(coords: np.ndarray, d: int, tol: float = 1e-12):
-    elem = reference_simplex(d)
-    bary = elem.barycentric(coords)
-    if bary.min() < -tol:
+def _levels(coords, q: int, d: int | None, check: bool):
+    """Per level: a_l, i_l, s_l, the alphas and the powers (1 - a_l)^0..^max
+    s_l (by repeated multiplication); and the scale."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if d is None:
+        d = coords.shape[1]
+    if check and reference_simplex(d).barycentric(coords).min() < -1e-12:
         raise ValueError("nodes outside the closure of the reference element")
-
-
-# ----------------------------------------------------------------------
-# Vandermonde matrices
+    plan, scale = _plan(q, d)
+    x = coords[:, :d].T
+    a = x.copy()
+    for l in range(d - 1):
+        den = (3 - d + l) - x[l + 1:].sum(axis=0)
+        ok = np.abs(den) > _SING_TOL
+        a[l] = np.where(ok, 2.0 * (1.0 + x[l]) / np.where(ok, den, 1.0) - 1.0,
+                        -1.0)
+    levels = []
+    for al, (i, s, alphas) in zip(a, plan):
+        W = np.ones((len(alphas), len(al)))
+        W[1:] = 1.0 - al
+        levels.append((al, i, s, alphas, np.cumprod(W, axis=0)))
+    return levels, scale
 
 
 def vandermonde(coords: np.ndarray, q: int, d: int | None = None,
@@ -153,140 +190,30 @@ def vandermonde(coords: np.ndarray, q: int, d: int | None = None,
     Column j holds mode j of the graded orthonormal basis evaluated at
     every node.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if d is None:
-        d = coords.shape[1]
-    if check:
-        _check_closure(coords, d)
-    modes = mode_indices(q, d)
-    n = coords.shape[0]
-    V = np.empty((n, len(modes)))
-    if d == 1:
-        x = coords[:, 0]
-        leg = jacobi(x, 0.0, 0.0, q)
-        for col, (i,) in enumerate(modes):
-            V[:, col] = leg[i]
-        return V
-    if d == 2:
-        a, b = _collapse_tri(coords[:, 0], coords[:, 1])
-        fa = jacobi(a, 0.0, 0.0, q)
-        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
-        one_m_b = 1.0 - b
-        pow_b = [np.ones_like(b)]
-        for _ in range(q):
-            pow_b.append(pow_b[-1] * one_m_b)
-        for col, (i, j) in enumerate(modes):
-            V[:, col] = math.sqrt(2.0) * fa[i] * gb[i][j] * pow_b[i]
-        return V
-    if d == 3:
-        a, b, c = _collapse_tet(coords[:, 0], coords[:, 1], coords[:, 2])
-        fa = jacobi(a, 0.0, 0.0, q)
-        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
-        hc = {ij: jacobi(c, 2.0 * ij + 2.0, 0.0, q)
-              for ij in range(q + 1)}
-        pb = [np.ones_like(b)]
-        pc = [np.ones_like(c)]
-        for _ in range(q):
-            pb.append(pb[-1] * (1.0 - b))
-            pc.append(pc[-1] * (1.0 - c))
-        for col, (i, j, k) in enumerate(modes):
-            V[:, col] = (2.0 * math.sqrt(2.0) * fa[i] * gb[i][j]
-                         * pb[i] * hc[i + j][k] * pc[i + j])
-        return V
-    raise ValueError(f"unsupported dimension {d}")
+    levels, V = _levels(coords, q, d, check)
+    for a, i, s, alphas, W in levels:
+        V = V * _jacobi_table(a, alphas, 0.0, q)[i, s] * W[s]
+    return np.ascontiguousarray(V.T)
 
 
 def grad_vandermonde(coords: np.ndarray, q: int, d: int | None = None,
                      check: bool = True) -> list[np.ndarray]:
     """Per-direction derivative Vandermonde matrices [d/dx_k V]."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    if d is None:
-        d = coords.shape[1]
-    if check:
-        _check_closure(coords, d)
-    modes = mode_indices(q, d)
-    n = coords.shape[0]
-    if d == 1:
-        x = coords[:, 0]
-        dleg = jacobi_derivative(x, 0.0, 0.0, q)
-        Vx = np.empty((n, len(modes)))
-        for col, (i,) in enumerate(modes):
-            Vx[:, col] = dleg[i]
-        return [Vx]
-    if d == 2:
-        a, b = _collapse_tri(coords[:, 0], coords[:, 1])
-        fa = jacobi(a, 0.0, 0.0, q)
-        dfa = jacobi_derivative(a, 0.0, 0.0, q)
-        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
-        dgb = {i: jacobi_derivative(b, 2.0 * i + 1.0, 0.0, q)
-               for i in range(q + 1)}
-        half_1mb = 0.5 * (1.0 - b)
-        powh = [np.ones_like(b)]
-        for _ in range(q):
-            powh.append(powh[-1] * half_1mb)
-        Vr = np.empty((n, len(modes)))
-        Vs = np.empty((n, len(modes)))
-        for col, (i, j) in enumerate(modes):
-            scale = 2.0 ** (i + 0.5)
-            dmdr = dfa[i] * gb[i][j]
-            if i > 0:
-                dmdr = dmdr * powh[i - 1]
-            dmds = dfa[i] * (gb[i][j] * (0.5 * (1.0 + a)))
-            if i > 0:
-                dmds = dmds * powh[i - 1]
-            tmp = dgb[i][j] * powh[i]
-            if i > 0:
-                tmp = tmp - 0.5 * i * gb[i][j] * powh[i - 1]
-            dmds = dmds + fa[i] * tmp
-            Vr[:, col] = scale * dmdr
-            Vs[:, col] = scale * dmds
-        return [Vr, Vs]
-    if d == 3:
-        a, b, c = _collapse_tet(coords[:, 0], coords[:, 1], coords[:, 2])
-        fa = jacobi(a, 0.0, 0.0, q)
-        dfa = jacobi_derivative(a, 0.0, 0.0, q)
-        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
-        dgb = {i: jacobi_derivative(b, 2.0 * i + 1.0, 0.0, q)
-               for i in range(q + 1)}
-        hc = {ij: jacobi(c, 2.0 * ij + 2.0, 0.0, q) for ij in range(q + 1)}
-        dhc = {ij: jacobi_derivative(c, 2.0 * ij + 2.0, 0.0, q)
-               for ij in range(q + 1)}
-        hb = 0.5 * (1.0 - b)
-        hcC = 0.5 * (1.0 - c)
-        pb = [np.ones_like(b)]
-        pc = [np.ones_like(c)]
-        for _ in range(q):
-            pb.append(pb[-1] * hb)
-            pc.append(pc[-1] * hcC)
-        Vr = np.empty((n, len(modes)))
-        Vs = np.empty((n, len(modes)))
-        Vt = np.empty((n, len(modes)))
-        for col, (i, j, k) in enumerate(modes):
-            scale = 2.0 ** (2 * i + j + 1.5)
-            dr = dfa[i] * gb[i][j] * hc[i + j][k]
-            if i > 0:
-                dr = dr * pb[i - 1]
-            if i + j > 0:
-                dr = dr * pc[i + j - 1]
-            ds = 0.5 * (1.0 + a) * dr
-            tmp = dgb[i][j] * pb[i]
-            if i > 0:
-                tmp = tmp - 0.5 * i * gb[i][j] * pb[i - 1]
-            if i + j > 0:
-                tmp = tmp * pc[i + j - 1]
-            tmp = fa[i] * tmp * hc[i + j][k]
-            ds = ds + tmp
-            dt = 0.5 * (1.0 + a) * dr + 0.5 * (1.0 + b) * tmp
-            tmp2 = dhc[i + j][k] * pc[i + j]
-            if i + j > 0:
-                tmp2 = tmp2 - 0.5 * (i + j) * hc[i + j][k] * pc[i + j - 1]
-            tmp2 = fa[i] * gb[i][j] * tmp2 * pb[i]
-            dt = dt + tmp2
-            Vr[:, col] = scale * dr
-            Vs[:, col] = scale * ds
-            Vt[:, col] = scale * dt
-        return [Vr, Vs, Vt]
-    raise ValueError(f"unsupported dimension {d}")
+    levels, scale = _levels(coords, q, d, check)
+    F, G, Fm = [], [], []
+    for a, i, s, alphas, W in levels:
+        P = _jacobi_table(a, alphas, 0.0, q)[i, s]
+        dP = _jacobi_derivative_table(a, alphas, 0.0, q)[i, s]
+        w, wm = W[s], W[np.maximum(s - 1, 0)]
+        F.append(P * w)
+        G.append(dP * w - s[:, None] * P * wm)   # d/da of P (1 - a)^s
+        Fm.append(2.0 * P * wm)   # P (1 - a)^s over (1 - a)/2
+    grads, chain = [], 0.0
+    for m, (a, *_) in enumerate(levels):
+        D = math.prod(F[:m] + [G[m]] + Fm[m + 1:], start=scale)
+        grads.append(np.ascontiguousarray((D + chain).T))
+        chain = chain + 0.5 * (1.0 + a) * D
+    return grads
 
 
 def integral_vector(q: int, d: int) -> np.ndarray:
@@ -321,8 +248,7 @@ def monomial_integral(powers, d: int) -> float:
     total = Fraction(0)
     # expand prod_i (2 lam_{i+1} - 1)^{a_i} with the multinomial theorem
     ranges = [range(a + 1) for a in powers]
-    import itertools as _it
-    for ks in _it.product(*ranges):
+    for ks in itertools.product(*ranges):
         coeff = Fraction(1)
         for a, k in zip(powers, ks):
             coeff *= math.comb(a, k) * Fraction(2) ** k * (-1) ** (a - k)

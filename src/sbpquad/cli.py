@@ -7,6 +7,7 @@ or construction failure, 4 bad usage or unreadable input.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -14,11 +15,10 @@ import numpy as np
 from . import __version__
 from .advection import (build_problem, certify_stable, max_stable_dt,
                         run_convergence)
-from .archive import (ArchiveError, canonical_json, load_rule,
-                      operator_to_dict, rule_to_dict, save_operator,
-                      save_rule)
+from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
+                      save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
-from .search import RuleValidationError, SearchOptions, validate_rule
+from .search import RuleValidationError, validate_rule
 from .signatures import find_rule
 
 EXIT_OK = 0
@@ -54,15 +54,43 @@ def _parse_budget(text: str) -> float:
     return value
 
 
-def _parse_meshes(text: str) -> list[int]:
+def _parse_cells(text: str) -> int:
     try:
-        meshes = [int(t) for t in text.split(",") if t]
+        m = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad mesh list: {text!r}")
-    if len(meshes) < 2 or any(m < 1 for m in meshes):
+        raise argparse.ArgumentTypeError(f"bad cell count: {text!r}")
+    if m < 2:
         raise argparse.ArgumentTypeError(
-            "need at least two positive mesh sizes")
+            "a periodic mesh needs at least 2 cells per direction")
+    return m
+
+
+def _parse_meshes(text: str) -> list[int]:
+    meshes = [_parse_cells(t) for t in text.split(",") if t]
+    if len(meshes) < 2:
+        raise argparse.ArgumentTypeError("need at least two mesh sizes")
     return meshes
+
+
+def _parse_rel_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "tolerance must be positive and finite")
+    return value
+
+
+def _parse_velocity(text: str) -> list[float]:
+    try:
+        parts = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad velocity: {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError("velocity must be finite")
+    return parts
 
 
 def _load(path: str):
@@ -77,7 +105,6 @@ def _load(path: str):
 
 
 def _cmd_find(args) -> int:
-    options = SearchOptions()
     facet = None if args.facet == "none" else args.facet
     result = find_rule(args.domain, args.qv, facet_kind=facet,
                        seed=args.seed, sweeps=args.sweeps,
@@ -136,23 +163,22 @@ def _cmd_sbp(args) -> int:
 
 
 def _velocity(args, dim: int) -> np.ndarray:
-    if args.velocity is not None:
-        parts = [float(t) for t in args.velocity.split(",")]
-        if len(parts) != dim:
-            print(f"velocity needs {dim} components", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        return np.asarray(parts)
-    return np.asarray(_DEFAULT_C[dim])
+    if args.velocity is None:
+        return np.asarray(_DEFAULT_C[dim])
+    if len(args.velocity) != dim:
+        print(f"velocity needs {dim} components", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return np.asarray(args.velocity)
 
 
 def _cmd_converge(args) -> int:
     rule = _load(args.rule)
+    c = _velocity(args, rule.dim)
     try:
         op = build_operator(rule, p=args.p)
     except SBPConstructionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    c = _velocity(args, op.dim)
     result = run_convergence(op, args.meshes, c, t=args.time,
                              omega=args.omega, flux=args.flux)
     print(result.summary())
@@ -176,12 +202,12 @@ def _cmd_converge(args) -> int:
 
 def _cmd_timestep(args) -> int:
     rule = _load(args.rule)
+    c = _velocity(args, rule.dim)
     try:
         op = build_operator(rule, p=args.p)
     except SBPConstructionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    c = _velocity(args, op.dim)
     prob = build_problem(op, args.m, c, flux=args.flux,
                          omega=args.omega)
     dt = max_stable_dt(prob, rel_tol=args.rel_tol)
@@ -246,7 +272,7 @@ def build_parser() -> _Parser:
     p_conv.add_argument("--omega", type=int, default=2)
     p_conv.add_argument("--flux", choices=("upwind", "central"),
                         default="upwind")
-    p_conv.add_argument("--velocity", default=None,
+    p_conv.add_argument("--velocity", type=_parse_velocity, default=None,
                         help="comma-separated components")
     p_conv.add_argument("-p", type=int, default=None)
     p_conv.add_argument("--min-rate", type=float, default=None,
@@ -257,12 +283,12 @@ def build_parser() -> _Parser:
     p_dt = sub.add_parser("timestep",
                           help="largest energy-stable RK4 timestep")
     p_dt.add_argument("rule")
-    p_dt.add_argument("--m", type=int, default=4)
+    p_dt.add_argument("--m", type=_parse_cells, default=4)
     p_dt.add_argument("--flux", choices=("upwind", "central"),
                       default="upwind")
     p_dt.add_argument("--omega", type=int, default=2)
-    p_dt.add_argument("--velocity", default=None)
-    p_dt.add_argument("--rel-tol", type=float, default=1e-4)
+    p_dt.add_argument("--velocity", type=_parse_velocity, default=None)
+    p_dt.add_argument("--rel-tol", type=_parse_rel_tol, default=1e-4)
     p_dt.add_argument("-p", type=int, default=None)
     p_dt.add_argument("-o", "--output", default=None)
     p_dt.set_defaults(func=_cmd_timestep)

@@ -46,7 +46,6 @@ __all__ = [
     "SwarmState",
     "init_swarm",
     "pso_step",
-    "perturb",
     "SearchResult",
     "solve_coupled",
 ]
@@ -306,9 +305,6 @@ class SearchOptions:
     lma_max_iters: int = 100
     max_rejects: int = 30
     max_rounds: int = 10
-    stagnation_rounds: int = 15
-    stagnation_rel: float = 1e-6
-    perturb_delta: float | None = None   # default: 1e-2 (qv<=10) else 1e-3
     tol: float = 5e-14
     nu_init: float = 1e3
     nu_dec: float = 0.2
@@ -316,11 +312,6 @@ class SearchOptions:
     nu_max: float = 1e18
     nu_polish_floor: float = 1e-12
     eps_weight: float = EPS_WEIGHT
-
-    def delta(self, qv: int) -> float:
-        if self.perturb_delta is not None:
-            return self.perturb_delta
-        return 1e-2 if qv <= 10 else 1e-3
 
 
 def random_design(spec: SearchSpec, rng: np.random.Generator,
@@ -565,19 +556,6 @@ def pso_step(spec: SearchSpec, swarm: SwarmState,
     swarm.iterations += 1
 
 
-def perturb(spec: SearchSpec, tau: np.ndarray, delta: float,
-            rng: np.random.Generator,
-            eps: float = EPS_WEIGHT) -> np.ndarray:
-    """(1-delta) tau + delta U(0,1) on the free entries."""
-    out = tau.copy()
-    free = spec.free_mask
-    r = rng.random(int(free.sum()))
-    out[free] = (1.0 - delta) * out[free] + delta * r
-    ws = spec.weight_slice
-    out[ws] = np.maximum(out[ws], eps)
-    return out
-
-
 # ----------------------------------------------------------------------
 # coupled driver
 
@@ -604,9 +582,9 @@ def _try_finalize(spec: SearchSpec, state: LmaState,
         prov = dict(provenance)
         prov["residual_inf"] = final.res_inf
         rule = spec.build_rule(final.tau, prov)
-    except (NodeSetError, RuleValidationError) as exc:
-        return None, final, str(exc)
-    return rule, final, ""
+    except (NodeSetError, RuleValidationError):
+        return None, final
+    return rule, final
 
 
 def solve_coupled(spec: SearchSpec,
@@ -617,9 +595,9 @@ def solve_coupled(spec: SearchSpec,
 
     Deterministic for a given (spec, options, seed).  Round zero is a
     plain LMA solve from the warm start (or a random design); afterwards
-    each round runs the swarm, polishes its global best with LMA, feeds
-    the result back as a particle, and perturbs the swarm after
-    `stagnation_rounds` rounds without relative improvement.
+    each round runs the swarm, polishes its global best with LMA and
+    feeds the result back as a particle.  The swarm's global best never
+    gets worse, so an unconverged search reports it.
     """
     opts = options or SearchOptions()
     rng = (seed if isinstance(seed, np.random.Generator)
@@ -636,16 +614,12 @@ def solve_coupled(spec: SearchSpec,
     state = lma_solve(spec, tau0, opts)
     lma_total += state.iterations
     if state.converged:
-        rule, final, msg = _try_finalize(spec, state, opts, prov)
+        rule, final = _try_finalize(spec, state, opts, prov)
         if rule is not None:
             return SearchResult(rule, True, final.res_inf, 0, lma_total,
                                 pso_total, best_tau=final.tau)
 
     swarm = init_swarm(spec, opts, rng, seeds=(state.tau, tau0))
-    best_obj = swarm.gbest_obj
-    best_tau = swarm.gbest_pos.copy()
-    stall = 0
-    delta = opts.delta(spec.qv)
     for rnd in range(1, opts.max_rounds + 1):
         for _ in range(opts.pso_iters):
             pso_step(spec, swarm, opts, rng)
@@ -653,7 +627,7 @@ def solve_coupled(spec: SearchSpec,
         state = lma_solve(spec, swarm.gbest_pos.copy(), opts)
         lma_total += state.iterations
         if state.converged:
-            rule, final, msg = _try_finalize(spec, state, opts, prov)
+            rule, final = _try_finalize(spec, state, opts, prov)
             if rule is not None:
                 return SearchResult(rule, True, final.res_inf, rnd,
                                     lma_total, pso_total,
@@ -669,27 +643,8 @@ def solve_coupled(spec: SearchSpec,
         if obj < swarm.gbest_obj:
             swarm.gbest_obj = float(obj)
             swarm.gbest_pos = state.tau.copy()
-        if swarm.gbest_obj < best_obj * (1.0 - opts.stagnation_rel):
-            best_obj = swarm.gbest_obj
-            best_tau = swarm.gbest_pos.copy()
-            stall = 0
-        else:
-            stall += 1
-        if stall >= opts.stagnation_rounds:
-            for i in range(swarm.positions.shape[0]):
-                swarm.positions[i] = perturb(spec, swarm.positions[i],
-                                             delta, rng, opts.eps_weight)
-                swarm.velocities[i] = 0.0
-                swarm.pbest_obj[i] = swarm_objective(spec,
-                                                     swarm.positions[i])
-                swarm.pbest_pos[i] = swarm.positions[i].copy()
-            gb = int(np.argmin(swarm.pbest_obj))
-            swarm.gbest_obj = float(swarm.pbest_obj[gb])
-            swarm.gbest_pos = swarm.pbest_pos[gb].copy()
-            stall = 0
-    if swarm.gbest_obj < best_obj:
-        best_obj = swarm.gbest_obj
-        best_tau = swarm.gbest_pos.copy()
-    res = math.sqrt(2.0 * best_obj) if np.isfinite(best_obj) else np.inf
+    best = swarm.gbest_obj
+    res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
     return SearchResult(None, False, res, opts.max_rounds, lma_total,
-                        pso_total, "no convergence", best_tau=best_tau)
+                        pso_total, "no convergence",
+                        best_tau=swarm.gbest_pos.copy())

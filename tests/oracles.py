@@ -3,14 +3,19 @@
 Everything here is computed by a different route than the package uses:
 monomial integrals by direct nested antidifferentiation in exact
 rational arithmetic, Jacobi polynomials through scipy's unnormalized
-evaluations plus the explicit norm formula.
+evaluations plus the explicit norm formula.  The per-dimension basis
+evaluator at the end is the one the package used before its basis became
+d-generic, kept verbatim as the bit-for-bit reference.
 """
 
+import math
 from fractions import Fraction
 from math import comb, gamma, sqrt
 
 import numpy as np
 import scipy.special
+
+from sbpquad.simplex import reference_simplex
 
 
 def _even_moment(m: int) -> Fraction:
@@ -72,3 +77,247 @@ GAUSS_2 = (np.array([-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)]),
 D_LOBATTO_3 = np.array([[-1.5, 2.0, -0.5],
                         [-0.5, 0.0, 0.5],
                         [0.5, -2.0, 1.5]])
+
+
+# ----------------------------------------------------------------------
+# collapsed-coordinate basis, one branch per dimension (reference for
+# sbpquad.basis)
+
+
+def mode_indices(q: int, d: int) -> list[tuple[int, ...]]:
+    """Graded mode index list; len equals n_basis(q, d)."""
+    out: list[tuple[int, ...]] = []
+    if d == 1:
+        out = [(n,) for n in range(q + 1)]
+    elif d == 2:
+        for n in range(q + 1):
+            for i in range(n + 1):
+                out.append((i, n - i))
+    elif d == 3:
+        for n in range(q + 1):
+            for i in range(n + 1):
+                for j in range(n - i + 1):
+                    out.append((i, j, n - i - j))
+    else:
+        raise ValueError(f"unsupported dimension {d}")
+    return out
+
+
+def jacobi(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
+    """Values of the orthonormal Jacobi polynomials P~_0..P~_n at x.
+
+    Orthonormal w.r.t. the weight (1-x)^alpha (1+x)^beta on [-1, 1].
+    Returns an array of shape (n+1,) + x.shape.
+    """
+    x = np.asarray(x, dtype=float)
+    vals = np.empty((n + 1,) + x.shape)
+    gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1)
+              * math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + 1)
+                         - math.lgamma(alpha + beta + 1)))
+    vals[0] = 1.0 / math.sqrt(gamma0)
+    if n == 0:
+        return vals
+    gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
+    vals[1] = ((alpha + beta + 2) * x / 2 + (alpha - beta) / 2) \
+        / math.sqrt(gamma1)
+    aold = (2.0 / (2 + alpha + beta)
+            * math.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3)))
+    for i in range(1, n):
+        h1 = 2.0 * i + alpha + beta
+        anew = (2.0 / (h1 + 2)
+                * math.sqrt((i + 1) * (i + 1 + alpha + beta)
+                            * (i + 1 + alpha) * (i + 1 + beta)
+                            / (h1 + 1) / (h1 + 3)))
+        bnew = -(alpha ** 2 - beta ** 2) / h1 / (h1 + 2)
+        vals[i + 1] = ((x - bnew) * vals[i] - aold * vals[i - 1]) / anew
+        aold = anew
+    return vals
+
+
+def jacobi_derivative(x: np.ndarray, alpha: float, beta: float,
+                      n: int) -> np.ndarray:
+    """First derivatives of the orthonormal Jacobi polynomials P~_0..P~_n."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n + 1,) + x.shape)
+    if n == 0:
+        return out
+    shifted = jacobi(x, alpha + 1, beta + 1, n - 1)
+    for k in range(1, n + 1):
+        out[k] = math.sqrt(k * (k + alpha + beta + 1)) * shifted[k - 1]
+    return out
+
+
+_SING_TOL = 1e-13
+
+
+def _collapse_tri(x, y):
+    denom = 1.0 - y
+    a = np.where(np.abs(denom) > _SING_TOL,
+                 2.0 * (1.0 + x) / np.where(np.abs(denom) > _SING_TOL,
+                                            denom, 1.0) - 1.0,
+                 -1.0)
+    return a, y.copy()
+
+
+def _collapse_tet(x, y, z):
+    den_a = -(y + z)
+    a = np.where(np.abs(den_a) > _SING_TOL,
+                 2.0 * (1.0 + x) / np.where(np.abs(den_a) > _SING_TOL,
+                                            den_a, 1.0) - 1.0,
+                 -1.0)
+    den_b = 1.0 - z
+    b = np.where(np.abs(den_b) > _SING_TOL,
+                 2.0 * (1.0 + y) / np.where(np.abs(den_b) > _SING_TOL,
+                                            den_b, 1.0) - 1.0,
+                 -1.0)
+    return a, b, z.copy()
+
+
+def _check_closure(coords: np.ndarray, d: int, tol: float = 1e-12):
+    elem = reference_simplex(d)
+    bary = elem.barycentric(coords)
+    if bary.min() < -tol:
+        raise ValueError("nodes outside the closure of the reference element")
+
+
+def vandermonde(coords: np.ndarray, q: int, d: int | None = None,
+                check: bool = True) -> np.ndarray:
+    """Basis evaluation matrix, shape (n_nodes, n_basis(q, d)).
+
+    Column j holds mode j of the graded orthonormal basis evaluated at
+    every node.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if d is None:
+        d = coords.shape[1]
+    if check:
+        _check_closure(coords, d)
+    modes = mode_indices(q, d)
+    n = coords.shape[0]
+    V = np.empty((n, len(modes)))
+    if d == 1:
+        x = coords[:, 0]
+        leg = jacobi(x, 0.0, 0.0, q)
+        for col, (i,) in enumerate(modes):
+            V[:, col] = leg[i]
+        return V
+    if d == 2:
+        a, b = _collapse_tri(coords[:, 0], coords[:, 1])
+        fa = jacobi(a, 0.0, 0.0, q)
+        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
+        one_m_b = 1.0 - b
+        pow_b = [np.ones_like(b)]
+        for _ in range(q):
+            pow_b.append(pow_b[-1] * one_m_b)
+        for col, (i, j) in enumerate(modes):
+            V[:, col] = math.sqrt(2.0) * fa[i] * gb[i][j] * pow_b[i]
+        return V
+    if d == 3:
+        a, b, c = _collapse_tet(coords[:, 0], coords[:, 1], coords[:, 2])
+        fa = jacobi(a, 0.0, 0.0, q)
+        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
+        hc = {ij: jacobi(c, 2.0 * ij + 2.0, 0.0, q)
+              for ij in range(q + 1)}
+        pb = [np.ones_like(b)]
+        pc = [np.ones_like(c)]
+        for _ in range(q):
+            pb.append(pb[-1] * (1.0 - b))
+            pc.append(pc[-1] * (1.0 - c))
+        for col, (i, j, k) in enumerate(modes):
+            V[:, col] = (2.0 * math.sqrt(2.0) * fa[i] * gb[i][j]
+                         * pb[i] * hc[i + j][k] * pc[i + j])
+        return V
+    raise ValueError(f"unsupported dimension {d}")
+
+
+def grad_vandermonde(coords: np.ndarray, q: int, d: int | None = None,
+                     check: bool = True) -> list[np.ndarray]:
+    """Per-direction derivative Vandermonde matrices [d/dx_k V]."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if d is None:
+        d = coords.shape[1]
+    if check:
+        _check_closure(coords, d)
+    modes = mode_indices(q, d)
+    n = coords.shape[0]
+    if d == 1:
+        x = coords[:, 0]
+        dleg = jacobi_derivative(x, 0.0, 0.0, q)
+        Vx = np.empty((n, len(modes)))
+        for col, (i,) in enumerate(modes):
+            Vx[:, col] = dleg[i]
+        return [Vx]
+    if d == 2:
+        a, b = _collapse_tri(coords[:, 0], coords[:, 1])
+        fa = jacobi(a, 0.0, 0.0, q)
+        dfa = jacobi_derivative(a, 0.0, 0.0, q)
+        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
+        dgb = {i: jacobi_derivative(b, 2.0 * i + 1.0, 0.0, q)
+               for i in range(q + 1)}
+        half_1mb = 0.5 * (1.0 - b)
+        powh = [np.ones_like(b)]
+        for _ in range(q):
+            powh.append(powh[-1] * half_1mb)
+        Vr = np.empty((n, len(modes)))
+        Vs = np.empty((n, len(modes)))
+        for col, (i, j) in enumerate(modes):
+            scale = 2.0 ** (i + 0.5)
+            dmdr = dfa[i] * gb[i][j]
+            if i > 0:
+                dmdr = dmdr * powh[i - 1]
+            dmds = dfa[i] * (gb[i][j] * (0.5 * (1.0 + a)))
+            if i > 0:
+                dmds = dmds * powh[i - 1]
+            tmp = dgb[i][j] * powh[i]
+            if i > 0:
+                tmp = tmp - 0.5 * i * gb[i][j] * powh[i - 1]
+            dmds = dmds + fa[i] * tmp
+            Vr[:, col] = scale * dmdr
+            Vs[:, col] = scale * dmds
+        return [Vr, Vs]
+    if d == 3:
+        a, b, c = _collapse_tet(coords[:, 0], coords[:, 1], coords[:, 2])
+        fa = jacobi(a, 0.0, 0.0, q)
+        dfa = jacobi_derivative(a, 0.0, 0.0, q)
+        gb = {i: jacobi(b, 2.0 * i + 1.0, 0.0, q) for i in range(q + 1)}
+        dgb = {i: jacobi_derivative(b, 2.0 * i + 1.0, 0.0, q)
+               for i in range(q + 1)}
+        hc = {ij: jacobi(c, 2.0 * ij + 2.0, 0.0, q) for ij in range(q + 1)}
+        dhc = {ij: jacobi_derivative(c, 2.0 * ij + 2.0, 0.0, q)
+               for ij in range(q + 1)}
+        hb = 0.5 * (1.0 - b)
+        hcC = 0.5 * (1.0 - c)
+        pb = [np.ones_like(b)]
+        pc = [np.ones_like(c)]
+        for _ in range(q):
+            pb.append(pb[-1] * hb)
+            pc.append(pc[-1] * hcC)
+        Vr = np.empty((n, len(modes)))
+        Vs = np.empty((n, len(modes)))
+        Vt = np.empty((n, len(modes)))
+        for col, (i, j, k) in enumerate(modes):
+            scale = 2.0 ** (2 * i + j + 1.5)
+            dr = dfa[i] * gb[i][j] * hc[i + j][k]
+            if i > 0:
+                dr = dr * pb[i - 1]
+            if i + j > 0:
+                dr = dr * pc[i + j - 1]
+            ds = 0.5 * (1.0 + a) * dr
+            tmp = dgb[i][j] * pb[i]
+            if i > 0:
+                tmp = tmp - 0.5 * i * gb[i][j] * pb[i - 1]
+            if i + j > 0:
+                tmp = tmp * pc[i + j - 1]
+            tmp = fa[i] * tmp * hc[i + j][k]
+            ds = ds + tmp
+            dt = 0.5 * (1.0 + a) * dr + 0.5 * (1.0 + b) * tmp
+            tmp2 = dhc[i + j][k] * pc[i + j]
+            if i + j > 0:
+                tmp2 = tmp2 - 0.5 * (i + j) * hc[i + j][k] * pc[i + j - 1]
+            tmp2 = fa[i] * gb[i][j] * tmp2 * pb[i]
+            dt = dt + tmp2
+            Vr[:, col] = scale * dr
+            Vs[:, col] = scale * ds
+            Vt[:, col] = scale * dt
+        return [Vr, Vs, Vt]
+    raise ValueError(f"unsupported dimension {d}")

@@ -305,3 +305,16 @@ def test_max_stable_dt_brackets_threshold(tri_lgl_results):
     assert not certify_stable(prob, 1.01 * dt)[0]
     # the row-sum estimate lands below the certified threshold
     assert estimate_dt(prob) <= dt
+
+
+def test_max_stable_dt_tolerance_below_float_spacing(tri_lgl_results):
+    """A tolerance finer than the bracket's float spacing still ends, on a
+    certified step; a non-positive or non-finite one is rejected."""
+    op = build_operator(tri_lgl_results[2].rule)
+    prob = build_problem(op, 2, VELOCITY_2D, flux="upwind")
+    dt = max_stable_dt(prob, rel_tol=1e-300)
+    assert certify_stable(prob, dt)[0]
+    assert max_stable_dt(prob, rel_tol=1e-3) <= dt
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            max_stable_dt(prob, rel_tol=bad)

@@ -318,9 +318,20 @@ def test_cli_velocity_arity_checked(rule_file):
                     "--velocity", "1.0,0.5"]) == cli.EXIT_OK
     assert run_cli(["timestep", str(rule_file), "--m", "2",
                     "--velocity", "1.0,2.0,3.0"]) == cli.EXIT_USAGE
+    for cmd in ("timestep", "converge"):
+        for velocity in ("a,b", "1.0,nan"):
+            assert run_cli([cmd, str(rule_file),
+                            "--velocity", velocity]) == cli.EXIT_USAGE
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(rule_file):
+    rule = str(rule_file)
+    assert run_cli(["converge", rule, "--meshes", "1,2"]) == cli.EXIT_USAGE
+    assert run_cli(["converge", rule, "--meshes", "4"]) == cli.EXIT_USAGE
+    assert run_cli(["timestep", rule, "--m", "1"]) == cli.EXIT_USAGE
+    for tol in ("0", "-1e-3", "nan", "inf", "x"):
+        assert run_cli(["timestep", rule, "--rel-tol", tol]) \
+            == cli.EXIT_USAGE
     assert run_cli(["frobnicate"]) == cli.EXIT_USAGE
     assert run_cli(["find", "--domain", "tri"]) == cli.EXIT_USAGE
     assert run_cli(["find", "--domain", "square", "--qv", "2"]) \

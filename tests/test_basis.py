@@ -1,9 +1,12 @@
 """Orthonormal simplex bases: values, gradients, and exact moments."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sbpquad.basis import (
     grad_vandermonde,
@@ -16,7 +19,9 @@ from sbpquad.basis import (
     simplex_gauss_rule,
     vandermonde,
 )
-from sbpquad.simplex import reference_simplex
+from sbpquad.simplex import (GroupSignature, NodeSetError, SymmetryOrbit,
+                             assemble_nodes, node_set_is_symmetric,
+                             orbit_kinds, orbit_structure, reference_simplex)
 
 import oracles
 
@@ -216,6 +221,86 @@ def test_grad_vandermonde_exact_on_boundary(q, d):
             exact = powers[k] * np.prod(
                 test_pts ** np.array(dpow), axis=1)
         assert np.allclose(grads[k] @ coeff, exact, atol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# the d-generic evaluator against the per-dimension reference
+
+
+def _assert_matches_reference(pts, q, d):
+    assert np.array_equal(vandermonde(pts, q, d, check=False),
+                          oracles.vandermonde(pts, q, d, check=False))
+    ref = oracles.grad_vandermonde(pts, q, d, check=False)
+    for g, r in zip(grad_vandermonde(pts, q, d, check=False), ref,
+                    strict=True):
+        assert np.abs(g - r).max() <= 1e-15 * max(1.0, np.abs(r).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_evaluator_matches_reference_at_special_points(d):
+    """Vertices, edge midpoints, facet centroids and interior points."""
+    elem = reference_simplex(d)
+    verts = elem.vertices
+    mids = [verts[[i, j]].mean(axis=0)
+            for i, j in itertools.combinations(range(d + 1), 2)]
+    cents = [verts[list(f.vertex_ids)].mean(axis=0) for f in elem.facets]
+    inner = np.random.default_rng(5).dirichlet(np.ones(d + 1), 8) @ verts
+    pts = np.vstack([verts, mids, cents, inner])
+    for q in range(13):
+        _assert_matches_reference(pts, q, d)
+        assert mode_indices(q, d) == oracles.mode_indices(q, d)
+
+
+def _closed_simplex_points(d):
+    """Points of the closed simplex; zero barycentric entries snap them
+    onto facets, edges and vertices."""
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))
+    rows = st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1),
+                    min_size=1, max_size=8)
+
+    def to_points(rows):
+        lam = np.array(rows)
+        lam[lam.sum(axis=1) == 0.0, 0] = 1.0
+        lam /= lam.sum(axis=1, keepdims=True)
+        return lam @ reference_simplex(d).vertices
+    return rows.map(to_points)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_evaluator_matches_reference_on_closed_simplex(d, data):
+    pts = data.draw(_closed_simplex_points(d))
+    _assert_matches_reference(pts, data.draw(st.integers(0, 12)), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+       alpha=st.floats(0.0, 30.0), beta=st.sampled_from([0.0, 1.0]),
+       n=st.integers(0, 12))
+def test_jacobi_matches_reference(x, alpha, beta, n):
+    x = np.array(x)
+    assert np.array_equal(jacobi(x, alpha, beta, n),
+                          oracles.jacobi(x, alpha, beta, n))
+    assert np.array_equal(jacobi_derivative(x, alpha, beta, n),
+                          oracles.jacobi_derivative(x, alpha, beta, n))
+
+
+@pytest.mark.parametrize("d, kind", [(d, k) for d in (2, 3)
+                                     for k in orbit_kinds(d)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_orbit_expansion_is_symmetric(d, kind, data):
+    # parameters in [0, 1/3] keep every orbit kind inside the closure
+    n = orbit_structure(kind, d).n_params
+    theta = data.draw(st.lists(st.floats(0.0, 1.0 / 3.0), min_size=n,
+                               max_size=n))
+    try:
+        nodes = assemble_nodes(GroupSignature(
+            d, (SymmetryOrbit(kind, tuple(theta), 0.5),)))
+    except NodeSetError:
+        assume(False)   # a degenerate orbit (coincident nodes)
+    assert node_set_is_symmetric(nodes)
 
 
 # ----------------------------------------------------------------------

@@ -365,11 +365,3 @@ def test_solve_coupled_converges_with_free_parameters():
     res = solve_coupled(spec, SearchOptions(), seed=0)
     assert res.converged
     assert res.rule.residual_inf() <= 5e-14
-
-
-def test_search_options_perturbation_schedule():
-    opts = SearchOptions()
-    assert opts.delta(4) == pytest.approx(1e-2)
-    assert opts.delta(10) == pytest.approx(1e-2)
-    assert opts.delta(11) == pytest.approx(1e-3)
-    assert SearchOptions(perturb_delta=0.5).delta(2) == pytest.approx(0.5)
