@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .simplex import reference_simplex
 
@@ -272,6 +271,8 @@ def simplex_gauss_rule(degree: int, d: int):
 
     Returns (coords (n, d), weights (n,)).
     """
+    # imported here: scipy.special is slow to import and only this uses it
+    from scipy.special import roots_jacobi
     n1 = max(1, (degree + 2) // 2)
     if d == 1:
         x, w = np.polynomial.legendre.leggauss(n1)

@@ -49,8 +49,9 @@ def _parse_budget(text: str) -> float:
         value = float(text) * scale
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad duration: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("duration must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "duration must be positive and finite")
     return value
 
 
@@ -104,14 +105,26 @@ def _load(path: str):
         raise SystemExit(EXIT_VERIFY)
 
 
+def _load_operator(args):
+    """SBP operator of degree args.p on the rule in args.rule; exits with
+    EXIT_VERIFY when the rule admits none."""
+    rule = _load(args.rule)
+    try:
+        return build_operator(rule, p=args.p)
+    except SBPConstructionError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VERIFY)
+
+
 def _cmd_find(args) -> int:
     facet = None if args.facet == "none" else args.facet
     result = find_rule(args.domain, args.qv, facet_kind=facet,
                        seed=args.seed, sweeps=args.sweeps,
                        budget_s=args.budget)
     if result.status != "ok":
-        tried = len(result.attempts)
-        print(f"search {result.status} after {tried} attempt(s), "
+        solves = [a["stage"] for a in result.attempts if "error" not in a]
+        print(f"search {result.status} after {solves.count('facet')} facet "
+              f"and {solves.count('volume')} volume attempt(s), "
               f"{result.elapsed:.1f}s", file=sys.stderr)
         return EXIT_SEARCH
     rule = result.rule
@@ -146,12 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sbp(args) -> int:
-    rule = _load(args.rule)
-    try:
-        op = build_operator(rule, p=args.p)
-    except SBPConstructionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    op = _load_operator(args)
     report = verify_operator(op)
     print(report.summary())
     if not report.passed:
@@ -172,13 +180,8 @@ def _velocity(args, dim: int) -> np.ndarray:
 
 
 def _cmd_converge(args) -> int:
-    rule = _load(args.rule)
-    c = _velocity(args, rule.dim)
-    try:
-        op = build_operator(rule, p=args.p)
-    except SBPConstructionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    op = _load_operator(args)
+    c = _velocity(args, op.dim)
     result = run_convergence(op, args.meshes, c, t=args.time,
                              omega=args.omega, flux=args.flux)
     print(result.summary())
@@ -201,13 +204,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_timestep(args) -> int:
-    rule = _load(args.rule)
-    c = _velocity(args, rule.dim)
-    try:
-        op = build_operator(rule, p=args.p)
-    except SBPConstructionError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    op = _load_operator(args)
+    c = _velocity(args, op.dim)
     prob = build_problem(op, args.m, c, flux=args.flux,
                          omega=args.omega)
     dt = max_stable_dt(prob, rel_tol=args.rel_tol)

@@ -33,7 +33,6 @@ __all__ = [
     "validate_rule",
     "lgl_rule",
     "lg_rule",
-    "facet_quadrature",
     "SearchSpec",
     "SearchOptions",
     "random_design",
@@ -171,27 +170,6 @@ def lg_rule(n: int) -> QuadratureRule:
     return QuadratureRule("interval", 2 * n - 1, _interval_nodeset(x, w),
                           facet_kind="lg",
                           provenance={"method": "lg", "n": n})
-
-
-def facet_quadrature(kind: str, p: int, d: int, seed: int = 0,
-                     options: "SearchOptions | None" = None
-                     ) -> QuadratureRule:
-    """Facet rule for a degree-p SBP operator on a d-simplex.
-
-    d=2: the 1-D LGL(p+2) or LG(p+1) rule.  d=3: a symmetric triangle
-    rule of degree >= 2p found by the search, preferring layouts with
-    vertex/edge nodes so the induced tet volume rule stays small.
-    """
-    if d == 2:
-        if kind == "lgl":
-            return lgl_rule(p + 2)
-        if kind == "lg":
-            return lg_rule(p + 1)
-        raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
-    if d == 3:
-        from .signatures import find_facet_rule
-        return find_facet_rule(p, seed=seed, options=options)
-    raise ValueError("facet rules exist for d in {2, 3}")
 
 
 # ----------------------------------------------------------------------
@@ -522,6 +500,19 @@ def init_swarm(spec: SearchSpec, options: SearchOptions,
                       pos[best].copy(), float(obj[best]))
 
 
+def _record_best(swarm: SwarmState, i: int, tau: np.ndarray,
+                 obj: float) -> None:
+    """Make tau particle i's personal best, and the global best, where
+    it improves on them.  The global best is never worse than a personal
+    best, so it can only improve where particle i's does."""
+    if obj < swarm.pbest_obj[i]:
+        swarm.pbest_obj[i] = obj
+        swarm.pbest_pos[i] = tau.copy()
+        if obj < swarm.gbest_obj:
+            swarm.gbest_obj = float(obj)
+            swarm.gbest_pos = tau.copy()
+
+
 def pso_step(spec: SearchSpec, swarm: SwarmState,
              options: SearchOptions, rng: np.random.Generator) -> None:
     """One swarm update on the free entries of every particle."""
@@ -546,13 +537,8 @@ def pso_step(spec: SearchSpec, swarm: SwarmState,
         wview[bad] = options.eps_weight
         swarm.velocities[:, ws][bad] = 0.0
     for i in range(n_c):
-        obj = swarm_objective(spec, swarm.positions[i])
-        if obj < swarm.pbest_obj[i]:
-            swarm.pbest_obj[i] = obj
-            swarm.pbest_pos[i] = swarm.positions[i].copy()
-            if obj < swarm.gbest_obj:
-                swarm.gbest_obj = float(obj)
-                swarm.gbest_pos = swarm.positions[i].copy()
+        _record_best(swarm, i, swarm.positions[i],
+                     swarm_objective(spec, swarm.positions[i]))
     swarm.iterations += 1
 
 
@@ -637,12 +623,7 @@ def solve_coupled(spec: SearchSpec,
         worst = int(np.argmax(swarm.pbest_obj))
         swarm.positions[worst] = state.tau
         swarm.velocities[worst] = 0.0
-        if obj < swarm.pbest_obj[worst]:
-            swarm.pbest_obj[worst] = obj
-            swarm.pbest_pos[worst] = state.tau.copy()
-        if obj < swarm.gbest_obj:
-            swarm.gbest_obj = float(obj)
-            swarm.gbest_pos = state.tau.copy()
+        _record_best(swarm, worst, state.tau, obj)
     best = swarm.gbest_obj
     res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
     return SearchResult(None, False, res, opts.max_rounds, lma_total,

@@ -1,35 +1,39 @@
-"""Orbit-layout selection and the high-level rule-finding driver.
+"""Orbit-layout selection and the two-stage rule search.
 
-Volume layouts are built from a frozen facet layout (the facet rule's
-nodes mapped onto the element boundary) plus enumerated interior orbit
-multisets.  Interior candidates are tried in order of increasing node
-count, keeping only those whose free-unknown count reaches the number of
-permutation-invariant moments of degree <= q_v; this reproduces the
-published minimal node counts without hand-tuned tables.
+A tet rule needs a symmetric triangle rule of degree >= 2p for its faces
+first (the facet stage); the volume stage then searches layouts whose
+facet orbits are frozen to the facet rule (on triangles, to the 1-D LGL
+or LG rule).  Both stages draw layouts from one enumerator and solve them
+in one restart loop; find_rule logs every solve with its stage, and its
+budget caps both stages.
 
-Facet rules for tetrahedra are symmetric triangle rules of degree >= 2p;
-their candidate layouts are ordered by the volume-node cost they induce
-on the tet and are deliberately *not* DOF-filtered, because classical
-consistent-but-overdetermined layouts (the 3-point mid-edge degree-2
-rule) would otherwise be lost.
+Volume layouts add interior orbit multisets, fewest nodes first, that
+have at least as many unknowns as permutation-invariant moments of
+degree <= q_v; this reproduces the published minimal node counts
+without hand-tuned tables.  Facet layouts are ordered by the volume-node
+cost they induce on the tet, and their cheap prefix is deliberately
+*not* DOF-filtered, because classical consistent-but-overdetermined
+layouts (the 3-point mid-edge degree-2 rule) would otherwise be lost.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import (QuadratureRule, SearchOptions, SearchSpec,
-                     facet_quadrature, solve_coupled)
-from .simplex import orbit_size, orbit_structure
+from .search import (QuadratureRule, SearchOptions, SearchSpec, lg_rule,
+                     lgl_rule, solve_coupled)
+from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
     "invariant_moment_count",
     "interior_candidates",
     "facet_layout",
+    "facet_quadrature",
     "volume_search_specs",
     "FacetSearchError",
     "find_facet_rule",
@@ -43,24 +47,12 @@ class FacetSearchError(RuntimeError):
 
 _DIM_BY_DOMAIN = {"tri": 2, "tet": 3}
 
-# interior orbit kinds: (kind, node count, parameter count)
-_INTERIOR = {
-    2: (("S1", 1, 0), ("S21", 3, 1), ("S111", 6, 2)),
-    3: (("S1", 1, 0), ("S31", 4, 1), ("S22", 6, 1),
-        ("S211", 12, 2), ("S1111", 24, 3)),
-}
-
 # triangle orbit -> tet facet orbit when a triangle rule is pushed onto
 # the faces of the tet
 _TRI_TO_TET_FACE = {
     "Svert": "Svert", "SmidEdge": "SmidEdge", "Sedge": "Sedge",
     "S1": "SfaceCent", "S21": "Sface21", "S111": "Sface111",
 }
-
-# tet volume nodes induced per triangle-facet orbit (vertex/edge orbits
-# are shared between faces, interior facet orbits are not)
-_TET_COST = {"Svert": 4, "SmidEdge": 6, "Sedge": 12,
-             "S1": 4, "S21": 12, "S111": 24}
 
 
 def invariant_moment_count(q: int, d: int) -> int:
@@ -86,36 +78,53 @@ def invariant_moment_count(q: int, d: int) -> int:
     return count(q, 0)
 
 
-def interior_candidates(d: int, qv: int, n_facet_orbits: int,
-                        max_candidates: int = 60,
-                        dof_filter: bool = True):
-    """Interior orbit multisets in increasing node count.
+def _layouts(d: int, kinds, node_cap: int):
+    """(kinds, nodes, unknowns) of every orbit multiset over `kinds` with
+    at most node_cap nodes; a kind without parameters appears at most
+    once.  Unknowns are the orbit weights plus the orbit parameters."""
+    structs = [orbit_structure(k, d) for k in kinds]
+    ranges = [range(node_cap // st.size + 1 if st.n_params else 2)
+              for st in structs]
+    for counts in itertools.product(*ranges):
+        nodes = sum(c * st.size for c, st in zip(counts, structs))
+        if nodes <= node_cap:
+            combo = tuple(k for c, k in zip(counts, kinds) for _ in range(c))
+            unknowns = sum(c * (1 + st.n_params)
+                           for c, st in zip(counts, structs))
+            yield combo, nodes, unknowns
 
-    Yields tuples of kind names.  Free unknowns are all orbit weights
-    plus the interior parameters; with dof_filter only multisets whose
-    unknown count reaches invariant_moment_count(qv, d) survive.
-    """
-    kinds = _INTERIOR[d]
+
+def interior_candidates(d: int, qv: int, n_facet_orbits: int) -> list:
+    """At most 60 interior orbit multisets (tuples of kind names), fewest
+    nodes first, whose unknowns with the n_facet_orbits facet weights
+    reach invariant_moment_count(qv, d)."""
     need = invariant_moment_count(qv, d)
-    node_cap = 3 * need + 24
-    combos = []
-    maxes = [1 if k == "S1" else node_cap // nn + 1 for k, nn, _ in kinds]
-    for counts in itertools.product(*[range(m + 1) for m in maxes]):
-        nodes = sum(c * nn for c, (_, nn, _) in zip(counts, kinds))
-        if nodes > node_cap:
-            continue
-        params = sum(c * np_ for c, (_, _, np_) in zip(counts, kinds))
-        orbits = sum(counts)
-        unknowns = n_facet_orbits + orbits + params
-        if dof_filter and unknowns < need:
-            continue
-        combo = []
-        for c, (k, _, _) in zip(counts, kinds):
-            combo.extend([k] * c)
-        combos.append((nodes, -unknowns, counts, tuple(combo)))
-    combos.sort()
-    for _, _, _, combo in combos[:max_candidates]:
-        yield combo
+    # interior kinds rank after every facet kind
+    kinds = [k for k in orbit_kinds(d) if _KIND_RANK[d, k] >= 10]
+    ranked = sorted((nodes, -unknowns, combo) for combo, nodes, unknowns
+                    in _layouts(d, kinds, 3 * need + 24)
+                    if n_facet_orbits + unknowns >= need)
+    return [combo for *_, combo in ranked[:60]]
+
+
+def _tri_facet_candidates(q: int) -> list:
+    """Symmetric triangle layouts of degree q ordered by induced tet cost.
+
+    A triangle orbit induces the nodes of its tet facet orbit: vertex and
+    edge orbits are shared between faces, interior facet orbits are not.
+    """
+    need = invariant_moment_count(q, 2)
+    ranked = sorted(
+        (sum(orbit_size(_TRI_TO_TET_FACE[k], 3) for k in combo), nodes,
+         -unknowns, combo)
+        for combo, nodes, unknowns
+        in _layouts(2, orbit_kinds(2), 3 * need + 18) if nodes)
+    # at high q the cheap prefix is all underdetermined layouts, which
+    # only work in special cases like the mid-edge rule; a second tier of
+    # determined layouts keeps high degrees reachable
+    determined = [combo for _, _, neg_unknowns, combo in ranked[24:]
+                  if -neg_unknowns >= need]
+    return [combo for *_, combo in ranked[:24]] + determined[:24]
 
 
 def facet_layout(facet_rule: QuadratureRule, d: int):
@@ -142,13 +151,30 @@ def facet_layout(facet_rule: QuadratureRule, d: int):
             raise ValueError("tet facet rule needs an orbit signature")
         for orb in facet_rule.signature.orbits:
             layout.append((_TRI_TO_TET_FACE[orb.kind], orb.params))
-        # canonical order: facet kinds first by rank, then params
-        rank = {k: i for i, k in enumerate(
-            ["Svert", "SmidEdge", "SfaceCent", "Sedge", "Sface21",
-             "Sface111"])}
-        layout.sort(key=lambda kp: (rank[kp[0]], kp[1]))
+        # canonical order: facet kinds by rank, then params
+        layout.sort(key=lambda kp: (_KIND_RANK[3, kp[0]], kp[1]))
         return layout
     raise ValueError("facet layouts exist for d in {2, 3}")
+
+
+def facet_quadrature(kind: str, p: int, d: int, seed: int = 0,
+                     options: SearchOptions | None = None
+                     ) -> QuadratureRule:
+    """Facet rule for a degree-p SBP operator on a d-simplex.
+
+    d=2: the 1-D LGL(p+2) or LG(p+1) rule.  d=3: a symmetric triangle
+    rule of degree >= 2p found by the search, preferring layouts with
+    vertex/edge nodes so the induced tet volume rule stays small.
+    """
+    if d == 2:
+        if kind == "lgl":
+            return lgl_rule(p + 2)
+        if kind == "lg":
+            return lg_rule(p + 1)
+        raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
+    if d == 3:
+        return find_facet_rule(p, seed=seed, options=options)
+    raise ValueError("facet rules exist for d in {2, 3}")
 
 
 def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
@@ -161,113 +187,24 @@ def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
     frozen parameters, not SBP-compatible).
     """
     d = _DIM_BY_DOMAIN[domain]
-    specs = []
-    if facet_kind is None:
-        cands = ([interior] if interior is not None
-                 else interior_candidates(d, qv, 0))
-        for combo in cands:
-            if not combo:
-                continue
-            specs.append(SearchSpec(d, qv, tuple(combo)))
-        return specs
-    p = (qv + 1) // 2
-    frule = facet_quadrature(facet_kind if d == 2 else "gen", p, d,
-                             seed=seed, options=options)
-    layout = facet_layout(frule, d)
+    layout, frule, p = [], None, None
+    if facet_kind is not None:
+        facet_kind = facet_kind if d == 2 else "gen"
+        p = (qv + 1) // 2
+        frule = facet_quadrature(facet_kind, p, d, seed=seed,
+                                 options=options)
+        layout = facet_layout(frule, d)
     fkinds = tuple(k for k, _ in layout)
     frozen = {i: params for i, (_, params) in enumerate(layout)}
     cands = ([interior] if interior is not None
              else interior_candidates(d, qv, len(layout)))
-    for combo in cands:
-        specs.append(SearchSpec(d, qv, fkinds + tuple(combo),
-                                frozen=dict(frozen), facet_rule=frule,
-                                facet_kind=facet_kind if d == 2 else "gen",
-                                sbp_p=p))
-    return specs
+    return [SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen),
+                       facet_rule=frule, facet_kind=facet_kind, sbp_p=p)
+            for combo in cands if fkinds + tuple(combo)]
 
 
 # ----------------------------------------------------------------------
-# facet rules for the tet
-
-
-def _tri_facet_candidates(q: int, max_candidates: int = 24):
-    """Symmetric triangle layouts of degree q ordered by induced tet cost."""
-    node_cap = 3 * invariant_moment_count(q, 2) + 18
-    combos = []
-    edge_max = node_cap // 6 + 1
-    for n_vert in (0, 1):
-        for n_mid in (0, 1):
-            for n_edge in range(edge_max):
-                for n_s1 in (0, 1):
-                    for n_s21 in range(node_cap // 3 + 1):
-                        for n_s111 in range(node_cap // 6 + 1):
-                            nodes = (3 * n_vert + 3 * n_mid + 6 * n_edge
-                                     + n_s1 + 3 * n_s21 + 6 * n_s111)
-                            if nodes == 0 or nodes > node_cap:
-                                continue
-                            combo = (["Svert"] * n_vert
-                                     + ["SmidEdge"] * n_mid
-                                     + ["Sedge"] * n_edge
-                                     + ["S1"] * n_s1
-                                     + ["S21"] * n_s21
-                                     + ["S111"] * n_s111)
-                            cost = sum(_TET_COST[k] for k in combo)
-                            params = n_edge + n_s21 + 2 * n_s111
-                            unknowns = len(combo) + params
-                            combos.append((cost, nodes, -unknowns,
-                                           tuple(combo)))
-    combos.sort()
-    seen = set()
-    out = []
-    for _, _, _, combo in combos:
-        if combo in seen:
-            continue
-        seen.add(combo)
-        out.append(combo)
-        if len(out) >= max_candidates:
-            break
-    # The cheap prefix can consist entirely of underdetermined layouts
-    # (fewer unknowns than invariant moments) once q is large; those only
-    # work for special consistent cases like the mid-edge rule.  Append a
-    # second tier of determined layouts so high degrees stay reachable.
-    need = invariant_moment_count(q, 2)
-    extra = 0
-    for _, _, neg_unknowns, combo in combos:
-        if extra >= max_candidates:
-            break
-        if combo in seen or -neg_unknowns < need:
-            continue
-        seen.add(combo)
-        out.append(combo)
-        extra += 1
-    return out
-
-
-def find_facet_rule(p: int, seed: int = 0,
-                    options: SearchOptions | None = None) -> QuadratureRule:
-    """Symmetric triangle rule of degree 2p for the faces of a tet.
-
-    Prefers layouts whose nodes sit at triangle vertices and edges so the
-    induced tet volume rule is as small as possible.
-    """
-    q = 2 * p
-    opts = options or SearchOptions(max_rounds=4, pso_iters=25)
-    ss = np.random.SeedSequence(seed)
-    for combo in _tri_facet_candidates(q):
-        spec = SearchSpec(2, q, combo)
-        for child in ss.spawn(3):
-            res = solve_coupled(spec, opts,
-                                np.random.default_rng(child))
-            if res.converged:
-                rule = res.rule
-                rule.provenance.setdefault("role", "tet-facet")
-                rule.provenance.setdefault("seed", seed)
-                return rule
-    raise FacetSearchError(f"no degree-{q} triangle facet rule found")
-
-
-# ----------------------------------------------------------------------
-# driver
+# the restart loop shared by both stages, and the stages
 
 
 @dataclass
@@ -276,6 +213,75 @@ class FindResult:
     status: str                 # 'ok' | 'budget' | 'exhausted'
     attempts: list
     elapsed: float
+
+
+class _BudgetSpent(Exception):
+    """The wall-clock budget of find_rule ran out."""
+
+
+@dataclass
+class _Run:
+    """Attempt log and wall-clock budget of one find_rule call."""
+
+    budget_s: float | None = None
+    t0: float = field(default_factory=time.monotonic)
+    attempts: list = field(default_factory=list)
+
+    def result(self, rule: QuadratureRule | None, status: str) -> FindResult:
+        return FindResult(rule, status, self.attempts,
+                          time.monotonic() - self.t0)
+
+
+# The find_rule call in progress.  The facet stage runs deep inside
+# volume_search_specs, so its solves reach the log and the budget of the
+# call through this variable rather than through every signature between.
+_RUN: ContextVar[_Run | None] = ContextVar("sbpquad_find_rule", default=None)
+
+
+def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
+                   options: SearchOptions):
+    """Rule of the first converged solve over specs, or None.
+
+    Each layout gets `sweeps` restart seeds, children of
+    SeedSequence(seed) taken in order, before the next layout is tried.
+    Every solve is logged to the find_rule call in progress, and none
+    starts once its budget has run out (_BudgetSpent).
+    """
+    run = _RUN.get() or _Run()
+    ss = np.random.SeedSequence(seed)
+    for spec in specs:
+        for sweep, child in enumerate(ss.spawn(sweeps)):
+            if (run.budget_s is not None
+                    and time.monotonic() - run.t0 > run.budget_s):
+                raise _BudgetSpent
+            res = solve_coupled(spec, options, np.random.default_rng(child))
+            run.attempts.append({
+                "stage": stage, "kinds": list(spec.kinds), "sweep": sweep,
+                "converged": res.converged, "residual": res.residual_inf,
+            })
+            if res.converged:
+                return res.rule
+    return None
+
+
+def find_facet_rule(p: int, seed: int = 0,
+                    options: SearchOptions | None = None) -> QuadratureRule:
+    """Symmetric triangle rule of degree 2p for the faces of a tet.
+
+    Prefers layouts whose nodes sit at triangle vertices and edges so the
+    induced tet volume rule is as small as possible.  Each layout gets 3
+    restart seeds.
+    """
+    q = 2 * p
+    specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))
+    rule = _solve_layouts("facet", specs, 3, seed,
+                          options or SearchOptions(max_rounds=4,
+                                                   pso_iters=25))
+    if rule is None:
+        raise FacetSearchError(f"no degree-{q} triangle facet rule found")
+    rule.provenance.setdefault("role", "tet-facet")
+    rule.provenance.setdefault("seed", seed)
+    return rule
 
 
 def find_rule(domain: str, qv: int, facet_kind: str | None = "lgl",
@@ -287,41 +293,30 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = "lgl",
 
     Layouts are exhausted in node-count order: each gets `sweeps`
     restart seeds before the next (larger) layout is attempted, so the
-    returned rule has the smallest reachable node count.  Deterministic
-    for fixed arguments; budget_s caps wall time.
+    returned rule has the smallest reachable node count.  The attempt
+    log holds the facet stage's solves, stage "facet", before the volume
+    stage's, stage "volume".  Deterministic for fixed arguments; budget_s
+    caps the wall time of both stages.
     """
-    t0 = time.monotonic()
-    opts = options or SearchOptions()
+    run = _Run(budget_s)
+    token = _RUN.set(run)
     try:
         specs = volume_search_specs(domain, qv, facet_kind, seed=seed,
                                     options=options, interior=interior)
+        if not specs:
+            raise ValueError("no candidate layouts")
+        rule = _solve_layouts("volume", specs, max(1, sweeps), seed,
+                              options or SearchOptions())
     except FacetSearchError as exc:
-        return FindResult(None, "exhausted",
-                          [{"stage": "facet", "converged": False,
-                            "error": str(exc)}],
-                          time.monotonic() - t0)
-    if not specs:
-        raise ValueError("no candidate layouts")
-    ss = np.random.SeedSequence(seed)
-    children = iter(ss.spawn(max(1, sweeps) * len(specs)))
-    attempts = []
-    for spec in specs:
-        for sweep in range(max(1, sweeps)):
-            child = next(children)
-            if budget_s is not None and time.monotonic() - t0 > budget_s:
-                return FindResult(None, "budget", attempts,
-                                  time.monotonic() - t0)
-            res = solve_coupled(spec, opts, np.random.default_rng(child))
-            attempts.append({
-                "kinds": list(spec.kinds), "sweep": sweep,
-                "converged": res.converged,
-                "residual": res.residual_inf,
-            })
-            if res.converged:
-                rule = res.rule
-                rule.provenance["seed"] = seed
-                rule.provenance["sweep"] = sweep
-                rule.provenance["n_nodes"] = rule.n_nodes
-                return FindResult(rule, "ok", attempts,
-                                  time.monotonic() - t0)
-    return FindResult(None, "exhausted", attempts, time.monotonic() - t0)
+        run.attempts.append({"stage": "facet", "converged": False,
+                             "error": str(exc)})
+        return run.result(None, "exhausted")
+    except _BudgetSpent:
+        return run.result(None, "budget")
+    finally:
+        _RUN.reset(token)
+    if rule is None:
+        return run.result(None, "exhausted")
+    rule.provenance.update(seed=seed, sweep=run.attempts[-1]["sweep"],
+                           n_nodes=rule.n_nodes)
+    return run.result(rule, "ok")

@@ -4,10 +4,13 @@ Everything here is computed by a different route than the package uses:
 monomial integrals by direct nested antidifferentiation in exact
 rational arithmetic, Jacobi polynomials through scipy's unnormalized
 evaluations plus the explicit norm formula.  The per-dimension basis
-evaluator at the end is the one the package used before its basis became
-d-generic, kept verbatim as the bit-for-bit reference.
+evaluator is the one the package used before its basis became d-generic,
+and the two orbit-layout enumerators at the end are the ones it used
+before both search stages shared one; both are kept verbatim as the
+exact reference.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb, gamma, sqrt
@@ -15,6 +18,7 @@ from math import comb, gamma, sqrt
 import numpy as np
 import scipy.special
 
+from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import reference_simplex
 
 
@@ -321,3 +325,105 @@ def grad_vandermonde(coords: np.ndarray, q: int, d: int | None = None,
             Vt[:, col] = scale * dt
         return [Vr, Vs, Vt]
     raise ValueError(f"unsupported dimension {d}")
+
+
+# ----------------------------------------------------------------------
+# orbit-layout enumerators, one per search stage (reference for
+# sbpquad.signatures)
+
+# interior orbit kinds: (kind, node count, parameter count)
+_INTERIOR = {
+    2: (("S1", 1, 0), ("S21", 3, 1), ("S111", 6, 2)),
+    3: (("S1", 1, 0), ("S31", 4, 1), ("S22", 6, 1),
+        ("S211", 12, 2), ("S1111", 24, 3)),
+}
+
+# tet volume nodes induced per triangle-facet orbit (vertex/edge orbits
+# are shared between faces, interior facet orbits are not)
+_TET_COST = {"Svert": 4, "SmidEdge": 6, "Sedge": 12,
+             "S1": 4, "S21": 12, "S111": 24}
+
+
+def interior_candidates(d: int, qv: int, n_facet_orbits: int,
+                        max_candidates: int = 60,
+                        dof_filter: bool = True):
+    """Interior orbit multisets in increasing node count.
+
+    Yields tuples of kind names.  Free unknowns are all orbit weights
+    plus the interior parameters; with dof_filter only multisets whose
+    unknown count reaches invariant_moment_count(qv, d) survive.
+    """
+    kinds = _INTERIOR[d]
+    need = invariant_moment_count(qv, d)
+    node_cap = 3 * need + 24
+    combos = []
+    maxes = [1 if k == "S1" else node_cap // nn + 1 for k, nn, _ in kinds]
+    for counts in itertools.product(*[range(m + 1) for m in maxes]):
+        nodes = sum(c * nn for c, (_, nn, _) in zip(counts, kinds))
+        if nodes > node_cap:
+            continue
+        params = sum(c * np_ for c, (_, _, np_) in zip(counts, kinds))
+        orbits = sum(counts)
+        unknowns = n_facet_orbits + orbits + params
+        if dof_filter and unknowns < need:
+            continue
+        combo = []
+        for c, (k, _, _) in zip(counts, kinds):
+            combo.extend([k] * c)
+        combos.append((nodes, -unknowns, counts, tuple(combo)))
+    combos.sort()
+    for _, _, _, combo in combos[:max_candidates]:
+        yield combo
+
+
+def _tri_facet_candidates(q: int, max_candidates: int = 24):
+    """Symmetric triangle layouts of degree q ordered by induced tet cost."""
+    node_cap = 3 * invariant_moment_count(q, 2) + 18
+    combos = []
+    edge_max = node_cap // 6 + 1
+    for n_vert in (0, 1):
+        for n_mid in (0, 1):
+            for n_edge in range(edge_max):
+                for n_s1 in (0, 1):
+                    for n_s21 in range(node_cap // 3 + 1):
+                        for n_s111 in range(node_cap // 6 + 1):
+                            nodes = (3 * n_vert + 3 * n_mid + 6 * n_edge
+                                     + n_s1 + 3 * n_s21 + 6 * n_s111)
+                            if nodes == 0 or nodes > node_cap:
+                                continue
+                            combo = (["Svert"] * n_vert
+                                     + ["SmidEdge"] * n_mid
+                                     + ["Sedge"] * n_edge
+                                     + ["S1"] * n_s1
+                                     + ["S21"] * n_s21
+                                     + ["S111"] * n_s111)
+                            cost = sum(_TET_COST[k] for k in combo)
+                            params = n_edge + n_s21 + 2 * n_s111
+                            unknowns = len(combo) + params
+                            combos.append((cost, nodes, -unknowns,
+                                           tuple(combo)))
+    combos.sort()
+    seen = set()
+    out = []
+    for _, _, _, combo in combos:
+        if combo in seen:
+            continue
+        seen.add(combo)
+        out.append(combo)
+        if len(out) >= max_candidates:
+            break
+    # The cheap prefix can consist entirely of underdetermined layouts
+    # (fewer unknowns than invariant moments) once q is large; those only
+    # work for special consistent cases like the mid-edge rule.  Append a
+    # second tier of determined layouts so high degrees stay reachable.
+    need = invariant_moment_count(q, 2)
+    extra = 0
+    for _, _, neg_unknowns, combo in combos:
+        if extra >= max_candidates:
+            break
+        if combo in seen or -neg_unknowns < need:
+            continue
+        seen.add(combo)
+        out.append(combo)
+        extra += 1
+    return out

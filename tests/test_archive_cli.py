@@ -240,7 +240,9 @@ def test_cli_find_budget_exceeded(capsys):
     code = run_cli(["find", "--domain", "tet", "--qv", "2",
                     "--budget", "0.001s"])
     assert code == cli.EXIT_SEARCH
-    assert "budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "search budget after" in err
+    assert "facet and 0 volume attempt(s)" in err
 
 
 def test_cli_verify_pass(rule_file, capsys):
@@ -338,8 +340,9 @@ def test_cli_usage_errors(rule_file):
         == cli.EXIT_USAGE
     assert run_cli(["find", "--domain", "tri", "--qv", "2",
                     "--budget", "abc"]) == cli.EXIT_USAGE
-    assert run_cli(["find", "--domain", "tri", "--qv", "2",
-                    "--budget", "-5s"]) == cli.EXIT_USAGE
+    for budget in ("-5s", "nans", "inf", "infs"):
+        assert run_cli(["find", "--domain", "tri", "--qv", "2",
+                        "--budget", budget]) == cli.EXIT_USAGE
 
 
 def test_cli_version(capsys):

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sbpquad
 from sbpquad.basis import (
     grad_vandermonde,
     integral_vector,
@@ -366,3 +371,13 @@ def test_simplex_gauss_rule_exactness(degree, d):
 def test_simplex_gauss_rule_bad_dimension():
     with pytest.raises(ValueError):
         simplex_gauss_rule(2, 4)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special takes about a quarter second to import, and only
+    # simplex_gauss_rule needs it
+    src = Path(sbpquad.__file__).resolve().parents[1]
+    code = "import sys, sbpquad; sys.exit('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0

@@ -12,7 +12,6 @@ from sbpquad.search import (
     SearchOptions,
     SearchSpec,
     apply_update_with_positivity,
-    facet_quadrature,
     lg_rule,
     lgl_rule,
     lma_solve,
@@ -23,6 +22,7 @@ from sbpquad.search import (
     solve_coupled,
     validate_rule,
 )
+from sbpquad.signatures import facet_quadrature
 
 import oracles
 

@@ -16,6 +16,8 @@ from sbpquad.signatures import (
 )
 from sbpquad.simplex import orbit_structure
 
+import oracles
+
 
 # ----------------------------------------------------------------------
 # symmetric moment counts
@@ -84,11 +86,20 @@ def test_interior_candidates_dof_filter(d):
     need = invariant_moment_count(qv, d)
     combos = list(interior_candidates(d, qv, 0))
     assert all(combo_unknowns(c, d, 0) >= need for c in combos)
-    # without the filter, under-determined layouts (like a bare
-    # centroid) lead the list
-    unfiltered = list(interior_candidates(d, qv, 0, dof_filter=False))
-    assert any(combo_unknowns(c, d, 0) < need for c in unfiltered)
-    assert unfiltered[0] == ()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("qv", range(1, 11))
+def test_interior_candidates_match_reference(qv, d):
+    for n_facet_orbits in range(5):
+        assert interior_candidates(d, qv, n_facet_orbits) == list(
+            oracles.interior_candidates(d, qv, n_facet_orbits))
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_facet_candidates_match_reference(q):
+    assert (sbpquad.signatures._tri_facet_candidates(q)
+            == oracles._tri_facet_candidates(q))
 
 
 def test_interior_candidates_at_most_one_centroid():
@@ -226,6 +237,22 @@ def test_find_rule_budget_exhausted():
     res = find_rule("tri", 4, "lgl", seed=0, budget_s=0.0)
     assert res.status == "budget"
     assert res.rule is None
+
+
+def test_find_rule_budget_caps_facet_stage():
+    # the degree-4 tet needs a degree-4 face rule first, 52 solves long;
+    # a spent budget stops the search before the first of them
+    res = find_rule("tet", 4, "gen", budget_s=0.0)
+    assert res.status == "budget"
+    assert res.attempts == []
+    assert res.elapsed < 1.0
+
+
+def test_find_rule_logs_facet_stage(tet_result):
+    # the mid-edge face rule is the third facet layout, after 2 x 3 sweeps
+    log = [(a["stage"], a["converged"]) for a in tet_result.attempts]
+    assert log == [("facet", False)] * 6 + [("facet", True), ("volume", True)]
+    assert tet_result.attempts[6]["kinds"] == ["SmidEdge"]
 
 
 def test_find_rule_no_layout_converges():
