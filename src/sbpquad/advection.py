@@ -36,7 +36,6 @@ __all__ = [
     "integrate",
     "run_to_time",
     "energy",
-    "mass",
     "l2_error",
     "estimate_dt",
     "ConvergenceResult",
@@ -300,10 +299,6 @@ def run_to_time(prob: AdvectionProblem, u: np.ndarray, t: float,
 
 def energy(prob: AdvectionProblem, u: np.ndarray) -> float:
     return float(np.sum(prob.hw * u * u))
-
-
-def mass(prob: AdvectionProblem, u: np.ndarray) -> float:
-    return float(np.sum(prob.hw * u))
 
 
 def l2_error(prob: AdvectionProblem, u: np.ndarray, t: float) -> float:

@@ -19,7 +19,7 @@ from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
                       save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
 from .search import RuleValidationError, validate_rule
-from .signatures import find_rule
+from .signatures import FACET_FAMILIES, find_rule
 
 EXIT_OK = 0
 EXIT_SEARCH = 2
@@ -117,7 +117,14 @@ def _load_operator(args):
 
 
 def _cmd_find(args) -> int:
-    facet = None if args.facet == "none" else args.facet
+    families = FACET_FAMILIES[args.domain]
+    facet = args.facet or families[0]
+    if facet == "none":
+        facet = None
+    elif facet not in families:
+        print(f"facet family {facet!r} does not apply to the {args.domain}; "
+              f"use one of {', '.join(families)} or none", file=sys.stderr)
+        return EXIT_USAGE
     result = find_rule(args.domain, args.qv, facet_kind=facet,
                        seed=args.seed, sweeps=args.sweeps,
                        budget_s=args.budget)
@@ -238,9 +245,10 @@ def build_parser() -> _Parser:
     p_find.add_argument("--domain", choices=("tri", "tet"), required=True)
     p_find.add_argument("--qv", type=int, required=True,
                         help="volume exactness degree")
-    p_find.add_argument("--facet", choices=("lgl", "lg", "none"),
-                        default="lgl",
-                        help="facet family frozen into the search")
+    p_find.add_argument("--facet", choices=("lgl", "lg", "gen", "none"),
+                        default=None,
+                        help="facet family frozen into the search "
+                             "(default: lgl on the tri, gen on the tet)")
     p_find.add_argument("--seed", type=int, default=0)
     p_find.add_argument("--sweeps", type=int, default=5,
                         help="restart sweeps over the candidate layouts")

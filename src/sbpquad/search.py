@@ -9,7 +9,8 @@ The solver couples a damped Levenberg-Marquardt iteration (with a
 positivity-preserving step rescale) and a particle swarm over the free
 entries of tau; facet-orbit parameters can be frozen so facet nodes stay
 collocated with a fixed facet rule, which is what the SBP construction
-requires.
+requires.  One residual evaluation scores the whole swarm: the nodes of
+every particle go through one vandermonde call (swarm_objective).
 """
 
 from __future__ import annotations
@@ -244,15 +245,26 @@ class SearchSpec:
             tau[self.param_slices[i]] = params
         return tau
 
+    def expand_stack(self, taus: np.ndarray):
+        """(bary, coords, node_weights, feasible) of a stack of designs,
+        shape (n_c, n_tau); feasible marks the rows whose nodes all stay
+        in the closed element."""
+        bary = self._base + (self._dbary
+                             @ taus[:, None, :self.n_params, None])[..., 0]
+        feasible = ~((bary.min(axis=(1, 2)) < -CLOSURE_TOL)
+                     | (bary.max(axis=(1, 2)) > 1.0 + CLOSURE_TOL))
+        coords = bary @ self._elem.vertices
+        w = np.repeat(taus[:, self.weight_slice], np.diff(self.node_starts),
+                      axis=1)
+        return bary, coords, w, feasible
+
     def expand(self, tau: np.ndarray):
         """(bary, coords, node_weights) of a design; raises when
         any node leaves the closed element."""
-        bary = self._base + self._dbary @ tau[:self.n_params]
-        if bary.min() < -CLOSURE_TOL or bary.max() > 1.0 + CLOSURE_TOL:
+        bary, coords, w, feasible = self.expand_stack(tau[None])
+        if not feasible[0]:
             raise InfeasibleDesignError("nodes leave the element")
-        coords = bary @ self._elem.vertices
-        w = np.repeat(tau[self.weight_slice], np.diff(self.node_starts))
-        return bary, coords, w
+        return bary[0], coords[0], w[0]
 
     def build_rule(self, tau: np.ndarray, provenance: dict | None = None
                    ) -> QuadratureRule:
@@ -476,13 +488,23 @@ class SwarmState:
     iterations: int = 0
 
 
-def swarm_objective(spec: SearchSpec, tau: np.ndarray) -> float:
-    """0.5 ||g||^2, +inf for infeasible designs."""
-    try:
-        g = residual(spec, tau)
-    except InfeasibleDesignError:
-        return np.inf
-    return 0.5 * float(g @ g)
+def swarm_objective(spec: SearchSpec, taus: np.ndarray) -> np.ndarray:
+    """0.5 ||g||^2 of every design in a stack (n_c, n_tau), +inf for the
+    rows whose nodes leave the element.
+
+    The feasible rows share one vandermonde call.  Both reductions are
+    stacked matmuls, which sum each row in the order of V^T w and g @ g
+    for that row alone (einsum reorders them).
+    """
+    _, coords, w, feasible = spec.expand_stack(taus)
+    obj = np.full(len(taus), np.inf)
+    n_ok = int(feasible.sum())
+    if n_ok:
+        V = vandermonde(coords[feasible].reshape(-1, spec.dim), spec.qv,
+                        spec.dim, check=False).reshape(n_ok, spec.n_nodes, -1)
+        g = (w[feasible][:, None, :] @ V)[:, 0] - spec._f
+        obj[feasible] = 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    return obj
 
 
 def init_swarm(spec: SearchSpec, options: SearchOptions,
@@ -494,23 +516,27 @@ def init_swarm(spec: SearchSpec, options: SearchOptions,
         pos[i] = random_design(spec, rng, eps=options.eps_weight)
     for i, tau in enumerate(seeds[:n_c]):
         pos[i] = tau
-    obj = np.array([swarm_objective(spec, pos[i]) for i in range(n_c)])
+    obj = swarm_objective(spec, pos)
     best = int(np.argmin(obj))
     return SwarmState(pos, np.zeros_like(pos), pos.copy(), obj.copy(),
                       pos[best].copy(), float(obj[best]))
 
 
-def _record_best(swarm: SwarmState, i: int, tau: np.ndarray,
-                 obj: float) -> None:
-    """Make tau particle i's personal best, and the global best, where
-    it improves on them.  The global best is never worse than a personal
-    best, so it can only improve where particle i's does."""
-    if obj < swarm.pbest_obj[i]:
-        swarm.pbest_obj[i] = obj
-        swarm.pbest_pos[i] = tau.copy()
-        if obj < swarm.gbest_obj:
-            swarm.gbest_obj = float(obj)
-            swarm.gbest_pos = tau.copy()
+def _record_best(swarm: SwarmState, idx: np.ndarray, taus: np.ndarray,
+                 objs: np.ndarray) -> None:
+    """Make taus[k] particle idx[k]'s personal best where it improves on
+    it, and the lowest of those (the first on a tie) the global best
+    where it improves on that.  The global best is never worse than a
+    personal best, so it can only improve where a particle's does."""
+    better = objs < swarm.pbest_obj[idx]
+    idx, taus, objs = idx[better], taus[better], objs[better]
+    swarm.pbest_obj[idx] = objs
+    swarm.pbest_pos[idx] = taus
+    if objs.size:
+        k = int(np.argmin(objs))
+        if objs[k] < swarm.gbest_obj:
+            swarm.gbest_obj = float(objs[k])
+            swarm.gbest_pos = taus[k].copy()
 
 
 def pso_step(spec: SearchSpec, swarm: SwarmState,
@@ -536,9 +562,8 @@ def pso_step(spec: SearchSpec, swarm: SwarmState,
     if bad.any():
         wview[bad] = options.eps_weight
         swarm.velocities[:, ws][bad] = 0.0
-    for i in range(n_c):
-        _record_best(swarm, i, swarm.positions[i],
-                     swarm_objective(spec, swarm.positions[i]))
+    _record_best(swarm, np.arange(n_c), swarm.positions,
+                 swarm_objective(spec, swarm.positions))
     swarm.iterations += 1
 
 
@@ -619,11 +644,11 @@ def solve_coupled(spec: SearchSpec,
                                     lma_total, pso_total,
                                     best_tau=final.tau)
         # feed the LMA endpoint back into the swarm
-        obj = swarm_objective(spec, state.tau)
-        worst = int(np.argmax(swarm.pbest_obj))
+        obj = swarm_objective(spec, state.tau[None])
+        worst = np.argmax(swarm.pbest_obj, keepdims=True)
         swarm.positions[worst] = state.tau
         swarm.velocities[worst] = 0.0
-        _record_best(swarm, worst, state.tau, obj)
+        _record_best(swarm, worst, state.tau[None], obj)
     best = swarm.gbest_obj
     res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
     return SearchResult(None, False, res, opts.max_rounds, lma_total,

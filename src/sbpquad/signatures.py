@@ -30,6 +30,7 @@ from .search import (QuadratureRule, SearchOptions, SearchSpec, lg_rule,
 from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
+    "FACET_FAMILIES",
     "invariant_moment_count",
     "interior_candidates",
     "facet_layout",
@@ -46,6 +47,11 @@ class FacetSearchError(RuntimeError):
     """No facet rule reachable within the facet-stage search budget."""
 
 _DIM_BY_DOMAIN = {"tri": 2, "tet": 3}
+
+#: facet families each domain's search accepts, the default first: 1-D
+#: LGL or LG rules on triangle edges, a searched triangle rule ("gen") on
+#: tet faces
+FACET_FAMILIES = {"tri": ("lgl", "lg"), "tet": ("gen",)}
 
 # triangle orbit -> tet facet orbit when a triangle rule is pushed onto
 # the faces of the tet
@@ -184,12 +190,16 @@ def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
     """Candidate SearchSpecs for one rule request, cheapest first.
 
     facet_kind None requests an interior-only rule (no facet layout, no
-    frozen parameters, not SBP-compatible).
+    frozen parameters, not SBP-compatible); any other family outside
+    FACET_FAMILIES[domain] raises ValueError.
     """
     d = _DIM_BY_DOMAIN[domain]
     layout, frule, p = [], None, None
     if facet_kind is not None:
-        facet_kind = facet_kind if d == 2 else "gen"
+        if facet_kind not in FACET_FAMILIES[domain]:
+            raise ValueError(
+                f"facet family {facet_kind!r} does not apply to the "
+                f"{domain}; use one of {FACET_FAMILIES[domain]}")
         p = (qv + 1) // 2
         frule = facet_quadrature(facet_kind, p, d, seed=seed,
                                  options=options)
@@ -279,8 +289,7 @@ def find_facet_rule(p: int, seed: int = 0,
                                                    pso_iters=25))
     if rule is None:
         raise FacetSearchError(f"no degree-{q} triangle facet rule found")
-    rule.provenance.setdefault("role", "tet-facet")
-    rule.provenance.setdefault("seed", seed)
+    rule.provenance.update(role="tet-facet", seed=seed)
     return rule
 
 

@@ -5,9 +5,10 @@ monomial integrals by direct nested antidifferentiation in exact
 rational arithmetic, Jacobi polynomials through scipy's unnormalized
 evaluations plus the explicit norm formula.  The per-dimension basis
 evaluator is the one the package used before its basis became d-generic,
-and the two orbit-layout enumerators at the end are the ones it used
-before both search stages shared one; both are kept verbatim as the
-exact reference.
+the two orbit-layout enumerators are the ones it used before both search
+stages shared one, and the swarm objective at the end scores one design
+per call as the package did before it scored whole swarms; all are kept
+verbatim as the exact reference.
 """
 
 import itertools
@@ -18,8 +19,10 @@ from math import comb, gamma, sqrt
 import numpy as np
 import scipy.special
 
+from sbpquad import basis
+from sbpquad.search import InfeasibleDesignError
 from sbpquad.signatures import invariant_moment_count
-from sbpquad.simplex import reference_simplex
+from sbpquad.simplex import CLOSURE_TOL, reference_simplex
 
 
 def _even_moment(m: int) -> Fraction:
@@ -427,3 +430,50 @@ def _tri_facet_candidates(q: int, max_candidates: int = 24):
         out.append(combo)
         extra += 1
     return out
+
+
+# ----------------------------------------------------------------------
+# one-design swarm objective and best update (reference for
+# sbpquad.search.swarm_objective and _record_best); basis evaluation goes
+# through the package's own vandermonde, which the basis tests compare
+# with the evaluator above
+
+
+def expand(spec, tau: np.ndarray):
+    """(bary, coords, node_weights) of a design; raises when
+    any node leaves the closed element."""
+    bary = spec._base + spec._dbary @ tau[:spec.n_params]
+    if bary.min() < -CLOSURE_TOL or bary.max() > 1.0 + CLOSURE_TOL:
+        raise InfeasibleDesignError("nodes leave the element")
+    coords = bary @ spec._elem.vertices
+    w = np.repeat(tau[spec.weight_slice], np.diff(spec.node_starts))
+    return bary, coords, w
+
+
+def residual(spec, tau: np.ndarray) -> np.ndarray:
+    """Moment residual g = V^T w - f; raises InfeasibleDesignError when
+    the design leaves the element."""
+    _, coords, w = expand(spec, tau)
+    V = basis.vandermonde(coords, spec.qv, spec.dim, check=False)
+    return V.T @ w - spec._f
+
+
+def swarm_objective(spec, tau: np.ndarray) -> float:
+    """0.5 ||g||^2, +inf for infeasible designs."""
+    try:
+        g = residual(spec, tau)
+    except InfeasibleDesignError:
+        return np.inf
+    return 0.5 * float(g @ g)
+
+
+def record_best(swarm, i: int, tau: np.ndarray, obj: float) -> None:
+    """Make tau particle i's personal best, and the global best, where
+    it improves on them.  The global best is never worse than a personal
+    best, so it can only improve where particle i's does."""
+    if obj < swarm.pbest_obj[i]:
+        swarm.pbest_obj[i] = obj
+        swarm.pbest_pos[i] = tau.copy()
+        if obj < swarm.gbest_obj:
+            swarm.gbest_obj = float(obj)
+            swarm.gbest_pos = tau.copy()

@@ -245,6 +245,13 @@ def test_cli_find_budget_exceeded(capsys):
     assert "facet and 0 volume attempt(s)" in err
 
 
+def test_cli_find_rejects_facet_family_of_other_domain(capsys):
+    for domain, family in (("tet", "lg"), ("tet", "lgl"), ("tri", "gen")):
+        assert run_cli(["find", "--domain", domain, "--qv", "2",
+                        "--facet", family]) == cli.EXIT_USAGE
+        assert "does not apply" in capsys.readouterr().err
+
+
 def test_cli_verify_pass(rule_file, capsys):
     assert run_cli(["verify", str(rule_file)]) == cli.EXIT_OK
     assert "PASS" in capsys.readouterr().out

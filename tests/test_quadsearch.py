@@ -1,16 +1,20 @@
 """Interval rules, moment residuals, and the damped least-squares search."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
+from sbpquad import search
+from sbpquad.archive import rule_to_dict
 from sbpquad.search import (
     EPS_WEIGHT,
     InfeasibleDesignError,
     RuleValidationError,
     SearchOptions,
     SearchSpec,
+    SwarmState,
     apply_update_with_positivity,
     lg_rule,
     lgl_rule,
@@ -20,9 +24,10 @@ from sbpquad.search import (
     residual,
     residual_and_jacobian,
     solve_coupled,
+    swarm_objective,
     validate_rule,
 )
-from sbpquad.signatures import facet_quadrature
+from sbpquad.signatures import facet_quadrature, volume_search_specs
 
 import oracles
 
@@ -365,3 +370,112 @@ def test_solve_coupled_converges_with_free_parameters():
     res = solve_coupled(spec, SearchOptions(), seed=0)
     assert res.converged
     assert res.rule.residual_inf() <= 5e-14
+
+
+# ----------------------------------------------------------------------
+# batched swarm scoring against the one-design reference
+
+
+def scoring_specs():
+    """2-D and 3-D layouts, with free and with frozen parameters."""
+    return {
+        "tri-free": SearchSpec(2, 4, ("S1", "S21", "S21", "S111")),
+        "tri-frozen": SearchSpec(2, 4, ("Sedge", "S1", "S21", "S21"),
+                                 frozen={0: (0.2,)}),
+        "tet-free": SearchSpec(3, 3, ("S31", "S31", "S22")),
+        "tet-frozen": SearchSpec(3, 4, ("Sedge", "Sface21", "S1", "S211"),
+                                 frozen={0: (0.2,), 1: (0.15,)}),
+    }
+
+
+def design_stack(spec, seed, n=40):
+    """Feasible random designs, then the same designs pushed by noise
+    large enough that some leave the element."""
+    rng = np.random.default_rng(seed)
+    taus = np.array([random_design(spec, rng) for _ in range(n // 2)])
+    noisy = taus + 0.5 * rng.standard_normal(taus.shape) * spec.free_mask
+    return np.vstack([taus, noisy])
+
+
+def rowwise_objective(spec, taus):
+    return np.array([oracles.swarm_objective(spec, tau) for tau in taus])
+
+
+def rowwise_record_best(swarm, idx, taus, objs):
+    for i, tau, obj in zip(idx, taus, objs):
+        oracles.record_best(swarm, int(i), tau, float(obj))
+
+
+@pytest.mark.parametrize("name", sorted(scoring_specs()))
+def test_swarm_objective_matches_reference_rowwise(name):
+    spec = scoring_specs()[name]
+    taus = design_stack(spec, 3)
+    ref = rowwise_objective(spec, taus)
+    got = swarm_objective(spec, taus)
+    assert got.shape == (len(taus),)
+    assert np.isfinite(ref).any() and np.isinf(ref).any()
+    assert np.array_equal(got, ref)
+
+
+def test_swarm_objective_infeasible_rows_score_inf():
+    spec = SearchSpec(2, 2, ("S21", "S1"))
+    inside = np.array([0.2, 0.3, 0.1])
+    outside = np.array([0.7, 0.3, 0.1])   # bary (0.7, 0.7, -0.4)
+    got = swarm_objective(spec, np.array([inside, outside, inside, outside,
+                                          outside]))
+    assert np.array_equal(np.isinf(got), [False, True, False, True, True])
+    assert got[0] == got[2] == oracles.swarm_objective(spec, inside)
+    assert np.all(swarm_objective(spec, np.array([outside] * 3)) == np.inf)
+
+
+def test_record_best_matches_reference_on_ties():
+    """Equal objectives neither replace a personal best nor, past the
+    first, claim the global best; infeasible designs never improve."""
+    rng = np.random.default_rng(0)
+    pos = rng.random((6, 3))
+
+    def swarm():
+        return SwarmState(pos.copy(), np.zeros_like(pos), pos[::-1].copy(),
+                          np.array([1.0, 3.0, 2.0, np.inf, 5.0, 0.5]),
+                          pos[0].copy(), 0.8)
+
+    taus = rng.random((6, 3))
+    objs = np.array([0.5, 3.0, 0.5, np.inf, 2.0, 0.5])
+    got, ref = swarm(), swarm()
+    search._record_best(got, np.arange(6), taus, objs)
+    rowwise_record_best(ref, np.arange(6), taus, objs)
+    for f in dataclasses.fields(SwarmState):
+        assert np.array_equal(getattr(got, f.name), getattr(ref, f.name))
+    assert np.array_equal(got.gbest_pos, taus[0])
+
+
+def assert_same_result(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "rule":
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert rule_to_dict(x) == rule_to_dict(y)
+        elif f.name == "best_tau":
+            assert np.array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("spec_fn, seed", [
+    (lambda: SearchSpec(2, 4, ("S21", "S21")), 0),
+    (lambda: SearchSpec(2, 4, ("S21", "S21")), 1),
+    (lambda: volume_search_specs("tri", 2, "lgl")[0], 0),
+    (lambda: SearchSpec(3, 4, ("S1", "S31", "S22")), 0),
+], ids=["tri-unconverged", "tri-converged", "tri-frozen", "tet"])
+def test_solve_coupled_matches_rowwise_scoring(monkeypatch, spec_fn, seed):
+    """Batched scoring and best updates leave every field of a search
+    result as the one-design scorer and update applied particle by
+    particle do, through the swarm rounds."""
+    opts = SearchOptions(max_rounds=3, pso_iters=10)
+    batched = solve_coupled(spec_fn(), opts, seed)
+    monkeypatch.setattr(search, "swarm_objective", rowwise_objective)
+    monkeypatch.setattr(search, "_record_best", rowwise_record_best)
+    rowwise = solve_coupled(spec_fn(), opts, seed)
+    assert batched.pso_iterations > 0
+    assert_same_result(batched, rowwise)

@@ -168,6 +168,12 @@ def test_find_facet_rule_degree2_is_midedge():
     assert np.allclose(rule.nodes.weights, 2.0 / 3.0, atol=1e-13)
 
 
+def test_find_facet_rule_records_its_seed():
+    rule = find_facet_rule(1, seed=3)
+    assert rule.provenance["seed"] == 3
+    assert rule.provenance["role"] == "tet-facet"
+
+
 def test_facet_layout_tet_from_midedge_rule():
     rule = find_facet_rule(1, seed=0)
     layout = facet_layout(rule, 3)
@@ -231,6 +237,13 @@ def test_volume_specs_explicit_interior():
 
 # ----------------------------------------------------------------------
 # driver
+
+
+@pytest.mark.parametrize("domain, family", [("tet", "lgl"), ("tet", "lg"),
+                                           ("tri", "gen")])
+def test_find_rule_rejects_facet_family_of_other_domain(domain, family):
+    with pytest.raises(ValueError, match="does not apply"):
+        find_rule(domain, 2, family)
 
 
 def test_find_rule_budget_exhausted():
