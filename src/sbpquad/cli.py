@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .advection import (build_problem, certify_stable, max_stable_dt,
-                        run_convergence)
+from .advection import (bloch_symbols, build_problem, certify_stable,
+                        energy_ratios, max_stable_dt, run_convergence)
 from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
                       save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
@@ -118,16 +118,16 @@ def _load_operator(args):
 
 def _cmd_find(args) -> int:
     families = FACET_FAMILIES[args.domain]
-    facet = args.facet or families[0]
-    if facet == "none":
-        facet = None
-    elif facet not in families:
-        print(f"facet family {facet!r} does not apply to the {args.domain}; "
-              f"use one of {', '.join(families)} or none", file=sys.stderr)
+    if args.facet not in (None, "none", *families):
+        print(f"facet family {args.facet!r} does not apply to the "
+              f"{args.domain}; use one of {', '.join(families)} or none",
+              file=sys.stderr)
         return EXIT_USAGE
-    result = find_rule(args.domain, args.qv, facet_kind=facet,
-                       seed=args.seed, sweeps=args.sweeps,
-                       budget_s=args.budget)
+    # without --facet, find_rule picks the domain's default family
+    family = ({} if args.facet is None else
+              {"facet_kind": None if args.facet == "none" else args.facet})
+    result = find_rule(args.domain, args.qv, seed=args.seed,
+                       sweeps=args.sweeps, budget_s=args.budget, **family)
     if result.status != "ok":
         solves = [a["stage"] for a in result.attempts if "error" not in a]
         print(f"search {result.status} after {solves.count('facet')} facet "
@@ -216,15 +216,27 @@ def _cmd_timestep(args) -> int:
     prob = build_problem(op, args.m, c, flux=args.flux,
                          omega=args.omega)
     dt = max_stable_dt(prob, rel_tol=args.rel_tol)
-    ok_half, ratio = certify_stable(prob, 0.5 * dt)
-    print(f"max stable dt     : {dt:.6e}")
-    print(f"energy ratio @dt/2: {ratio:.12f} "
-          f"({'nonincreasing' if ok_half else 'INCREASING'})")
+    symbols = bloch_symbols(prob)
+    ratio_dt = float(energy_ratios(prob, dt, symbols=symbols).max())
+    ok_half, ratio = certify_stable(prob, 0.5 * dt, symbols=symbols)
+    # the wavenumber that fails first: the worst one at a step the
+    # search ruled out (its bracket ends within rel_tol, or one ulp)
+    ruled_out = np.nextafter(dt * (1.0 + args.rel_tol), np.inf)
+    j = np.unravel_index(
+        np.argmax(energy_ratios(prob, ruled_out, symbols=symbols)),
+        (args.m,) * op.dim)
+    print(f"max stable dt                     : {dt:.6e}")
+    print(f"limiting wavenumber j (2 pi j / m): {tuple(map(int, j))}")
+    print(f"worst-case energy ratio @dt       : {ratio_dt:.12f}")
+    print(f"worst-case energy ratio @dt/2     : {ratio:.12f} "
+          f"({'nonincreasing' if ok_half else 'INCREASING'}, all data)")
     if args.output:
         payload = {
-            "format": "timestep-certificate", "schema": 1,
+            "format": "timestep-certificate", "schema": 2,
             "p": op.p, "m": args.m, "flux": args.flux,
             "velocity": c.tolist(), "max_stable_dt": dt,
+            "limiting_wavenumber": [int(i) for i in j],
+            "energy_ratio_dt": ratio_dt,
             "energy_ratio_half_dt": ratio,
         }
         with open(args.output, "w") as fh:

@@ -52,6 +52,7 @@ _DIM_BY_DOMAIN = {"tri": 2, "tet": 3}
 #: LGL or LG rules on triangle edges, a searched triangle rule ("gen") on
 #: tet faces
 FACET_FAMILIES = {"tri": ("lgl", "lg"), "tet": ("gen",)}
+_FIRST_FAMILY = object()   # find_rule default: FACET_FAMILIES[domain][0]
 
 # triangle orbit -> tet facet orbit when a triangle rule is pushed onto
 # the faces of the tet
@@ -293,7 +294,7 @@ def find_facet_rule(p: int, seed: int = 0,
     return rule
 
 
-def find_rule(domain: str, qv: int, facet_kind: str | None = "lgl",
+def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
               seed: int = 0, sweeps: int = 5,
               budget_s: float | None = None,
               options: SearchOptions | None = None,
@@ -302,11 +303,15 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = "lgl",
 
     Layouts are exhausted in node-count order: each gets `sweeps`
     restart seeds before the next (larger) layout is attempted, so the
-    returned rule has the smallest reachable node count.  The attempt
+    returned rule has the smallest reachable node count.  facet_kind
+    defaults to the domain's first FACET_FAMILIES entry; None asks for
+    an interior-only rule.  The attempt
     log holds the facet stage's solves, stage "facet", before the volume
     stage's, stage "volume".  Deterministic for fixed arguments; budget_s
     caps the wall time of both stages.
     """
+    if facet_kind is _FIRST_FAMILY:
+        facet_kind = FACET_FAMILIES[domain][0]
     run = _Run(budget_s)
     token = _RUN.set(run)
     try:

@@ -13,18 +13,25 @@ Each section pins the tolerances the package promises:
   9. byte-level determinism of every artifact-producing command
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import sbpquad.cli as cli
 from sbpquad.advection import (
+    bloch_symbols,
     build_problem,
+    certification_horizon,
     certify_stable,
     energy,
+    energy_ratios,
     estimate_dt,
     initial_condition,
+    rk4_step,
     run_convergence,
     run_to_time,
+    step_matrix,
 )
 from sbpquad.archive import canonical_json, rule_to_dict
 from sbpquad.basis import mode_indices, monomial_integral
@@ -259,6 +266,41 @@ def test_max_stable_dt_is_certified_boundary(timestep_certs, p):
     prob, dt = timestep_certs[p]
     assert certify_stable(prob, dt)[0]
     assert not certify_stable(prob, 1.05 * dt)[0]
+
+
+def _worst_bloch_datum(prob, dt):
+    """The initial datum whose energy grows most over the horizon at dt.
+
+    Top right singular vector of H^1/2 Ghat^N H^-1/2 at the limiting
+    wavenumber, laid out as a real Bloch mode on the whole mesh: the
+    real or the imaginary part, whichever has the larger norm.
+    """
+    d, m, n = prob.dim, prob.m, prob.op.n_nodes
+    symbols = bloch_symbols(prob)
+    j = int(np.argmax(energy_ratios(prob, dt, symbols=symbols)))
+    n_steps = math.ceil(certification_horizon(prob) / dt)
+    h = np.sqrt(prob.hw.ravel()[:len(symbols[j])])
+    G = np.linalg.matrix_power(step_matrix(symbols[j], dt), n_steps)
+    v = np.linalg.svd(h[:, None] * G / h)[2][0].conj() / h
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    theta = 2.0 * np.pi / m * np.array(np.unravel_index(j, (m,) * d))
+    u = (np.exp(1j * (cells @ theta))[:, None] * v).reshape(-1, n)
+    return max(u.real, u.imag, key=np.linalg.norm)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_worst_datum_grows_only_beyond_certified_dt(timestep_certs, p):
+    """The certificate covers every initial datum, not only the sine: the
+    datum that grows most at 1.05 dt, advanced by rk4_step over the
+    horizon, gains energy there and none at the certified dt."""
+    prob, dt = timestep_certs[p]
+    u0 = _worst_bloch_datum(prob, 1.05 * dt)
+    e0 = energy(prob, u0)
+    for step, grows in ((1.05 * dt, True), (dt, False)):
+        u = u0
+        for _ in range(math.ceil(certification_horizon(prob) / step)):
+            u = rk4_step(prob, u, step)
+        assert (energy(prob, u) > e0 * (1.0 + 1e-12)) == grows
 
 
 def test_p1_max_dt_in_expected_range(timestep_certs):

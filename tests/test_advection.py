@@ -1,5 +1,8 @@
 """Periodic linear-advection discretization on split simplex meshes."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,12 @@ from sbpquad.advection import (
     _lattice,
     _pair_facets,
     assemble_dense,
+    bloch_symbols,
     build_problem,
     certification_horizon,
     certify_stable,
     energy,
+    energy_ratios,
     estimate_dt,
     exact_solution,
     initial_condition,
@@ -299,6 +304,71 @@ def test_certify_unstable_at_large_step(p1_problem):
     ok, ratio = certify_stable(p1_problem, 50.0 * estimate_dt(p1_problem))
     assert not ok
     assert ratio > 1.0
+
+
+def test_overflowing_propagator_is_uncertified(p1_problem):
+    """Over a long horizon an unstable propagator overflows; the
+    certificate then fails with ratio inf instead of raising."""
+    ok, ratio = certify_stable(p1_problem, 50.0 * estimate_dt(p1_problem),
+                               T=1e3)
+    assert not ok
+    assert ratio == np.inf
+
+
+def _rule_problem(tri_lgl_results, tet_result, domain, p, m):
+    """Upwind problem on the rule the timestep benchmark uses for p."""
+    rule = (tri_lgl_results[2 * p - 1] if domain == "tri"
+            else tet_result).rule
+    velocity = VELOCITY_2D if domain == "tri" else VELOCITY_3D
+    return build_problem(build_operator(rule), m, velocity, flux="upwind")
+
+
+@pytest.mark.parametrize("domain, p, m", [("tri", 1, 4), ("tri", 2, 4),
+                                          ("tet", 1, 2)])
+def test_bloch_symbol_eigenvalues_match_dense(tri_lgl_results, tet_result,
+                                              domain, p, m):
+    """The m^d symbols carry the dense operator's spectrum."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
+    dense = np.linalg.eigvals(assemble_dense(prob))
+    bloch = np.linalg.eigvals(bloch_symbols(prob)).ravel()
+    assert bloch.shape == dense.shape
+    gap = np.abs(dense[:, None] - bloch[None, :])
+    assert gap.min(axis=1).max() <= 1e-10
+    assert gap.min(axis=0).max() <= 1e-10
+
+
+def _dense_worst_ratio(prob, dt):
+    """max over u0 of E(N dt)/E(0) from the dense RK4 propagator."""
+    n_steps = math.ceil(certification_horizon(prob) / dt)
+    G = np.linalg.matrix_power(step_matrix(assemble_dense(prob), dt),
+                               n_steps)
+    h = np.sqrt(prob.hw.ravel())
+    return np.linalg.norm(h[:, None] * G / h, ord=2) ** 2
+
+
+@pytest.mark.parametrize("domain, p, m", [("tri", 1, 2), ("tri", 2, 3),
+                                          ("tet", 1, 2)])
+def test_bloch_ratio_matches_dense_propagator(tri_lgl_results, tet_result,
+                                              domain, p, m):
+    """The worst case over wavenumbers is the dense propagator's
+    energy-norm gain, on both sides of the certified step."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
+    dt = max_stable_dt(prob, rel_tol=1e-3)
+    for scale, stable in ((0.5, True), (1.0, True), (1.1, False)):
+        ok, ratio = certify_stable(prob, scale * dt)
+        assert ok == stable
+        dense = _dense_worst_ratio(prob, scale * dt)
+        assert abs(ratio - dense) <= 1e-10 * dense
+        assert ratio == energy_ratios(prob, scale * dt).max()
+
+
+def test_tet_m4_certifies_in_seconds(tet_result):
+    prob = _rule_problem(None, tet_result, "tet", 1, 4)
+    t0 = time.perf_counter()
+    dt = max_stable_dt(prob)
+    elapsed = time.perf_counter() - t0
+    assert certify_stable(prob, dt)[0]
+    assert elapsed < 5.0
 
 
 def test_max_stable_dt_brackets_threshold(tri_lgl_results):

@@ -318,7 +318,10 @@ def test_cli_timestep_certificate(rule_file, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["format"] == "timestep-certificate"
     assert payload["max_stable_dt"] > 0.0
+    assert payload["energy_ratio_dt"] <= 1.0 + 1e-12
     assert payload["energy_ratio_half_dt"] <= 1.0 + 1e-12
+    j = payload["limiting_wavenumber"]
+    assert len(j) == 2 and all(0 <= i < 2 for i in j)
 
 
 def test_cli_velocity_arity_checked(rule_file):

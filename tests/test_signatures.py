@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import sbpquad.signatures
+from sbpquad.archive import canonical_json, rule_to_dict
 from sbpquad.search import SearchOptions, lg_rule, lgl_rule
 from sbpquad.signatures import (
+    FACET_FAMILIES,
     FacetSearchError,
     facet_layout,
     find_facet_rule,
@@ -244,6 +246,19 @@ def test_volume_specs_explicit_interior():
 def test_find_rule_rejects_facet_family_of_other_domain(domain, family):
     with pytest.raises(ValueError, match="does not apply"):
         find_rule(domain, 2, family)
+
+
+@pytest.mark.parametrize("domain", ["tri", "tet"])
+def test_find_rule_defaults_to_first_facet_family(domain, tri_lgl_results,
+                                                  tet_result):
+    """Without a family, find_rule searches the domain's first one: LGL
+    on the triangle, the searched face rule on the tet."""
+    res = find_rule(domain, 2)
+    assert res.status == "ok"
+    assert res.rule.facet_kind == FACET_FAMILIES[domain][0]
+    explicit = tri_lgl_results[2] if domain == "tri" else tet_result
+    assert canonical_json(rule_to_dict(res.rule)) == \
+        canonical_json(rule_to_dict(explicit.rule))
 
 
 def test_find_rule_budget_exhausted():
