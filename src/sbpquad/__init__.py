@@ -16,8 +16,8 @@ from .basis import (grad_vandermonde, monomial_integral, n_basis,
                     simplex_gauss_rule, vandermonde)
 from .operators import (SBPOperator, SBPReport, build_operator,
                         verify_operator)
-from .search import (QuadratureRule, SearchOptions, lg_rule, lgl_rule,
-                     solve_coupled, validate_rule)
+from .search import (QuadratureRule, lg_rule, lgl_rule, solve_coupled,
+                     validate_rule)
 from .signatures import FindResult, find_facet_rule, find_rule
 from .simplex import (GroupSignature, NodeSet, SymmetryOrbit,
                       expand_orbit, reference_simplex)
@@ -31,7 +31,7 @@ __all__ = [
     "grad_vandermonde", "monomial_integral", "n_basis",
     "simplex_gauss_rule", "vandermonde",
     "SBPOperator", "SBPReport", "build_operator", "verify_operator",
-    "QuadratureRule", "SearchOptions", "lg_rule", "lgl_rule",
+    "QuadratureRule", "lg_rule", "lgl_rule",
     "solve_coupled", "validate_rule",
     "FindResult", "find_facet_rule", "find_rule",
     "GroupSignature", "NodeSet", "SymmetryOrbit", "expand_orbit",

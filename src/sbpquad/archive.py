@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .operators import SBPOperator, build_operator
-from .search import QuadratureRule, _interval_nodeset, validate_rule
+from .search import (QuadratureRule, _interval_nodeset, lg_rule, lgl_rule,
+                     validate_rule)
+from .signatures import FACET_FAMILIES
 from .simplex import GroupSignature, SymmetryOrbit, assemble_nodes
 
 __all__ = [
@@ -120,7 +122,33 @@ def rule_from_dict(data: dict, validate: bool = True) -> QuadratureRule:
         provenance=dict(data.get("provenance") or {}))
     if validate:
         validate_rule(rule)
+        _check_facets(rule)
     return rule
+
+
+def _check_facets(rule: QuadratureRule) -> None:
+    """Reject a facet family, facet rule and SBP degree p that do not
+    belong together: the family must be one the domain's search uses,
+    a degree-p operator needs q_v >= 2p - 1 and a facet rule of degree
+    >= 2p, and on the triangle that rule must be LGL(p+2) or LG(p+1)."""
+    kind, frule, p = rule.facet_kind, rule.facet_rule, rule.sbp_p
+    if rule.dim == 1 or (kind is None and frule is None and p is None):
+        return
+    if kind not in FACET_FAMILIES[rule.domain] or frule is None \
+            or type(p) is not int or p < 1:
+        raise ArchiveError(f"facet family {kind!r}, sbp_p {p!r}"
+                           f"{'' if frule else ' and no facet rule'} do "
+                           f"not fit a {rule.domain} SBP rule")
+    if rule.qv < 2 * p - 1 or frule.qv < 2 * p:
+        raise ArchiveError(f"sbp_p {p} needs qv >= {2 * p - 1} and a facet "
+                           f"degree >= {2 * p}, not {rule.qv} and {frule.qv}")
+    if rule.dim == 2:
+        ref = (lgl_rule(p + 2) if kind == "lgl" else lg_rule(p + 1)).nodes
+        x, w = frule.nodes.coords, frule.nodes.weights
+        if x.shape != ref.coords.shape or np.abs(np.concatenate(
+                [x - ref.coords, w - ref.weights], axis=None)).max() > 1e-12:
+            raise ArchiveError(f"facet rule is not the {kind} rule of "
+                               f"sbp_p {p}")
 
 
 def save_rule(rule: QuadratureRule, path) -> None:

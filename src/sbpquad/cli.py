@@ -232,7 +232,7 @@ def _cmd_timestep(args) -> int:
           f"({'nonincreasing' if ok_half else 'INCREASING'}, all data)")
     if args.output:
         payload = {
-            "format": "timestep-certificate", "schema": 2,
+            "format": "timestep-certificate", "schema": 3,
             "p": op.p, "m": args.m, "flux": args.flux,
             "velocity": c.tolist(), "max_stable_dt": dt,
             "limiting_wavenumber": [int(i) for i in j],

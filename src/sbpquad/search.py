@@ -16,7 +16,7 @@ every particle go through one vandermonde call (swarm_objective).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .basis import integral_vector, vandermonde, grad_vandermonde, n_basis
 from .simplex import (CLOSURE_TOL, DUPLICATE_TOL, GroupSignature, NodeSet,
                       NodeSetError, SymmetryOrbit, assemble_nodes,
                       min_node_spacing, node_set_is_symmetric,
-                      orbit_structure, reference_simplex)
+                      orbit_structure, pairwise_distances, reference_simplex)
 
 __all__ = [
     "EPS_WEIGHT",
@@ -35,7 +35,6 @@ __all__ = [
     "lgl_rule",
     "lg_rule",
     "SearchSpec",
-    "SearchOptions",
     "random_design",
     "residual",
     "residual_and_jacobian",
@@ -52,6 +51,18 @@ __all__ = [
 
 #: weights are kept at or above this floor while iterating
 EPS_WEIGHT = 1e-4
+#: a design solves its moments once ||g||_inf <= TOL
+TOL = 5e-14
+#: particles per swarm; velocity weights of the inertia, of the pull to
+#: a particle's own best and of the pull to the swarm's best
+N_PARTICLES = 20
+INERTIA, COGNITIVE, SOCIAL = 0.6, 1.5, 1.5
+#: LMA damping factors on an accepted and a rejected step, the damping
+#: cap, and the rejected steps one iteration may try
+NU_DEC, NU_INC, NU_MAX = 0.2, 5.0, 1e18
+MAX_REJECTS = 30
+#: random designs keep their free orbit nodes this far from the boundary
+MARGIN = 0.025
 
 _DOMAIN_BY_DIM = {1: "interval", 2: "tri", 3: "tet"}
 
@@ -231,10 +242,6 @@ class SearchSpec:
         self._elem = elem
 
     @property
-    def element(self):
-        return self._elem
-
-    @property
     def n_moments(self) -> int:
         return n_basis(self.qv, self.dim)
 
@@ -274,8 +281,8 @@ class SearchSpec:
             params = tuple(float(v) for v in tau[self.param_slices[i]])
             wt = float(tau[self.n_params + i])
             orbits.append(SymmetryOrbit(kind, params, wt))
-        sig = GroupSignature(self.dim, tuple(orbits), self.qv,
-                             self.facet_kind).canonically_ordered()
+        sig = GroupSignature(self.dim, tuple(orbits),
+                             self.qv).canonically_ordered()
         nodes = assemble_nodes(sig, self._elem)
         rule = QuadratureRule(_DOMAIN_BY_DIM[self.dim], self.qv, nodes,
                               signature=sig, facet_rule=self.facet_rule,
@@ -285,31 +292,10 @@ class SearchSpec:
         return rule
 
 
-@dataclass
-class SearchOptions:
-    n_particles: int = 20
-    inertia: float = 0.6
-    cognitive: float = 1.5
-    social: float = 1.5
-    pso_iters: int = 40
-    lma_max_iters: int = 100
-    max_rejects: int = 30
-    max_rounds: int = 10
-    tol: float = 5e-14
-    nu_init: float = 1e3
-    nu_dec: float = 0.2
-    nu_inc: float = 5.0
-    nu_max: float = 1e18
-    nu_polish_floor: float = 1e-12
-    eps_weight: float = EPS_WEIGHT
-
-
-def random_design(spec: SearchSpec, rng: np.random.Generator,
-                  margin: float = 0.025,
-                  eps: float = EPS_WEIGHT) -> np.ndarray:
+def random_design(spec: SearchSpec, rng: np.random.Generator) -> np.ndarray:
     """Random feasible design: interior orbit parameters uniform in the
-    feasible box shrunk away from the boundary, weights uniform in
-    (0, 2|Omega|/n_nodes]."""
+    feasible box shrunk by MARGIN away from the boundary, weights uniform
+    in (0, 2|Omega|/n_nodes] and at least EPS_WEIGHT."""
     tau = spec.frozen_template()
     for i, st in enumerate(spec._structs):
         if i in spec.frozen or st.n_params == 0:
@@ -319,12 +305,9 @@ def random_design(spec: SearchSpec, rng: np.random.Generator,
         for _ in range(200):
             theta = rng.random(st.n_params)
             bary = st.base + st.coeff @ theta
-            if bary.min() < margin or bary.max() > 1.0 - margin:
+            if bary.min() < MARGIN or bary.max() > 1.0 - MARGIN:
                 continue
-            diff = bary[:, None, :] - bary[None, :, :]
-            dist = np.sqrt((diff ** 2).sum(-1))
-            dist[np.diag_indices(st.size)] = np.inf
-            if dist.min() < 1e-3:
+            if pairwise_distances(bary).min() < 1e-3:
                 continue
             tau[sl] = theta
             ok = True
@@ -333,7 +316,7 @@ def random_design(spec: SearchSpec, rng: np.random.Generator,
             tau[sl] = theta  # last draw; solver will sort it out
     wmax = 2.0 * spec._elem.measure / spec.n_nodes
     tau[spec.weight_slice] = np.maximum(
-        rng.random(spec.n_orbits) * wmax, eps)
+        rng.random(spec.n_orbits) * wmax, EPS_WEIGHT)
     return tau
 
 
@@ -341,12 +324,22 @@ def random_design(spec: SearchSpec, rng: np.random.Generator,
 # residual and jacobian
 
 
+def _moments(spec: SearchSpec, coords: np.ndarray, w: np.ndarray):
+    """V (..., n_nodes, n_moments) and g = V^T w - f (..., n_moments) of
+    one expanded design, coords (n_nodes, d), or of a stack of them,
+    coords (n_c, n_nodes, d), from one vandermonde call.  g is a
+    (stacked) row-vector matmul, which sums each design in the order of
+    V^T w for that design alone."""
+    V = vandermonde(coords.reshape(-1, spec.dim), spec.qv, spec.dim,
+                    check=False).reshape(coords.shape[:-1] + (-1,))
+    return V, (w[..., None, :] @ V)[..., 0, :] - spec._f
+
+
 def residual(spec: SearchSpec, tau: np.ndarray) -> np.ndarray:
     """Moment residual g = V^T w - f; raises InfeasibleDesignError when
     the design leaves the element."""
     _, coords, w = spec.expand(tau)
-    V = vandermonde(coords, spec.qv, spec.dim, check=False)
-    return V.T @ w - spec._f
+    return _moments(spec, coords, w)[1]
 
 
 def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
@@ -356,8 +349,7 @@ def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
     V^T summed over each orbit's nodes.
     """
     _, coords, w = spec.expand(tau)
-    V = vandermonde(coords, spec.qv, spec.dim, check=False)
-    g = V.T @ w - spec._f
+    V, g = _moments(spec, coords, w)
     J = np.empty((spec.n_moments, spec.n_tau))
     if spec.n_params:
         Vx = grad_vandermonde(coords, spec.qv, spec.dim, check=False)
@@ -393,9 +385,9 @@ def lma_step(g: np.ndarray, J: np.ndarray, free_mask: np.ndarray,
 
 
 def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
-                                 h: np.ndarray,
-                                 eps: float = EPS_WEIGHT) -> np.ndarray:
-    """tau + eta*h with eta shrunk so no weight crosses the eps floor.
+                                 h: np.ndarray) -> np.ndarray:
+    """tau + eta*h with eta shrunk so no weight crosses the floor eps =
+    EPS_WEIGHT.
 
     eta = min over entries that would land below eps of (eps - w_i)/h_i,
     which parks the worst offender exactly at the floor.  Keeping all
@@ -407,10 +399,11 @@ def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
     w = tau[ws]
     hw = h[ws]
     trial = w + hw
-    viol = trial < eps
+    viol = trial < EPS_WEIGHT
     eta = 1.0
     if viol.any():
-        eta = min(1.0, max(0.0, float(np.min((eps - w[viol]) / hw[viol]))))
+        eta = min(1.0, max(0.0, float(np.min((EPS_WEIGHT - w[viol])
+                                             / hw[viol]))))
     return tau + eta * h
 
 
@@ -424,53 +417,50 @@ class LmaState:
     message: str = ""
 
 
-def lma_solve(spec: SearchSpec, tau0: np.ndarray,
-              options: SearchOptions | None = None,
-              nu_floor: float = 0.0) -> LmaState:
-    """Damped LMA from tau0 until ||g||_inf <= tol or the iteration cap.
+def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
+              max_iters: int = 100, nu_floor: float = 0.0) -> LmaState:
+    """Damped LMA from tau0 until ||g||_inf <= TOL or max_iters.
 
-    nu shrinks by nu_dec on residual decrease, grows by nu_inc on a
-    rejected step; infeasible proposals are rejected the same way.
+    The damping nu starts at nu_init, shrinks by NU_DEC (not below
+    nu_floor) on residual decrease and grows by NU_INC on a rejected
+    step; infeasible proposals are rejected the same way.
     """
-    opts = options or SearchOptions()
     tau = np.asarray(tau0, dtype=float).copy()
     try:
         g = residual(spec, tau)
     except InfeasibleDesignError:
-        return LmaState(tau, opts.nu_init, np.inf, 0, False, "infeasible start")
-    nu = opts.nu_init
+        return LmaState(tau, nu_init, np.inf, 0, False, "infeasible start")
+    nu = nu_init
     it = 0
-    while it < opts.lma_max_iters:
+    while it < max_iters:
         res_inf = float(np.abs(g).max())
-        if res_inf <= opts.tol:
+        if res_inf <= TOL:
             return LmaState(tau, nu, res_inf, it, True)
         _, J = residual_and_jacobian(spec, tau)
         gnorm = float(np.linalg.norm(g))
         accepted = False
-        for _ in range(opts.max_rejects):
+        for _ in range(MAX_REJECTS):
             h = lma_step(g, J, spec.free_mask, nu)
-            tau_try = apply_update_with_positivity(spec, tau, h,
-                                                   opts.eps_weight)
+            tau_try = apply_update_with_positivity(spec, tau, h)
             try:
                 g_try = residual(spec, tau_try)
             except InfeasibleDesignError:
-                nu = min(nu * opts.nu_inc, opts.nu_max)
+                nu = min(nu * NU_INC, NU_MAX)
                 continue
             if np.linalg.norm(g_try) < gnorm:
                 tau, g = tau_try, g_try
-                nu = max(nu * opts.nu_dec, nu_floor, 1e-300)
+                nu = max(nu * NU_DEC, nu_floor, 1e-300)
                 accepted = True
                 break
-            nu = min(nu * opts.nu_inc, opts.nu_max)
-            if nu >= opts.nu_max:
+            nu = min(nu * NU_INC, NU_MAX)
+            if nu >= NU_MAX:
                 break
         it += 1
         if not accepted:
             return LmaState(tau, nu, float(np.abs(g).max()), it, False,
                             "stalled")
     res_inf = float(np.abs(g).max())
-    return LmaState(tau, nu, res_inf, it, res_inf <= opts.tol,
-                    "iteration cap")
+    return LmaState(tau, nu, res_inf, it, res_inf <= TOL, "iteration cap")
 
 
 # ----------------------------------------------------------------------
@@ -485,36 +475,31 @@ class SwarmState:
     pbest_obj: np.ndarray      # (n_c,)
     gbest_pos: np.ndarray
     gbest_obj: float
-    iterations: int = 0
 
 
 def swarm_objective(spec: SearchSpec, taus: np.ndarray) -> np.ndarray:
     """0.5 ||g||^2 of every design in a stack (n_c, n_tau), +inf for the
     rows whose nodes leave the element.
 
-    The feasible rows share one vandermonde call.  Both reductions are
-    stacked matmuls, which sum each row in the order of V^T w and g @ g
-    for that row alone (einsum reorders them).
+    The feasible rows share one _moments call, which residual makes for
+    one design.  Both reductions are stacked matmuls, which sum each row
+    in the order of V^T w and g @ g for that row alone (einsum reorders
+    them).
     """
     _, coords, w, feasible = spec.expand_stack(taus)
     obj = np.full(len(taus), np.inf)
-    n_ok = int(feasible.sum())
-    if n_ok:
-        V = vandermonde(coords[feasible].reshape(-1, spec.dim), spec.qv,
-                        spec.dim, check=False).reshape(n_ok, spec.n_nodes, -1)
-        g = (w[feasible][:, None, :] @ V)[:, 0] - spec._f
+    if feasible.any():
+        _, g = _moments(spec, coords[feasible], w[feasible])
         obj[feasible] = 0.5 * (g[:, None, :] @ g[:, :, None])[:, 0, 0]
     return obj
 
 
-def init_swarm(spec: SearchSpec, options: SearchOptions,
-               rng: np.random.Generator,
+def init_swarm(spec: SearchSpec, rng: np.random.Generator,
                seeds: tuple[np.ndarray, ...] = ()) -> SwarmState:
-    n_c = options.n_particles
-    pos = np.empty((n_c, spec.n_tau))
-    for i in range(n_c):
-        pos[i] = random_design(spec, rng, eps=options.eps_weight)
-    for i, tau in enumerate(seeds[:n_c]):
+    pos = np.empty((N_PARTICLES, spec.n_tau))
+    for i in range(N_PARTICLES):
+        pos[i] = random_design(spec, rng)
+    for i, tau in enumerate(seeds[:N_PARTICLES]):
         pos[i] = tau
     obj = swarm_objective(spec, pos)
     best = int(np.argmin(obj))
@@ -540,7 +525,7 @@ def _record_best(swarm: SwarmState, idx: np.ndarray, taus: np.ndarray,
 
 
 def pso_step(spec: SearchSpec, swarm: SwarmState,
-             options: SearchOptions, rng: np.random.Generator) -> None:
+             rng: np.random.Generator) -> None:
     """One swarm update on the free entries of every particle."""
     free = spec.free_mask
     n_c = swarm.positions.shape[0]
@@ -549,9 +534,9 @@ def pso_step(spec: SearchSpec, swarm: SwarmState,
     r2 = rng.random((n_c, nf))
     pos_f = swarm.positions[:, free]
     vel_f = swarm.velocities[:, free]
-    vel_f = (options.inertia * vel_f
-             + options.cognitive * r1 * (swarm.pbest_pos[:, free] - pos_f)
-             + options.social * r2 * (swarm.gbest_pos[free] - pos_f))
+    vel_f = (INERTIA * vel_f
+             + COGNITIVE * r1 * (swarm.pbest_pos[:, free] - pos_f)
+             + SOCIAL * r2 * (swarm.gbest_pos[free] - pos_f))
     pos_f = pos_f + vel_f
     swarm.positions[:, free] = pos_f
     swarm.velocities[:, free] = vel_f
@@ -560,11 +545,10 @@ def pso_step(spec: SearchSpec, swarm: SwarmState,
     wview = swarm.positions[:, ws]
     bad = wview <= 0.0
     if bad.any():
-        wview[bad] = options.eps_weight
+        wview[bad] = EPS_WEIGHT
         swarm.velocities[:, ws][bad] = 0.0
     _record_best(swarm, np.arange(n_c), swarm.positions,
                  swarm_objective(spec, swarm.positions))
-    swarm.iterations += 1
 
 
 # ----------------------------------------------------------------------
@@ -583,62 +567,52 @@ class SearchResult:
     best_tau: np.ndarray | None = None
 
 
-def _try_finalize(spec: SearchSpec, state: LmaState,
-                  options: SearchOptions, provenance: dict):
-    polish_opts = replace(options, nu_init=1e-8, lma_max_iters=40)
-    polished = lma_solve(spec, state.tau, polish_opts,
-                         nu_floor=options.nu_polish_floor)
+def _try_finalize(spec: SearchSpec, state: LmaState):
+    """(rule or None, final LMA state) after a polish of a converged
+    state with small damping."""
+    polished = lma_solve(spec, state.tau, nu_init=1e-8, max_iters=40,
+                         nu_floor=1e-12)
     final = polished if polished.res_inf <= state.res_inf else state
     try:
-        prov = dict(provenance)
-        prov["residual_inf"] = final.res_inf
-        rule = spec.build_rule(final.tau, prov)
+        rule = spec.build_rule(final.tau, {"qv": spec.qv,
+                                           "residual_inf": final.res_inf})
     except (NodeSetError, RuleValidationError):
         return None, final
     return rule, final
 
 
-def solve_coupled(spec: SearchSpec,
-                  options: SearchOptions | None = None,
-                  seed: int | np.random.Generator = 0,
-                  warm: np.ndarray | None = None) -> SearchResult:
+def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
+                  max_rounds: int = 10, pso_iters: int = 40) -> SearchResult:
     """Coupled LMA/PSO search for one orbit layout.
 
-    Deterministic for a given (spec, options, seed).  Round zero is a
-    plain LMA solve from the warm start (or a random design); afterwards
-    each round runs the swarm, polishes its global best with LMA and
-    feeds the result back as a particle.  The swarm's global best never
-    gets worse, so an unconverged search reports it.
+    Deterministic for a given (spec, rng state, max_rounds, pso_iters).
+    Round zero is a plain LMA solve from a random design; afterwards each
+    of up to max_rounds rounds runs pso_iters swarm steps, polishes the
+    swarm's global best with LMA and feeds the result back as a particle.
+    The swarm's global best never gets worse, so an unconverged search
+    reports it.
     """
-    opts = options or SearchOptions()
-    rng = (seed if isinstance(seed, np.random.Generator)
-           else np.random.default_rng(seed))
-    seed_label = None if isinstance(seed, np.random.Generator) else int(seed)
-    prov = {"seed": seed_label, "qv": spec.qv}
     lma_total = 0
     pso_total = 0
 
-    tau0 = warm.copy() if warm is not None else random_design(
-        spec, rng, eps=opts.eps_weight)
-    tau0[spec.weight_slice] = np.maximum(tau0[spec.weight_slice],
-                                         opts.eps_weight)
-    state = lma_solve(spec, tau0, opts)
+    tau0 = random_design(spec, rng)
+    state = lma_solve(spec, tau0)
     lma_total += state.iterations
     if state.converged:
-        rule, final = _try_finalize(spec, state, opts, prov)
+        rule, final = _try_finalize(spec, state)
         if rule is not None:
             return SearchResult(rule, True, final.res_inf, 0, lma_total,
                                 pso_total, best_tau=final.tau)
 
-    swarm = init_swarm(spec, opts, rng, seeds=(state.tau, tau0))
-    for rnd in range(1, opts.max_rounds + 1):
-        for _ in range(opts.pso_iters):
-            pso_step(spec, swarm, opts, rng)
-        pso_total += opts.pso_iters
-        state = lma_solve(spec, swarm.gbest_pos.copy(), opts)
+    swarm = init_swarm(spec, rng, seeds=(state.tau, tau0))
+    for rnd in range(1, max_rounds + 1):
+        for _ in range(pso_iters):
+            pso_step(spec, swarm, rng)
+        pso_total += pso_iters
+        state = lma_solve(spec, swarm.gbest_pos.copy())
         lma_total += state.iterations
         if state.converged:
-            rule, final = _try_finalize(spec, state, opts, prov)
+            rule, final = _try_finalize(spec, state)
             if rule is not None:
                 return SearchResult(rule, True, final.res_inf, rnd,
                                     lma_total, pso_total,
@@ -651,6 +625,6 @@ def solve_coupled(spec: SearchSpec,
         _record_best(swarm, worst, state.tau[None], obj)
     best = swarm.gbest_obj
     res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
-    return SearchResult(None, False, res, opts.max_rounds, lma_total,
+    return SearchResult(None, False, res, max_rounds, lma_total,
                         pso_total, "no convergence",
                         best_tau=swarm.gbest_pos.copy())

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import (QuadratureRule, SearchOptions, SearchSpec, lg_rule,
-                     lgl_rule, solve_coupled)
+from .search import (QuadratureRule, SearchSpec, lg_rule, lgl_rule,
+                     solve_coupled)
 from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
@@ -164,8 +164,7 @@ def facet_layout(facet_rule: QuadratureRule, d: int):
     raise ValueError("facet layouts exist for d in {2, 3}")
 
 
-def facet_quadrature(kind: str, p: int, d: int, seed: int = 0,
-                     options: SearchOptions | None = None
+def facet_quadrature(kind: str, p: int, d: int, seed: int = 0
                      ) -> QuadratureRule:
     """Facet rule for a degree-p SBP operator on a d-simplex.
 
@@ -180,14 +179,12 @@ def facet_quadrature(kind: str, p: int, d: int, seed: int = 0,
             return lg_rule(p + 1)
         raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
     if d == 3:
-        return find_facet_rule(p, seed=seed, options=options)
+        return find_facet_rule(p, seed=seed)
     raise ValueError("facet rules exist for d in {2, 3}")
 
 
 def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
-                        seed: int = 0,
-                        options: SearchOptions | None = None,
-                        interior: tuple[str, ...] | None = None):
+                        seed: int = 0):
     """Candidate SearchSpecs for one rule request, cheapest first.
 
     facet_kind None requests an interior-only rule (no facet layout, no
@@ -202,16 +199,14 @@ def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
                 f"facet family {facet_kind!r} does not apply to the "
                 f"{domain}; use one of {FACET_FAMILIES[domain]}")
         p = (qv + 1) // 2
-        frule = facet_quadrature(facet_kind, p, d, seed=seed,
-                                 options=options)
+        frule = facet_quadrature(facet_kind, p, d, seed=seed)
         layout = facet_layout(frule, d)
     fkinds = tuple(k for k, _ in layout)
     frozen = {i: params for i, (_, params) in enumerate(layout)}
-    cands = ([interior] if interior is not None
-             else interior_candidates(d, qv, len(layout)))
     return [SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen),
                        facet_rule=frule, facet_kind=facet_kind, sbp_p=p)
-            for combo in cands if fkinds + tuple(combo)]
+            for combo in interior_candidates(d, qv, len(layout))
+            if fkinds + tuple(combo)]
 
 
 # ----------------------------------------------------------------------
@@ -250,11 +245,12 @@ _RUN: ContextVar[_Run | None] = ContextVar("sbpquad_find_rule", default=None)
 
 
 def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
-                   options: SearchOptions):
+                   **solve_args):
     """Rule of the first converged solve over specs, or None.
 
     Each layout gets `sweeps` restart seeds, children of
-    SeedSequence(seed) taken in order, before the next layout is tried.
+    SeedSequence(seed) taken in order, before the next layout is tried;
+    solve_args go to every solve_coupled call.
     Every solve is logged to the find_rule call in progress, and none
     starts once its budget has run out (_BudgetSpent).
     """
@@ -265,7 +261,8 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
             if (run.budget_s is not None
                     and time.monotonic() - run.t0 > run.budget_s):
                 raise _BudgetSpent
-            res = solve_coupled(spec, options, np.random.default_rng(child))
+            res = solve_coupled(spec, np.random.default_rng(child),
+                                **solve_args)
             run.attempts.append({
                 "stage": stage, "kinds": list(spec.kinds), "sweep": sweep,
                 "converged": res.converged, "residual": res.residual_inf,
@@ -275,19 +272,18 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     return None
 
 
-def find_facet_rule(p: int, seed: int = 0,
-                    options: SearchOptions | None = None) -> QuadratureRule:
+def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
     """Symmetric triangle rule of degree 2p for the faces of a tet.
 
     Prefers layouts whose nodes sit at triangle vertices and edges so the
     induced tet volume rule is as small as possible.  Each layout gets 3
-    restart seeds.
+    restart seeds and a shorter solve (4 rounds of 25 swarm steps) than
+    the volume stage's.
     """
     q = 2 * p
     specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))
-    rule = _solve_layouts("facet", specs, 3, seed,
-                          options or SearchOptions(max_rounds=4,
-                                                   pso_iters=25))
+    rule = _solve_layouts("facet", specs, 3, seed, max_rounds=4,
+                          pso_iters=25)
     if rule is None:
         raise FacetSearchError(f"no degree-{q} triangle facet rule found")
     rule.provenance.update(role="tet-facet", seed=seed)
@@ -296,9 +292,7 @@ def find_facet_rule(p: int, seed: int = 0,
 
 def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
               seed: int = 0, sweeps: int = 5,
-              budget_s: float | None = None,
-              options: SearchOptions | None = None,
-              interior: tuple[str, ...] | None = None) -> FindResult:
+              budget_s: float | None = None) -> FindResult:
     """Search for a rule, trying candidate layouts in increasing size.
 
     Layouts are exhausted in node-count order: each gets `sweeps`
@@ -315,12 +309,10 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
     run = _Run(budget_s)
     token = _RUN.set(run)
     try:
-        specs = volume_search_specs(domain, qv, facet_kind, seed=seed,
-                                    options=options, interior=interior)
+        specs = volume_search_specs(domain, qv, facet_kind, seed=seed)
         if not specs:
             raise ValueError("no candidate layouts")
-        rule = _solve_layouts("volume", specs, max(1, sweeps), seed,
-                              options or SearchOptions())
+        rule = _solve_layouts("volume", specs, max(1, sweeps), seed)
     except FacetSearchError as exc:
         run.attempts.append({"stage": "facet", "converged": False,
                              "error": str(exc)})

@@ -42,6 +42,7 @@ __all__ = [
     "SymmetryOrbit",
     "GroupSignature",
     "NodeSet",
+    "pairwise_distances",
     "expand_orbit",
     "assemble_nodes",
     "min_node_spacing",
@@ -88,10 +89,6 @@ class ReferenceSimplex:
     vertices: np.ndarray          # (d+1, d)
     measure: float
     facets: tuple[Facet, ...]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.dim + 1
 
     def barycentric(self, coords: np.ndarray) -> np.ndarray:
         """Barycentric coordinates of cartesian points, shape (n, d+1)."""
@@ -297,7 +294,6 @@ class GroupSignature:
     dim: int
     orbits: tuple[SymmetryOrbit, ...]
     qv: int = 0
-    facet_layout: str | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -311,7 +307,7 @@ class GroupSignature:
         order = sorted(range(len(self.orbits)), key=self.sort_key)
         return GroupSignature(self.dim,
                               tuple(self.orbits[i] for i in order),
-                              self.qv, self.facet_layout)
+                              self.qv)
 
 
 @dataclass
@@ -330,8 +326,13 @@ class NodeSet:
     def facet_mask(self, facet_id: int, tol: float = 1e-12) -> np.ndarray:
         return np.abs(self.bary[:, facet_id]) <= tol
 
-    def on_boundary(self, tol: float = 1e-12) -> np.ndarray:
-        return (np.abs(self.bary) <= tol).any(axis=1)
+
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of x, +inf on the diagonal."""
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    dist[np.diag_indices(x.shape[0])] = np.inf
+    return dist
 
 
 def expand_orbit(kind: str, params, d: int) -> np.ndarray:
@@ -357,10 +358,7 @@ def expand_orbit(kind: str, params, d: int) -> np.ndarray:
         raise NodeSetError(
             f"{kind}{tuple(theta)} leaves the closure of the simplex")
     if st.size > 1:
-        diff = bary[:, None, :] - bary[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=-1))
-        dist[np.diag_indices(st.size)] = np.inf
-        if dist.min() < DUPLICATE_TOL:
+        if pairwise_distances(bary).min() < DUPLICATE_TOL:
             raise DegenerateOrbitError(
                 f"{kind}{tuple(theta)} is degenerate "
                 f"(coincident nodes within the orbit)")
@@ -383,10 +381,7 @@ def assemble_nodes(sig: GroupSignature,
         weights.append(np.full(b.shape[0], orb.weight))
         owners.append(np.full(b.shape[0], i, dtype=int))
     bary = np.vstack(barys)
-    n = bary.shape[0]
-    diff = bary[:, None, :] - bary[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    dist[np.diag_indices(n)] = np.inf
+    dist = pairwise_distances(bary)
     if dist.min() < DUPLICATE_TOL:
         j, k = np.unravel_index(np.argmin(dist), dist.shape)
         raise NodeSetError(
@@ -403,13 +398,9 @@ def assemble_nodes(sig: GroupSignature,
 def min_node_spacing(nodes: NodeSet | np.ndarray) -> float:
     """Smallest pairwise cartesian distance of a node set."""
     x = nodes.coords if isinstance(nodes, NodeSet) else np.asarray(nodes)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least two nodes for a spacing")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    dist[np.diag_indices(n)] = np.inf
-    return float(dist.min())
+    return float(pairwise_distances(x).min())
 
 
 def facet_restriction(nodes: NodeSet, facet_id: int,

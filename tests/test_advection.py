@@ -338,12 +338,15 @@ def test_bloch_symbol_eigenvalues_match_dense(tri_lgl_results, tet_result,
 
 
 def _dense_worst_ratio(prob, dt):
-    """max over u0 of E(N dt)/E(0) from the dense RK4 propagator."""
+    """max over u0 H-orthogonal to the constants of E(N dt)/E(0), from
+    the dense RK4 propagator."""
     n_steps = math.ceil(certification_horizon(prob) / dt)
     G = np.linalg.matrix_power(step_matrix(assemble_dense(prob), dt),
                                n_steps)
     h = np.sqrt(prob.hw.ravel())
-    return np.linalg.norm(h[:, None] * G / h, ord=2) ** 2
+    G = h[:, None] * G / h
+    e = h / np.linalg.norm(h)
+    return np.linalg.norm(G - np.outer(G @ e, e), ord=2) ** 2
 
 
 @pytest.mark.parametrize("domain, p, m", [("tri", 1, 2), ("tri", 2, 3),
@@ -360,6 +363,24 @@ def test_bloch_ratio_matches_dense_propagator(tri_lgl_results, tet_result,
         dense = _dense_worst_ratio(prob, scale * dt)
         assert abs(ratio - dense) <= 1e-10 * dense
         assert ratio == energy_ratios(prob, scale * dt).max()
+
+
+def test_zero_wavenumber_ratio_leaves_out_the_constants(tri_lgl_results):
+    """At theta = 0 one RK4 step keeps the constants and keeps the data
+    H-orthogonal to them H-orthogonal, so the ratio there measures that
+    data alone: well below 1 at the certified step, where the constants
+    alone would read 1."""
+    prob = _rule_problem(tri_lgl_results, None, "tri", 1, 4)
+    symbols = bloch_symbols(prob)
+    dt = max_stable_dt(prob)
+    h = np.sqrt(prob.hw.ravel()[:symbols.shape[-1]])
+    e = h / np.linalg.norm(h)
+    G = h[:, None] * step_matrix(symbols[0], dt) / h
+    assert np.allclose(G @ e, e, rtol=0, atol=1e-13)
+    assert np.allclose(e @ G, e, rtol=0, atol=1e-13)
+    ratios = energy_ratios(prob, dt, symbols=symbols)
+    assert ratios.max() <= 1.0 + 1e-12
+    assert ratios[0] < 0.999
 
 
 def test_tet_m4_certifies_in_seconds(tet_result):

@@ -165,6 +165,40 @@ def test_explicit_nodes_rejected_for_simplex(rule_file):
         rule_from_dict(data)
 
 
+def test_every_found_rule_passes_the_facet_checks(all_rules):
+    for rule in all_rules.values():
+        assert canonical_json(rule_to_dict(rule_from_dict(
+            rule_to_dict(rule)))) == canonical_json(rule_to_dict(rule))
+
+
+def test_load_rule_rejects_relabelled_facet_family(tri_lgl_results):
+    # LGL edge nodes labelled as the LG family
+    data = rule_to_dict(tri_lgl_results[3].rule)
+    data["facet_kind"] = "lg"
+    with pytest.raises(ArchiveError, match="not the lg rule"):
+        rule_from_dict(data)
+
+
+def test_load_rule_rejects_foreign_tet_facet_family(tet_result):
+    data = rule_to_dict(tet_result.rule)
+    data["facet_kind"] = "lgl"
+    with pytest.raises(ArchiveError, match="facet family 'lgl'"):
+        rule_from_dict(data)
+
+
+@pytest.mark.parametrize("sbp_p, match", [
+    (5, "sbp_p 5 needs qv >= 9"),          # beyond what q_v = 3 supports
+    (1, "not the lgl rule of sbp_p 1"),    # LGL(3) edges, not LGL(4)
+    (0, "sbp_p 0"), (None, "sbp_p None"), ("2", "sbp_p '2'"),
+], ids=["above-qv", "other-facet-rule", "zero", "missing", "string"])
+def test_load_rule_rejects_tampered_sbp_p(tri_lgl_results, sbp_p, match):
+    data = rule_to_dict(tri_lgl_results[3].rule)
+    assert data["sbp_p"] == 2
+    data["sbp_p"] = sbp_p
+    with pytest.raises(ArchiveError, match=match):
+        rule_from_dict(data)
+
+
 def test_operator_archive_checks_norm(tri_lgl_results, tmp_path):
     op = build_operator(tri_lgl_results[2].rule)
     data = operator_to_dict(op)
@@ -317,6 +351,7 @@ def test_cli_timestep_certificate(rule_file, tmp_path, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["format"] == "timestep-certificate"
+    assert payload["schema"] == 3
     assert payload["max_stable_dt"] > 0.0
     assert payload["energy_ratio_dt"] <= 1.0 + 1e-12
     assert payload["energy_ratio_half_dt"] <= 1.0 + 1e-12

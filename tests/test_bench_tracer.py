@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds, wraps and restores every package
+function it traces.
+
+`bench/tracing.py` wraps functions by module attribute name from outside
+the package, so a rename or a changed result type in the package would
+break `bench/run.py --trace 1` without failing any other test.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import tracing  # noqa: E402
+
+from sbpquad import advection, operators, search, signatures  # noqa: E402
+
+MODULES = (advection, operators, search, signatures)
+
+
+def test_trace_sbpquad_wraps_and_restores_every_attribute():
+    before = {m.__name__: dict(vars(m)) for m in MODULES}
+    tracer = tracing.Tracer()
+    try:
+        tracing.trace_sbpquad(tracer)
+        wrapped = list(tracer._saved)
+        assert {(m.__name__.split(".")[-1], attr)
+                for m, attr, _ in wrapped} >= {
+            ("signatures", "solve_coupled"),
+            ("signatures", "find_facet_rule"),
+            ("search", "swarm_objective"), ("search", "lma_solve"),
+            ("search", "residual_and_jacobian"), ("search", "pso_step"),
+            ("advection", "certify_stable")}
+        for module, attr, fn in wrapped:
+            assert fn is before[module.__name__][attr]
+            assert getattr(module, attr).__wrapped__ is fn
+        # the span values read the results' .converged and .iterations
+        assert signatures.find_rule("tri", 2, "lgl").status == "ok"
+        names = {tracer.names[i] for i in tracer.name}
+        assert {"search.solve_coupled", "search.lma_solve",
+                "search.swarm_objective", "search.pso_step",
+                "basis.vandermonde"} <= names
+    finally:
+        tracer.uninstall()
+    assert {m.__name__: dict(vars(m)) for m in MODULES} == before

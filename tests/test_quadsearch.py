@@ -12,9 +12,9 @@ from sbpquad.search import (
     EPS_WEIGHT,
     InfeasibleDesignError,
     RuleValidationError,
-    SearchOptions,
     SearchSpec,
     SwarmState,
+    TOL,
     apply_update_with_positivity,
     lg_rule,
     lgl_rule,
@@ -307,7 +307,7 @@ def test_positivity_guard_shrinks_step():
     # tau layout: [param, w_S21, w_S1]
     tau = np.array([0.2, 0.3, 0.001])
     h = np.array([0.1, 0.0, -0.00182])
-    out = apply_update_with_positivity(spec, tau, h, eps=1e-4)
+    out = apply_update_with_positivity(spec, tau, h)
     eta = (1e-4 - 0.001) / (-0.00182)
     assert eta == pytest.approx(0.4945054945054945)
     assert out[2] == pytest.approx(1e-4, rel=1e-12)  # parked at the floor
@@ -319,7 +319,7 @@ def test_positivity_guard_full_step_when_safe():
     spec = SearchSpec(2, 2, ("S21", "S1"))
     tau = np.array([0.2, 0.3, 0.4])
     h = np.array([0.05, -0.1, 0.2])
-    out = apply_update_with_positivity(spec, tau, h, eps=1e-4)
+    out = apply_update_with_positivity(spec, tau, h)
     assert np.array_equal(out, tau + h)
 
 
@@ -327,7 +327,7 @@ def test_positivity_guard_blocks_at_floor():
     spec = SearchSpec(2, 2, ("S21", "S1"))
     tau = np.array([0.2, 1e-4, 0.4])
     h = np.array([0.05, -0.1, 0.2])
-    out = apply_update_with_positivity(spec, tau, h, eps=1e-4)
+    out = apply_update_with_positivity(spec, tau, h)
     assert np.array_equal(out, tau)
 
 
@@ -341,7 +341,7 @@ def test_lma_solve_weights_only_layout():
     tau0 = random_design(spec, np.random.default_rng(0))
     state = lma_solve(spec, tau0)
     assert state.converged
-    assert state.res_inf <= SearchOptions().tol
+    assert state.res_inf <= TOL
     rule = spec.build_rule(state.tau)
     assert rule.n_nodes == 7
     assert rule.nodes.weights.min() > 0.0
@@ -357,9 +357,9 @@ def test_lma_solve_reports_infeasible_start():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_solve_coupled_deterministic(seed):
     spec = SearchSpec(2, 2, ("Svert", "SmidEdge", "S1"))
-    opts = SearchOptions(max_rounds=3, pso_iters=10)
-    a = solve_coupled(SearchSpec(2, 2, spec.kinds), opts, seed=seed)
-    b = solve_coupled(SearchSpec(2, 2, spec.kinds), opts, seed=seed)
+    a, b = (solve_coupled(SearchSpec(2, 2, spec.kinds),
+                          np.random.default_rng(seed), max_rounds=3,
+                          pso_iters=10) for _ in range(2))
     assert a.converged and b.converged
     assert np.array_equal(a.rule.nodes.coords, b.rule.nodes.coords)
     assert np.array_equal(a.rule.nodes.weights, b.rule.nodes.weights)
@@ -367,7 +367,7 @@ def test_solve_coupled_deterministic(seed):
 
 def test_solve_coupled_converges_with_free_parameters():
     spec = SearchSpec(2, 4, ("S1", "S21", "S21", "S111"))
-    res = solve_coupled(spec, SearchOptions(), seed=0)
+    res = solve_coupled(spec, np.random.default_rng(0))
     assert res.converged
     assert res.rule.residual_inf() <= 5e-14
 
@@ -472,10 +472,13 @@ def test_solve_coupled_matches_rowwise_scoring(monkeypatch, spec_fn, seed):
     """Batched scoring and best updates leave every field of a search
     result as the one-design scorer and update applied particle by
     particle do, through the swarm rounds."""
-    opts = SearchOptions(max_rounds=3, pso_iters=10)
-    batched = solve_coupled(spec_fn(), opts, seed)
+    def solve():
+        return solve_coupled(spec_fn(), np.random.default_rng(seed),
+                             max_rounds=3, pso_iters=10)
+
+    batched = solve()
     monkeypatch.setattr(search, "swarm_objective", rowwise_objective)
     monkeypatch.setattr(search, "_record_best", rowwise_record_best)
-    rowwise = solve_coupled(spec_fn(), opts, seed)
+    rowwise = solve()
     assert batched.pso_iterations > 0
     assert_same_result(batched, rowwise)

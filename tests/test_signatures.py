@@ -5,7 +5,7 @@ import pytest
 
 import sbpquad.signatures
 from sbpquad.archive import canonical_json, rule_to_dict
-from sbpquad.search import SearchOptions, lg_rule, lgl_rule
+from sbpquad.search import lg_rule, lgl_rule
 from sbpquad.signatures import (
     FACET_FAMILIES,
     FacetSearchError,
@@ -231,8 +231,16 @@ def test_volume_specs_interior_only():
         assert not spec.frozen
 
 
-def test_volume_specs_explicit_interior():
-    specs = volume_search_specs("tri", 2, "lgl", interior=("S1",))
+def only_interior(combo):
+    """interior_candidates stand-in that offers one interior combo."""
+    return lambda d, qv, n_facet_orbits: [combo]
+
+
+def test_volume_specs_explicit_interior(monkeypatch):
+    """A spec lists the frozen facet kinds, then the interior combo."""
+    monkeypatch.setattr(sbpquad.signatures, "interior_candidates",
+                        only_interior(("S1",)))
+    specs = volume_search_specs("tri", 2, "lgl")
     assert len(specs) == 1
     assert specs[0].kinds == ("Svert", "SmidEdge", "S1")
 
@@ -283,10 +291,11 @@ def test_find_rule_logs_facet_stage(tet_result):
     assert tet_result.attempts[6]["kinds"] == ["SmidEdge"]
 
 
-def test_find_rule_no_layout_converges():
-    opts = SearchOptions(max_rounds=1, pso_iters=5, lma_max_iters=40)
-    res = find_rule("tri", 2, facet_kind=None, interior=("S1",),
-                    sweeps=1, options=opts)
+def test_find_rule_no_layout_converges(monkeypatch):
+    # one centroid node cannot integrate the degree-2 moments
+    monkeypatch.setattr(sbpquad.signatures, "interior_candidates",
+                        only_interior(("S1",)))
+    res = find_rule("tri", 2, facet_kind=None, sweeps=1)
     assert res.status == "exhausted"
     assert res.rule is None
     assert all(not a["converged"] for a in res.attempts)
