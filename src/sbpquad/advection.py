@@ -7,27 +7,27 @@ m^d cells, each split alike: squares into two triangles, cubes into six
 tetrahedra (Kuhn split, conforming across cells).  Facets are paired by
 exact lattice keys, the sum of their integer vertices modulo d m.
 Facet coupling uses penalty terms on the shared facet quadrature;
-'upwind' dissipates energy, 'central' conserves it.
+'upwind' dissipates energy, 'central' conserves it.  The boundary
+metric terms are formed from J * A^{-T} N so the discrete energy
+identity telescopes across interfaces to floating-point accuracy.
 
-The boundary metric terms are formed from J * A^{-T} N so the discrete
-energy identity telescopes across interfaces to floating-point
-accuracy.
-
-The stable-timestep certificate works per Bloch wavenumber: every cell
-is split alike, so the operator is block-circulant and decouples into
-one small symbol per wavenumber theta.  A step dt is certified when, at
-every theta, the RK4 propagator over the horizon step N = ceil(T/dt)
-does not raise the energy of any initial datum (the worst case over all
-data, not one sine).  Only the energy at the horizon is bounded:
-intermediate steps may grow transiently, because RK4 is not strongly
-stable for these non-normal operators.
+As every cell is split alike, the operator is one cell stencil, built
+from the unit cell's simplices scaled by 1/m; rhs applies it to all
+cells in two matmuls and one gather.  It is block-circulant over cells,
+so the stable-timestep certificate works on one small symbol per Bloch
+wavenumber theta, written out from the same stencil.  A step dt is
+certified when, at every theta, the RK4 propagator over the horizon
+step N = ceil(T/dt) does not raise the energy of any initial datum (the
+worst case over all data, not one sine).  Only the energy at the
+horizon is bounded: intermediate steps may grow transiently, because
+RK4 is not strongly stable for these non-normal operators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +129,10 @@ def _pair_facets(ivert: np.ndarray, m: int) -> np.ndarray:
 
 @dataclass
 class AdvectionProblem:
+    """The operator on u as (m^d, T n), T simplices a cell, is u @ cell_own
+    (volume terms, own-side SAT) + u.ravel()[ext_idx] @ cell_ext (lift of
+    the partner values; rows by simplex, facet, facet node)."""
+
     op: SBPOperator
     m: int
     c: np.ndarray
@@ -140,11 +144,10 @@ class AdvectionProblem:
     J: np.ndarray              # (K,)
     phys: np.ndarray           # (K, n, d) node coordinates
     hw: np.ndarray             # (K, n) physical norm J_k * H
-    Gvol: np.ndarray           # (K, d) contraction of c with metrics
-    vol_idx: list[np.ndarray]  # per reference facet
-    ext_flat: list[np.ndarray]  # (K, n_f) flat indices into u.ravel()
-    coef: list[np.ndarray]     # (K, n_f) SAT coefficients / (J H)
-    _spec_radius_bound: float = field(default=0.0)
+    cell_own: np.ndarray       # (T n, T n) one cell's own block
+    cell_ext: np.ndarray       # (T (d+1) n_f, T n) lift of partner values
+    ext_idx: np.ndarray        # (m^d, T (d+1) n_f) flat partner indices
+    _spec_radius_bound: float
 
     @property
     def dim(self) -> int:
@@ -159,6 +162,31 @@ class AdvectionProblem:
         return self.verts.shape[0] * self.op.n_nodes
 
 
+def _affine_maps(verts: np.ndarray):
+    """(A, b, J) of the maps x = A xi + b from the reference simplex onto
+    each simplex of verts, shape (K, d+1, d)."""
+    ref_v = reference_simplex(verts.shape[-1]).vertices
+    Minv = np.linalg.inv((ref_v[1:] - ref_v[0]).T)
+    A = np.einsum("kix,ij->kxj", verts[:, 1:] - verts[:, :1], Minv)
+    b = verts[:, 0] - np.einsum("kxj,j->kx", A, ref_v[0])
+    return A, b, np.linalg.det(A)
+
+
+def _sat_metrics(op: SBPOperator, A: np.ndarray, J: np.ndarray,
+                 c: np.ndarray, flux: str):
+    """Gvol (K, d), c contracted with the metrics, and coef (K, d+1, n_f),
+    each facet node's SAT coefficient over J H, of simplices A, J."""
+    Ainv = np.linalg.inv(A)
+    Gvol = np.einsum("i,kji->kj", c, Ainv)
+    # signed facet scales: alpha = c . (J A^{-T} N)
+    N = np.stack([f.normal for f in reference_simplex(op.dim).facets])
+    alpha = (J[:, None, None] * np.einsum("kji,fj->kfi", Ainv, N)) @ c
+    phi = alpha[:, :, None] * np.stack([f.weights for f in op.facets])
+    s = np.minimum(phi, 0.0) if flux == "upwind" else 0.5 * phi
+    H_f = op.H[np.stack([f.vol_idx for f in op.facets])]   # (d+1, n_f)
+    return Gvol, s / (J[:, None, None] * H_f)
+
+
 def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
                   omega: int = 2) -> AdvectionProblem:
     """Assemble the periodic SBP-SAT semi-discretization."""
@@ -171,43 +199,24 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
         raise MeshError("periodic mesh needs m >= 2 cells per direction; "
                         "with m = 1 a facet spans the full period and its "
                         "endpoints alias under the wrap")
-    d = op.dim
+    d, n = op.dim, op.n_nodes
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
     ivert = _lattice(d, m)
     verts = ivert / m
-    elem = reference_simplex(d)
-    ref_v = elem.vertices
-
-    # affine maps x = A xi + b fitted through the vertices
-    M = np.column_stack([ref_v[i] - ref_v[0] for i in range(1, d + 1)])
-    Minv = np.linalg.inv(M)
-    span = np.stack([verts[:, i] - verts[:, 0]
-                     for i in range(1, d + 1)], axis=2)   # (K, d, d)
-    A = np.einsum("kxi,ij->kxj", span, Minv)
-    bvec = verts[:, 0] - np.einsum("kxj,j->kx", A, ref_v[0])
-    J = np.linalg.det(A)
+    A, bvec, J = _affine_maps(verts)
     if np.any(J <= 0):
         raise MeshError("negatively oriented element in the split")
-    Ainv = np.linalg.inv(A)
-
-    x = op.rule.nodes.coords
-    phys = np.einsum("kxj,nj->knx", A, x) + bvec[:, None, :]
+    phys = np.einsum("kxj,nj->knx", A, op.rule.nodes.coords) \
+        + bvec[:, None, :]
     hw = J[:, None] * op.H[None, :]
-    Gvol = np.einsum("i,kji->kj", c, Ainv)
-
-    # signed facet scales: alpha = c . (J A^{-T} N)
-    N = np.stack([f.normal for f in elem.facets])          # (d+1, d)
-    area_vec = J[:, None, None] * np.einsum("kji,fj->kfi", Ainv, N)
-    alpha = area_vec @ c                                   # (K, d+1)
 
     # match each facet's nodes to its partner's by periodic minimum image
     k2, f2 = np.divmod(_pair_facets(ivert, m), d + 1)      # (K, d+1)
-    vol_idx = [fop.vol_idx for fop in op.facets]
-    vi = np.stack(vol_idx)                                 # (d+1, n_f)
-    ext_flat, coef = [], []
-    for f, fop in enumerate(op.facets):
+    vi = np.stack([fop.vol_idx for fop in op.facets])      # (d+1, n_f)
+    partner = np.empty((len(ivert), *vi.shape), dtype=np.intp)
+    for f in range(d + 1):
         theirs = vi[f2[:, f]]                              # (K, n_f)
         diff = (phys[:, vi[f], None, :]
                 - phys[k2[:, f, None], theirs][:, None, :, :])
@@ -221,31 +230,31 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
             k = np.flatnonzero(bad)[0]
             raise MeshError(f"facet nodes of elements {k}/{k2[k, f]} do "
                             f"not collocate")
-        ext_flat.append(k2[:, f, None] * op.n_nodes
-                        + np.take_along_axis(theirs, match, 1))
-        phi = alpha[:, f, None] * fop.weights[None, :]     # (K, n_f)
-        s = np.minimum(phi, 0.0) if flux == "upwind" else 0.5 * phi
-        coef.append(s / (J[:, None] * op.H[vi[f]][None, :]))
+        partner[:, f] = (k2[:, f, None] * n
+                         + np.take_along_axis(theirs, match, 1))
 
-    prob = AdvectionProblem(
+    # every cell is split alike, so one cell's metrics serve them all
+    cell = _cell_simplices(d)
+    T = len(cell)
+    At, _, Jt = _affine_maps(cell / m)
+    Gvol, coef = _sat_metrics(op, At, Jt, c, flux)
+    D = np.asarray(op.D)
+    rows = (np.arange(T)[:, None, None] * n + vi).ravel()  # facet node rows
+    cell_own = np.zeros((T, n, T, n))
+    cell_own[range(T), :, range(T), :] = -np.einsum("tj,jab->tba", Gvol, D)
+    cell_own = cell_own.reshape(T * n, T * n)
+    np.add.at(cell_own, (rows, rows), coef.ravel())
+    cell_ext = np.zeros((rows.size, T * n))
+    cell_ext[np.arange(rows.size), rows] = -coef.ravel()
+    # infinity-norm bound: per node, sum_j |Gvol_j| times the row sum of
+    # |D_j|, plus twice its SAT coefficients (own and partner side)
+    row_sums = ((np.abs(Gvol) @ np.abs(D).sum(axis=2)).ravel()
+                + 2.0 * np.abs(cell_ext).sum(axis=0))
+    return AdvectionProblem(
         op=op, m=m, c=c, flux=flux, omega=omega, verts=verts, A=A,
-        b=bvec, J=J, phys=phys, hw=hw, Gvol=Gvol, vol_idx=vol_idx,
-        ext_flat=ext_flat, coef=coef)
-    prob._spec_radius_bound = _row_sum_bound(prob)
-    return prob
-
-
-def _row_sum_bound(prob: AdvectionProblem) -> float:
-    """Infinity-norm bound on the semi-discrete operator."""
-    op = prob.op
-    d = op.dim
-    rs = np.zeros((prob.n_elements, op.n_nodes))
-    drow = [np.abs(op.D[j]).sum(axis=1) for j in range(d)]
-    for j in range(d):
-        rs += np.abs(prob.Gvol[:, j])[:, None] * drow[j][None, :]
-    for f in range(d + 1):
-        rs[:, prob.vol_idx[f]] += 2.0 * np.abs(prob.coef[f])
-    return float(rs.max())
+        b=bvec, J=J, phys=phys, hw=hw, cell_own=cell_own,
+        cell_ext=cell_ext, ext_idx=partner.reshape(m ** d, -1),
+        _spec_radius_bound=float(row_sums.max()))
 
 
 # ----------------------------------------------------------------------
@@ -265,26 +274,27 @@ def initial_condition(prob: AdvectionProblem) -> np.ndarray:
 
 
 def rhs(prob: AdvectionProblem, u: np.ndarray) -> np.ndarray:
-    """Semi-discrete right-hand side, u of shape (K, n)."""
-    op = prob.op
-    du = -prob.Gvol[:, 0, None] * (u @ op.D[0].T)
-    for j in range(1, op.dim):
-        du -= prob.Gvol[:, j, None] * (u @ op.D[j].T)
-    flat = u.reshape(-1)
-    for f in range(op.dim + 1):
-        ui = u[:, prob.vol_idx[f]]
-        ue = flat[prob.ext_flat[f]]
-        du[:, prob.vol_idx[f]] += prob.coef[f] * (ui - ue)
-    return du
+    """Semi-discrete right-hand side, u of shape (K, n): the cell
+    stencil applied to every cell at once."""
+    tn = prob.cell_own.shape[0]
+    return (u.reshape(-1, tn) @ prob.cell_own
+            + u.reshape(-1)[prob.ext_idx] @ prob.cell_ext).reshape(u.shape)
 
 
 def rk4_step(prob: AdvectionProblem, u: np.ndarray, dt: float
              ) -> np.ndarray:
+    """One RK4 step, its stages and u + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    formed in one buffer in the order of the plain expressions."""
     k1 = rhs(prob, u)
-    k2 = rhs(prob, u + 0.5 * dt * k1)
-    k3 = rhs(prob, u + 0.5 * dt * k2)
-    k4 = rhs(prob, u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    buf = np.multiply(k1, 0.5 * dt)
+    k2 = rhs(prob, np.add(u, buf, out=buf))
+    k3 = rhs(prob, np.add(u, np.multiply(k2, 0.5 * dt, out=buf), out=buf))
+    k4 = rhs(prob, np.add(u, np.multiply(k3, dt, out=buf), out=buf))
+    buf = np.add(k1, np.multiply(k2, 2.0, out=buf), out=buf)
+    buf += np.multiply(k3, 2.0, out=k3)
+    buf += k4
+    buf *= dt / 6.0
+    return np.add(u, buf, out=buf)
 
 
 def integrate(prob: AdvectionProblem, u: np.ndarray, dt: float,
@@ -372,25 +382,22 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
 # Bloch symbols, stability certification
 
 
-def _operator_rows(prob: AdvectionProblem, n_el: int) -> np.ndarray:
-    """(n_el n, K n) rows of the semi-discrete operator for elements
-    0..n_el-1."""
-    op = prob.op
-    n = op.n_nodes
-    own = np.arange(n_el)
-    L = np.zeros((n_el, n, prob.n_elements, n))
-    L[own, :, own, :] = -np.einsum("kj,jab->kab", prob.Gvol[:n_el], op.D)
-    L = L.reshape(n_el * n, prob.n_dof)
-    for f in range(op.dim + 1):
-        rows = own[:, None] * n + prob.vol_idx[f]
-        L[rows, rows] += prob.coef[f][:n_el]
-        L[rows, prob.ext_flat[f][:n_el]] -= prob.coef[f][:n_el]
-    return L
+def _operator_rows(prob: AdvectionProblem, n_cells: int) -> np.ndarray:
+    """(n_cells T n, K n) rows of the semi-discrete operator for cells
+    0..n_cells-1, written out from the cell stencil."""
+    own, ext = prob.cell_own, prob.cell_ext
+    tn = own.shape[0]
+    cells = np.arange(n_cells)
+    L = np.zeros((n_cells, tn, prob.n_dof))
+    L.reshape(n_cells, tn, -1, tn)[cells, :, cells, :] = own.T
+    r, j = np.nonzero(ext)
+    np.add.at(L, (cells[:, None], j, prob.ext_idx[:n_cells, r]), ext[r, j])
+    return L.reshape(n_cells * tn, -1)
 
 
 def assemble_dense(prob: AdvectionProblem) -> np.ndarray:
     """Dense matrix of the semi-discrete operator (small meshes)."""
-    return _operator_rows(prob, prob.n_elements)
+    return _operator_rows(prob, prob.m ** prob.dim)
 
 
 def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
@@ -403,9 +410,8 @@ def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
     column block times exp(i theta.c); row j of the stack has
     theta = 2 pi j / m, j running over the cells' lexicographic order.
     """
-    d, m, n = prob.dim, prob.m, prob.op.n_nodes
-    tn = prob.n_elements // m ** d * n
-    rows = _operator_rows(prob, tn // n).reshape(tn, *(m,) * d, tn)
+    d, m, tn = prob.dim, prob.m, prob.cell_own.shape[0]
+    rows = _operator_rows(prob, 1).reshape(tn, *(m,) * d, tn)
     symbols = np.fft.ifftn(rows, axes=range(1, d + 1), norm="forward")
     return np.moveaxis(symbols, 0, -2).reshape(m ** d, tn, tn)
 

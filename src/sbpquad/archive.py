@@ -41,6 +41,7 @@ _OP_ARRAYS = {"H": "norm", "E": "boundary operator", "Q": "stiffness",
               "D": "derivative"}
 
 _DIM = {"interval": 1, "tri": 2, "tet": 3}
+_INTERVAL_RULES = {"lgl": lgl_rule, "lg": lg_rule}
 
 
 class ArchiveError(ValueError):
@@ -126,13 +127,34 @@ def rule_from_dict(data: dict, validate: bool = True) -> QuadratureRule:
     return rule
 
 
+def _is_interval_rule(rule: QuadratureRule, kind, n: int) -> bool:
+    """Whether rule is the n-node rule of interval family kind: the same
+    degree, and nodes and weights within 1e-12."""
+    if kind not in _INTERVAL_RULES or n < (2 if kind == "lgl" else 1):
+        return False
+    ref = _INTERVAL_RULES[kind](n)
+    x, w = rule.nodes.coords, rule.nodes.weights
+    return (rule.qv == ref.qv and x.shape == ref.nodes.coords.shape
+            and np.abs(np.concatenate([x - ref.nodes.coords,
+                                       w - ref.nodes.weights],
+                                      axis=None)).max() <= 1e-12)
+
+
 def _check_facets(rule: QuadratureRule) -> None:
     """Reject a facet family, facet rule and SBP degree p that do not
     belong together: the family must be one the domain's search uses,
     a degree-p operator needs q_v >= 2p - 1 and a facet rule of degree
-    >= 2p, and on the triangle that rule must be LGL(p+2) or LG(p+1)."""
+    >= 2p, and on the triangle that rule must be LGL(p+2) or LG(p+1).
+    An interval rule carries no degree and must be the rule its family
+    names."""
     kind, frule, p = rule.facet_kind, rule.facet_rule, rule.sbp_p
-    if rule.dim == 1 or (kind is None and frule is None and p is None):
+    if rule.dim == 1:
+        if p is not None or not _is_interval_rule(rule, kind, rule.n_nodes):
+            raise ArchiveError(f"interval rule with facet family {kind!r} "
+                               f"and sbp_p {p!r} is not the {kind} rule of "
+                               f"{rule.n_nodes} nodes")
+        return
+    if kind is None and frule is None and p is None:
         return
     if kind not in FACET_FAMILIES[rule.domain] or frule is None \
             or type(p) is not int or p < 1:
@@ -142,13 +164,10 @@ def _check_facets(rule: QuadratureRule) -> None:
     if rule.qv < 2 * p - 1 or frule.qv < 2 * p:
         raise ArchiveError(f"sbp_p {p} needs qv >= {2 * p - 1} and a facet "
                            f"degree >= {2 * p}, not {rule.qv} and {frule.qv}")
-    if rule.dim == 2:
-        ref = (lgl_rule(p + 2) if kind == "lgl" else lg_rule(p + 1)).nodes
-        x, w = frule.nodes.coords, frule.nodes.weights
-        if x.shape != ref.coords.shape or np.abs(np.concatenate(
-                [x - ref.coords, w - ref.weights], axis=None)).max() > 1e-12:
-            raise ArchiveError(f"facet rule is not the {kind} rule of "
-                               f"sbp_p {p}")
+    if rule.dim == 2 and not _is_interval_rule(
+            frule, kind, p + 2 if kind == "lgl" else p + 1):
+        raise ArchiveError(f"facet rule is not the {kind} rule of "
+                           f"sbp_p {p}")
 
 
 def save_rule(rule: QuadratureRule, path) -> None:

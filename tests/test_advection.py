@@ -8,8 +8,11 @@ import pytest
 
 from sbpquad.advection import (
     MeshError,
+    _affine_maps,
+    _cell_simplices,
     _lattice,
     _pair_facets,
+    _sat_metrics,
     assemble_dense,
     bloch_symbols,
     build_problem,
@@ -110,6 +113,15 @@ def mesh_operators(tri_lgl_results, tet_result):
             "tet": build_operator(tet_result.rule)}
 
 
+def _facet_node_rows(prob):
+    """(T (d+1) n_f,) row of each facet node in the cell: the volume node
+    that row r of cell_ext lifts into."""
+    n = prob.op.n_nodes
+    vi = np.stack([fop.vol_idx for fop in prob.op.facets])
+    T = prob.cell_own.shape[0] // n
+    return (np.arange(T)[:, None, None] * n + vi).ravel()
+
+
 # m = 2 is where facet keys built from wrapped vertices alone would alias
 @pytest.mark.parametrize("m", [2, 3], ids=["m2", "m3"])
 @pytest.mark.parametrize("name", ["p1", "p2", "tet"])
@@ -120,12 +132,37 @@ def test_interface_nodes_collocated(mesh_operators, name, m):
     prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D)
     d = prob.dim
     flat = prob.phys.reshape(-1, d)
-    for f in range(d + 1):
-        mine = prob.phys[:, prob.vol_idx[f], :]
-        theirs = flat[prob.ext_flat[f]]
-        diff = mine - theirs
-        diff -= np.round(diff)
-        assert np.abs(diff).max() < 1e-9
+    mine = prob.phys.reshape(m ** d, -1, d)[:, _facet_node_rows(prob)]
+    theirs = flat[prob.ext_idx]
+    assert mine.shape == theirs.shape == (*prob.ext_idx.shape, d)
+    diff = mine - theirs
+    diff -= np.round(diff)
+    assert np.abs(diff).max() < 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("name", ["p1", "p2", "tet"])
+def test_every_element_has_its_cell_types_metrics(mesh_operators, name, m):
+    """One cell stencil serves every cell: each element's map, volume
+    metric and SAT coefficients, recomputed from its own vertices, are
+    those of its simplex type in the unit cell scaled by 1/m."""
+    op = mesh_operators[name]
+    c = np.asarray(VELOCITY_2D if op.dim == 2 else VELOCITY_3D)
+    prob = build_problem(op, m, c)
+    T = len(_cell_simplices(op.dim))
+    At, _, Jt = _affine_maps(_cell_simplices(op.dim) / m)
+    Gt, coef_t = _sat_metrics(op, At, Jt, c, prob.flux)
+    A, _, J = _affine_maps(prob.verts)
+    G, coef = _sat_metrics(op, A, J, c, prob.flux)
+    types = np.arange(prob.n_elements) % T
+    for mine, typed in ((A, At), (G, Gt), (coef, coef_t)):
+        gap = np.abs(mine - typed[types]).max()
+        assert gap <= 1e-15 * np.abs(typed).max()
+    # and the stencil lifts exactly the type's coefficients
+    rows = _facet_node_rows(prob)
+    assert np.array_equal(prob.cell_ext[np.arange(rows.size), rows],
+                          -coef_t.ravel())
+    assert np.count_nonzero(prob.cell_ext) == np.count_nonzero(coef_t)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -229,21 +266,29 @@ def test_dense_operator_matches_rhs(p1_problem):
 
 @pytest.mark.parametrize("name", ["p2_problem", "tet_problem"])
 def test_dense_operator_matches_element_loop(name, request):
-    """The vectorized assembly equals a per-element loop bit for bit."""
+    """The vectorized assembly equals a loop over cells and facet nodes
+    bit for bit."""
     prob = request.getfixturevalue(name)
-    op, n = prob.op, prob.op.n_nodes
+    tn = prob.cell_own.shape[0]
     ref = np.zeros((prob.n_dof, prob.n_dof))
-    for k in range(prob.n_elements):
-        blk = np.zeros((n, n))
-        for j in range(op.dim):
-            blk -= prob.Gvol[k, j] * op.D[j]
-        ref[k * n:(k + 1) * n, k * n:(k + 1) * n] += blk
-    for f in range(op.dim + 1):
-        for k in range(prob.n_elements):
-            rows = k * n + prob.vol_idx[f]
-            ref[rows, rows] += prob.coef[f][k]
-            ref[rows, prob.ext_flat[f][k]] -= prob.coef[f][k]
+    for cell, partners in enumerate(prob.ext_idx):
+        blk = slice(cell * tn, (cell + 1) * tn)
+        ref[blk, blk] += prob.cell_own.T
+        for r, col in enumerate(partners):
+            for j in np.flatnonzero(prob.cell_ext[r]):
+                ref[cell * tn + j, col] += prob.cell_ext[r, j]
     assert np.array_equal(assemble_dense(prob), ref)
+
+
+def test_rk4_step_rounds_like_the_plain_formula(p2_problem):
+    u = initial_condition(p2_problem)
+    dt = estimate_dt(p2_problem)
+    k1 = rhs(p2_problem, u)
+    k2 = rhs(p2_problem, u + 0.5 * dt * k1)
+    k3 = rhs(p2_problem, u + 0.5 * dt * k2)
+    k4 = rhs(p2_problem, u + dt * k3)
+    ref = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(rk4_step(p2_problem, u, dt), ref)
 
 
 def test_step_matrix_matches_rk4(p1_problem):
@@ -335,6 +380,34 @@ def test_bloch_symbol_eigenvalues_match_dense(tri_lgl_results, tet_result,
     gap = np.abs(dense[:, None] - bloch[None, :])
     assert gap.min(axis=1).max() <= 1e-10
     assert gap.min(axis=0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("domain, p, m", [("tri", 1, 4), ("tri", 2, 4),
+                                          ("tet", 1, 2)])
+def test_stepping_and_certificate_share_one_operator(tri_lgl_results,
+                                                     tet_result, domain, p,
+                                                     m):
+    """rhs, the dense operator and the Bloch symbols are one operator:
+    on a Bloch mode v exp(i theta.c) rhs is Lhat(theta) v on every cell,
+    and the dense matrix reproduces rhs on random data."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
+    d, shape = prob.dim, (prob.n_elements, prob.op.n_nodes)
+    symbols = bloch_symbols(prob)
+    cells = np.indices((m,) * d).reshape(d, -1).T          # lexicographic
+    rng = np.random.default_rng(5)
+    for j, theta in enumerate(2 * np.pi * cells / m):
+        v = (rng.standard_normal(symbols.shape[-1])
+             + 1j * rng.standard_normal(symbols.shape[-1]))
+        wave = np.exp(1j * cells @ theta)[:, None]
+        got = rhs(prob, (wave * v).reshape(shape)).reshape(m ** d, -1)
+        want = wave * (symbols[j] @ v)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    L = assemble_dense(prob)
+    for _ in range(3):
+        u = rng.standard_normal(shape)
+        want = rhs(prob, u).reshape(-1)
+        assert np.abs(L @ u.reshape(-1) - want).max() \
+            <= 1e-13 * np.abs(want).max()
 
 
 def _dense_worst_ratio(prob, dt):

@@ -77,6 +77,16 @@ def test_rule_roundtrip_interval(tmp_path):
     assert canonical_json(rule_to_dict(loaded)) == path.read_text()
 
 
+@pytest.mark.parametrize("field, value", [("facet_kind", "lg"),
+                                          ("facet_kind", None),
+                                          ("sbp_p", 7), ("qv", 3)])
+def test_load_rule_rejects_tampered_interval_rule(field, value):
+    data = rule_to_dict(lgl_rule(4))
+    data[field] = value
+    with pytest.raises(ArchiveError, match="not the .* rule of 4 nodes"):
+        rule_from_dict(data)
+
+
 def test_rule_roundtrip_tet(tet_result, tmp_path):
     path = tmp_path / "tet.json"
     save_rule(tet_result.rule, path)
