@@ -13,9 +13,11 @@ identity telescopes across interfaces to floating-point accuracy.
 
 As every cell is split alike, the operator is one cell stencil, built
 from the unit cell's simplices scaled by 1/m; rhs applies it to all
-cells in two matmuls and one gather.  It is block-circulant over cells,
-so the stable-timestep certificate works on one small symbol per Bloch
-wavenumber theta, written out from the same stencil.  A step dt is
+cells in two matmuls and one gather, and is the only code that does.
+The operator is block-circulant over cells, so the stable-timestep
+certificate works on one small symbol per Bloch wavenumber theta,
+probed from rhs: the discrete Fourier transform over cells of rhs
+applied to cell 0's unit vectors.  A step dt is
 certified when, at every theta, the RK4 propagator over the horizon
 step N = ceil(T/dt) does not raise the energy of any initial datum (the
 worst case over all data, not one sine).  Only the energy at the
@@ -58,6 +60,11 @@ __all__ = [
 ]
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+#: the certificate bounds the energy this many periods of the fastest
+#: velocity component ahead
+_HORIZON_PERIODS = 5.0
+#: max_stable_dt starts its bracket search here
+_DT_INIT = 1e-3
 
 
 class MeshError(ValueError):
@@ -192,9 +199,9 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     """Assemble the periodic SBP-SAT semi-discretization."""
     if flux not in ("upwind", "central"):
         raise ValueError(f"unknown flux {flux!r}")
-    if omega % 2 != 0:
-        raise ValueError("omega must be even for a periodic exact "
-                         "solution on the unit domain")
+    if omega <= 0 or omega % 2 != 0:
+        raise ValueError("omega must be positive and even for a periodic "
+                         "exact solution on the unit domain")
     if m < 2:
         raise MeshError("periodic mesh needs m >= 2 cells per direction; "
                         "with m = 1 a facet spans the full period and its "
@@ -304,9 +311,9 @@ def integrate(prob: AdvectionProblem, u: np.ndarray, dt: float,
     return u
 
 
-def estimate_dt(prob: AdvectionProblem, safety: float = 1.0) -> float:
+def estimate_dt(prob: AdvectionProblem) -> float:
     """Timestep from the row-sum spectral bound; safe for RK4."""
-    return safety / prob._spec_radius_bound
+    return 1.0 / prob._spec_radius_bound
 
 
 def run_to_time(prob: AdvectionProblem, u: np.ndarray, t: float,
@@ -363,14 +370,14 @@ class ConvergenceResult:
 
 
 def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
-                    omega: int = 2, flux: str = "upwind",
-                    safety: float = 1.0) -> ConvergenceResult:
+                    omega: int = 2, flux: str = "upwind"
+                    ) -> ConvergenceResult:
     """L2 errors and successive rates over a mesh sequence."""
     errors = []
     for m in meshes:
         prob = build_problem(op, m, c, flux=flux, omega=omega)
         u = initial_condition(prob)
-        u = run_to_time(prob, u, t, dt=estimate_dt(prob, safety))
+        u = run_to_time(prob, u, t)
         errors.append(l2_error(prob, u, t))
     rates = [math.log(errors[i - 1] / errors[i])
              / math.log(meshes[i] / meshes[i - 1])
@@ -382,22 +389,22 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
 # Bloch symbols, stability certification
 
 
-def _operator_rows(prob: AdvectionProblem, n_cells: int) -> np.ndarray:
-    """(n_cells T n, K n) rows of the semi-discrete operator for cells
-    0..n_cells-1, written out from the cell stencil."""
-    own, ext = prob.cell_own, prob.cell_ext
-    tn = own.shape[0]
-    cells = np.arange(n_cells)
-    L = np.zeros((n_cells, tn, prob.n_dof))
-    L.reshape(n_cells, tn, -1, tn)[cells, :, cells, :] = own.T
-    r, j = np.nonzero(ext)
-    np.add.at(L, (cells[:, None], j, prob.ext_idx[:n_cells, r]), ext[r, j])
-    return L.reshape(n_cells * tn, -1)
+def _unit_responses(prob: AdvectionProblem, n_cols: int) -> np.ndarray:
+    """(n_cols, K, n) rhs of the first n_cols unit vectors: columns of
+    the semi-discrete operator."""
+    e = np.zeros((prob.n_elements, prob.op.n_nodes))
+    cols = np.empty((n_cols, *e.shape))
+    for j in range(n_cols):
+        e.flat[j] = 1.0
+        cols[j] = rhs(prob, e)
+        e.flat[j] = 0.0
+    return cols
 
 
 def assemble_dense(prob: AdvectionProblem) -> np.ndarray:
-    """Dense matrix of the semi-discrete operator (small meshes)."""
-    return _operator_rows(prob, prob.m ** prob.dim)
+    """Dense matrix of the semi-discrete operator (small meshes), one
+    column per unit vector."""
+    return _unit_responses(prob, prob.n_dof).reshape(prob.n_dof, -1).T
 
 
 def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
@@ -406,14 +413,16 @@ def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
     Every cell of the lattice is split alike, so the operator is
     block-circulant over cells: on a Bloch mode u_c = v exp(i theta.c),
     cell c in lattice coordinates, it acts as the symbol Lhat(theta)
-    on v.  Lhat is summed from the rows of cell 0, each neighbour's
-    column block times exp(i theta.c); row j of the stack has
-    theta = 2 pi j / m, j running over the cells' lexicographic order.
+    on v.  Column b of Lhat is the discrete Fourier transform over the
+    cells of rhs applied to unit vector b of cell 0; row j of the stack
+    has theta = 2 pi j / m, j running over the cells' lexicographic
+    order.
     """
-    d, m, tn = prob.dim, prob.m, prob.cell_own.shape[0]
-    rows = _operator_rows(prob, 1).reshape(tn, *(m,) * d, tn)
-    symbols = np.fft.ifftn(rows, axes=range(1, d + 1), norm="forward")
-    return np.moveaxis(symbols, 0, -2).reshape(m ** d, tn, tn)
+    d, m = prob.dim, prob.m
+    tn = prob.n_dof // m ** d
+    cols = _unit_responses(prob, tn).reshape(tn, *(m,) * d, tn)
+    symbols = np.fft.fftn(cols, axes=range(1, d + 1))
+    return np.moveaxis(symbols, 0, -1).reshape(m ** d, tn, tn)
 
 
 def step_matrix(L: np.ndarray, dt: float) -> np.ndarray:
@@ -426,15 +435,15 @@ def step_matrix(L: np.ndarray, dt: float) -> np.ndarray:
     return eye + dt * (L @ G)
 
 
-def certification_horizon(prob: AdvectionProblem, periods: float = 5.0
-                          ) -> float:
-    return periods / float(np.abs(prob.c).max())
+def certification_horizon(prob: AdvectionProblem) -> float:
+    return _HORIZON_PERIODS / float(np.abs(prob.c).max())
 
 
-def energy_ratios(prob: AdvectionProblem, dt: float, T: float | None = None,
+def energy_ratios(prob: AdvectionProblem, dt: float,
                   symbols: np.ndarray | None = None) -> np.ndarray:
     """(m^d,) worst case over initial data of the energy ratio
-    E(N dt) / E(0), N = ceil(T / dt), per Bloch wavenumber.
+    E(N dt) / E(0), N = ceil(T / dt) for T the certification horizon,
+    per Bloch wavenumber.
 
     The Bloch modes are orthogonal in the energy norm, so the worst case
     at wavenumber theta is ||H^1/2 Ghat(theta)^N H^-1/2||_2^2, with H
@@ -443,11 +452,9 @@ def energy_ratios(prob: AdvectionProblem, dt: float, T: float | None = None,
     H-orthogonal to them H-orthogonal, so theta = 0 (row 0) is measured
     on that data alone; with the constants it would read 1 at every dt.
     """
-    if T is None:
-        T = certification_horizon(prob)
     if symbols is None:
         symbols = bloch_symbols(prob)
-    n_steps = max(1, math.ceil(T / dt))
+    n_steps = max(1, math.ceil(certification_horizon(prob) / dt))
     h = np.sqrt(prob.hw.ravel()[:symbols.shape[-1]])      # cell 0's norm
     e = h / np.linalg.norm(h)          # the constants, scaled by H^1/2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -461,17 +468,14 @@ def energy_ratios(prob: AdvectionProblem, dt: float, T: float | None = None,
 
 
 def certify_stable(prob: AdvectionProblem, dt: float,
-                   T: float | None = None,
                    symbols: np.ndarray | None = None) -> tuple[bool, float]:
     """(energy at the horizon not above the initial energy for every
     initial datum, worst-case final/initial ratio)."""
-    ratio = float(energy_ratios(prob, dt, T, symbols).max())
+    ratio = float(energy_ratios(prob, dt, symbols).max())
     return ratio <= 1.0 + 1e-12, ratio
 
 
-def max_stable_dt(prob: AdvectionProblem, T: float | None = None,
-                  dt_init: float = 1e-3, rel_tol: float = 1e-4
-                  ) -> float:
+def max_stable_dt(prob: AdvectionProblem, rel_tol: float = 1e-4) -> float:
     """Largest dt certified stable for all initial data (certify_stable).
 
     Doubles/halves to bracket the threshold, then golden-section
@@ -481,15 +485,13 @@ def max_stable_dt(prob: AdvectionProblem, T: float | None = None,
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, not {rel_tol}")
-    if T is None:
-        T = certification_horizon(prob)
     symbols = bloch_symbols(prob)
 
     def stable(dt: float) -> bool:
-        return certify_stable(prob, dt, T=T, symbols=symbols)[0]
+        return certify_stable(prob, dt, symbols=symbols)[0]
 
-    lo = hi = dt_init
-    if stable(dt_init):
+    lo = hi = _DT_INIT
+    if stable(_DT_INIT):
         while True:
             hi *= 2.0
             if not stable(hi):

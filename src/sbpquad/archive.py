@@ -89,7 +89,9 @@ def rule_to_dict(rule: QuadratureRule) -> dict:
     return data
 
 
-def rule_from_dict(data: dict, validate: bool = True) -> QuadratureRule:
+def rule_from_dict(data: dict) -> QuadratureRule:
+    """Rebuild a rule from its archive; it is re-validated, and its facet
+    family, facet rule and SBP degree checked, before it is returned."""
     if data.get("format") != _RULE_FORMAT:
         raise ArchiveError(f"not a rule archive: {data.get('format')!r}")
     if data.get("schema") != SCHEMA_VERSION:
@@ -101,7 +103,7 @@ def rule_from_dict(data: dict, validate: bool = True) -> QuadratureRule:
     qv = int(data["qv"])
     facet_rule = None
     if data.get("facet_rule") is not None:
-        facet_rule = rule_from_dict(data["facet_rule"], validate=validate)
+        facet_rule = rule_from_dict(data["facet_rule"])
     if "orbits" in data:
         orbits = tuple(
             SymmetryOrbit(o["kind"], tuple(float(p) for p in o["params"]),
@@ -121,9 +123,8 @@ def rule_from_dict(data: dict, validate: bool = True) -> QuadratureRule:
         facet_rule=facet_rule, facet_kind=data.get("facet_kind"),
         sbp_p=data.get("sbp_p"),
         provenance=dict(data.get("provenance") or {}))
-    if validate:
-        validate_rule(rule)
-        _check_facets(rule)
+    validate_rule(rule)
+    _check_facets(rule)
     return rule
 
 
@@ -174,12 +175,12 @@ def save_rule(rule: QuadratureRule, path) -> None:
     Path(path).write_text(canonical_json(rule_to_dict(rule)))
 
 
-def load_rule(path, validate: bool = True) -> QuadratureRule:
+def load_rule(path) -> QuadratureRule:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"malformed archive {path}: {exc}") from exc
-    return rule_from_dict(data, validate=validate)
+    return rule_from_dict(data)
 
 
 def operator_to_dict(op: SBPOperator) -> dict:
@@ -195,7 +196,9 @@ def operator_to_dict(op: SBPOperator) -> dict:
     }
 
 
-def operator_from_dict(data: dict, check: bool = True) -> SBPOperator:
+def operator_from_dict(data: dict) -> SBPOperator:
+    """Rebuild an operator from its rule; every stored array must agree
+    with the rebuild."""
     if data.get("format") != _OP_FORMAT:
         raise ArchiveError(
             f"not an operator archive: {data.get('format')!r}")
@@ -203,19 +206,17 @@ def operator_from_dict(data: dict, check: bool = True) -> SBPOperator:
         raise ArchiveError(f"unsupported schema {data.get('schema')!r}")
     rule = rule_from_dict(data["rule"])
     op = build_operator(rule, p=int(data["p"]))
-    if check:
-        for name, what in _OP_ARRAYS.items():
-            ref = np.asarray(getattr(op, name))
-            try:
-                stored = np.asarray(data[name], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ArchiveError(f"unreadable {what} {name}: {exc}") from exc
-            # the norm keeps its absolute tolerance; the others scale
-            atol = 1e-13 * (1.0 if name == "H" else np.abs(ref).max())
-            if stored.shape != ref.shape or \
-                    not np.allclose(stored, ref, rtol=0, atol=atol):
-                raise ArchiveError(
-                    f"stored {what} {name} disagrees with rebuild")
+    for name, what in _OP_ARRAYS.items():
+        ref = np.asarray(getattr(op, name))
+        try:
+            stored = np.asarray(data[name], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveError(f"unreadable {what} {name}: {exc}") from exc
+        # the norm keeps its absolute tolerance; the others scale
+        atol = 1e-13 * (1.0 if name == "H" else np.abs(ref).max())
+        if stored.shape != ref.shape or \
+                not np.allclose(stored, ref, rtol=0, atol=atol):
+            raise ArchiveError(f"stored {what} {name} disagrees with rebuild")
     return op
 
 
@@ -223,9 +224,9 @@ def save_operator(op: SBPOperator, path) -> None:
     Path(path).write_text(canonical_json(operator_to_dict(op)))
 
 
-def load_operator(path, check: bool = True) -> SBPOperator:
+def load_operator(path) -> SBPOperator:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"malformed archive {path}: {exc}") from exc
-    return operator_from_dict(data, check=check)
+    return operator_from_dict(data)

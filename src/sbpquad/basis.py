@@ -228,7 +228,7 @@ def integral_vector(q: int, d: int) -> np.ndarray:
 
 def _bary_moment(powers: tuple[int, ...], d: int) -> Fraction:
     """Exact integral of prod lam_i^{a_i} over the reference d-simplex."""
-    measure = Fraction(2) if d <= 2 else Fraction(4, 3)
+    measure = Fraction(2 ** d, math.factorial(d))
     num = Fraction(math.factorial(d))
     for a in powers:
         num *= math.factorial(a)
@@ -265,37 +265,25 @@ def monomial_integral(powers, d: int) -> float:
 def simplex_gauss_rule(degree: int, d: int):
     """Positive-weight interior rule exact to the given total degree.
 
-    Duffy-type product of Gauss-Legendre and Gauss-Jacobi rules mapped
-    through the collapsed coordinates; node count grows like
-    ceil((degree+1)/2)^d.
+    Duffy-type product rule: level l of the collapsed coordinates carries
+    the Gauss-Jacobi rule of weight (1 - a_l)^l (Gauss-Legendre at level
+    0), mapped back by x_l = 2^{l+1-d} (1 + a_l) prod_{m>l} (1 - a_m) - 1
+    and x_{d-1} = a_{d-1}, with the weights scaled by 2^{-d(d-1)/2}; node
+    count grows like ceil((degree+1)/2)^d.
 
     Returns (coords (n, d), weights (n,)).
     """
+    if d not in (1, 2, 3):
+        raise ValueError(f"unsupported dimension {d}")
     # imported here: scipy.special is slow to import and only this uses it
     from scipy.special import roots_jacobi
     n1 = max(1, (degree + 2) // 2)
-    if d == 1:
-        x, w = np.polynomial.legendre.leggauss(n1)
-        return x[:, None].copy(), w.copy()
-    if d == 2:
-        xa, wa = np.polynomial.legendre.leggauss(n1)
-        xb, wb = roots_jacobi(n1, 1.0, 0.0)
-        A, B = np.meshgrid(xa, xb, indexing="ij")
-        WA, WB = np.meshgrid(wa, wb, indexing="ij")
-        x = 0.5 * (1.0 + A) * (1.0 - B) - 1.0
-        y = B
-        w = 0.5 * WA * WB
-        return (np.column_stack([x.ravel(), y.ravel()]), w.ravel())
-    if d == 3:
-        xa, wa = np.polynomial.legendre.leggauss(n1)
-        xb, wb = roots_jacobi(n1, 1.0, 0.0)
-        xc, wc = roots_jacobi(n1, 2.0, 0.0)
-        A, B, C = np.meshgrid(xa, xb, xc, indexing="ij")
-        WA, WB, WC = np.meshgrid(wa, wb, wc, indexing="ij")
-        x = 0.25 * (1.0 + A) * (1.0 - B) * (1.0 - C) - 1.0
-        y = 0.5 * (1.0 + B) * (1.0 - C) - 1.0
-        z = C
-        w = 0.125 * WA * WB * WC
-        return (np.column_stack([x.ravel(), y.ravel(), z.ravel()]),
-                w.ravel())
-    raise ValueError(f"unsupported dimension {d}")
+    rules = [np.polynomial.legendre.leggauss(n1),
+             *(roots_jacobi(n1, float(l), 0.0) for l in range(1, d))]
+    a = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    w = math.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"),
+                  start=2.0 ** (-d * (d - 1) / 2))
+    x = [math.prod((1.0 - am for am in a[l + 1:]),
+                   start=2.0 ** (l + 1 - d) * (1.0 + a[l])) - 1.0
+         for l in range(d - 1)]
+    return np.column_stack([xl.ravel() for xl in x + [a[-1]]]), w.ravel()

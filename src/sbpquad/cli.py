@@ -73,25 +73,36 @@ def _parse_meshes(text: str) -> list[int]:
     return meshes
 
 
-def _parse_rel_tol(text: str) -> float:
+def _parse_finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            "tolerance must be positive and finite")
+        raise argparse.ArgumentTypeError(f"bad number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
     return value
 
 
-def _parse_velocity(text: str) -> list[float]:
+def _parse_positive(text: str) -> float:
+    value = _parse_finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _parse_omega(text: str) -> int:
     try:
-        parts = [float(t) for t in text.split(",")]
+        omega = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad velocity: {text!r}")
-    if not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError("velocity must be finite")
-    return parts
+        raise argparse.ArgumentTypeError(f"bad wavenumber: {text!r}")
+    if omega <= 0 or omega % 2:
+        raise argparse.ArgumentTypeError(
+            "omega must be a positive even integer")
+    return omega
+
+
+def _parse_velocity(text: str) -> list[float]:
+    return [_parse_finite(t) for t in text.split(",")]
 
 
 def _load(path: str):
@@ -213,8 +224,7 @@ def _cmd_converge(args) -> int:
 def _cmd_timestep(args) -> int:
     op = _load_operator(args)
     c = _velocity(args, op.dim)
-    prob = build_problem(op, args.m, c, flux=args.flux,
-                         omega=args.omega)
+    prob = build_problem(op, args.m, c, flux=args.flux)
     dt = max_stable_dt(prob, rel_tol=args.rel_tol)
     symbols = bloch_symbols(prob)
     ratio_dt = float(energy_ratios(prob, dt, symbols=symbols).max())
@@ -286,14 +296,14 @@ def build_parser() -> _Parser:
     p_conv.add_argument("rule")
     p_conv.add_argument("--meshes", type=_parse_meshes,
                         default=[8, 12, 16])
-    p_conv.add_argument("--time", type=float, default=0.25)
-    p_conv.add_argument("--omega", type=int, default=2)
+    p_conv.add_argument("--time", type=_parse_positive, default=0.25)
+    p_conv.add_argument("--omega", type=_parse_omega, default=2)
     p_conv.add_argument("--flux", choices=("upwind", "central"),
                         default="upwind")
     p_conv.add_argument("--velocity", type=_parse_velocity, default=None,
                         help="comma-separated components")
     p_conv.add_argument("-p", type=int, default=None)
-    p_conv.add_argument("--min-rate", type=float, default=None,
+    p_conv.add_argument("--min-rate", type=_parse_finite, default=None,
                         help="fail unless the final rate reaches this")
     p_conv.add_argument("-o", "--output", default=None)
     p_conv.set_defaults(func=_cmd_converge)
@@ -304,9 +314,8 @@ def build_parser() -> _Parser:
     p_dt.add_argument("--m", type=_parse_cells, default=4)
     p_dt.add_argument("--flux", choices=("upwind", "central"),
                       default="upwind")
-    p_dt.add_argument("--omega", type=int, default=2)
     p_dt.add_argument("--velocity", type=_parse_velocity, default=None)
-    p_dt.add_argument("--rel-tol", type=_parse_rel_tol, default=1e-4)
+    p_dt.add_argument("--rel-tol", type=_parse_positive, default=1e-4)
     p_dt.add_argument("-p", type=int, default=None)
     p_dt.add_argument("-o", "--output", default=None)
     p_dt.set_defaults(func=_cmd_timestep)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _ACC_TOL = 1e-11       # residual allowed in the S least-squares solve
+_MATCH_TOL = 1e-9      # facet-rule node to volume node distance allowed
 
 
 class SBPConstructionError(ValueError):
@@ -73,12 +74,11 @@ class SBPOperator:
         return self.rule.n_nodes
 
 
-def match_facet_nodes(rule: QuadratureRule, facet_id: int,
-                      tol: float = 1e-9) -> FacetOperator:
+def match_facet_nodes(rule: QuadratureRule, facet_id: int
+                      ) -> FacetOperator:
     """Pair the facet rule's nodes with the volume nodes on one facet."""
-    elem = reference_simplex(rule.dim)
-    facet = elem.facets[facet_id]
-    idx, local = facet_restriction(rule.nodes, facet_id, elem)
+    facet = reference_simplex(rule.dim).facets[facet_id]
+    idx, local = facet_restriction(rule.nodes, facet_id)
     if rule.dim == 1:
         if idx.size != 1:
             raise SBPConstructionError(
@@ -95,7 +95,7 @@ def match_facet_nodes(rule: QuadratureRule, facet_id: int,
     for q in range(frule.n_nodes):
         dist = np.linalg.norm(local - fx[q], axis=1)
         j = int(np.argmin(dist))
-        if dist[j] > tol or j in used:
+        if dist[j] > _MATCH_TOL or j in used:
             raise SBPConstructionError(
                 f"facet {facet_id}: facet-rule node {q} has no matching "
                 f"volume node (nearest at distance {dist[j]:.2e})")

@@ -283,7 +283,7 @@ class SearchSpec:
             orbits.append(SymmetryOrbit(kind, params, wt))
         sig = GroupSignature(self.dim, tuple(orbits),
                              self.qv).canonically_ordered()
-        nodes = assemble_nodes(sig, self._elem)
+        nodes = assemble_nodes(sig)
         rule = QuadratureRule(_DOMAIN_BY_DIM[self.dim], self.qv, nodes,
                               signature=sig, facet_rule=self.facet_rule,
                               facet_kind=self.facet_kind, sbp_p=self.sbp_p,

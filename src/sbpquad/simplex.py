@@ -21,8 +21,10 @@ that vertex order) with the (d-1)-dimensional reference simplex.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +56,10 @@ __all__ = [
 DUPLICATE_TOL = 1e-12
 #: barycentric coordinates may undershoot zero by at most this much
 CLOSURE_TOL = 1e-14
+#: a node lies on facet f when its barycentric lam_f is at most this
+_FACET_TOL = 1e-12
+#: node and weight mismatch allowed under a vertex permutation
+_SYMMETRY_TOL = 1e-10
 
 
 class NodeSetError(ValueError):
@@ -104,56 +110,29 @@ class ReferenceSimplex:
         return bary @ self.vertices
 
 
-def _facet_geometry(verts: np.ndarray, centroid: np.ndarray):
-    """Outward unit normal and measure of the facet spanned by verts."""
-    d = centroid.shape[0]
-    if d == 1:
-        normal = np.array([1.0])
-        measure = 1.0
-    elif d == 2:
-        t = verts[1] - verts[0]
-        normal = np.array([t[1], -t[0]])
-        measure = float(np.linalg.norm(t))
-        normal /= np.linalg.norm(normal)
-    else:
-        cr = np.cross(verts[1] - verts[0], verts[2] - verts[0])
-        measure = 0.5 * float(np.linalg.norm(cr))
-        normal = cr / np.linalg.norm(cr)
-    if normal @ (verts.mean(axis=0) - centroid) < 0:
-        normal = -normal
-    return normal, measure
-
-
-_SIMPLEX_CACHE: dict[int, ReferenceSimplex] = {}
-
-
+@lru_cache(maxsize=None)
 def reference_simplex(d: int) -> ReferenceSimplex:
-    """Bi-unit reference simplex of dimension d in {1, 2, 3}."""
-    if d in _SIMPLEX_CACHE:
-        return _SIMPLEX_CACHE[d]
-    if d == 1:
-        verts = np.array([[-1.0], [1.0]])
-        measure = 2.0
-    elif d == 2:
-        verts = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-        measure = 2.0
-    elif d == 3:
-        verts = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0],
-                          [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-        measure = 4.0 / 3.0
-    else:
+    """Bi-unit reference simplex of dimension d in {1, 2, 3}.
+
+    Vertex 0 is (-1, ..., -1) and vertex i is -1 + 2 e_i, so the measure
+    is 2^d / d!.  Row f of the inverse of [V^T; 1] is the gradient of the
+    barycentric coordinate lam_f, which is constant, points inward and
+    vanishes on facet f: the outward normal is -grad lam_f / |grad lam_f|,
+    and the facet measure is d |Omega| |grad lam_f| (the height of vertex
+    f above its facet is 1 / |grad lam_f|), which is 1 for point facets.
+    """
+    if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    centroid = verts.mean(axis=0)
-    facets = []
-    for f in range(d + 1):
-        ids = tuple(i for i in range(d + 1) if i != f)
-        normal, fmeas = _facet_geometry(verts[list(ids)], centroid)
-        normal.flags.writeable = False
-        facets.append(Facet(f, ids, normal, fmeas))
-    verts.flags.writeable = False
-    elem = ReferenceSimplex(d, verts, measure, tuple(facets))
-    _SIMPLEX_CACHE[d] = elem
-    return elem
+    verts = -1.0 + 2.0 * np.eye(d + 1, d, k=-1)
+    measure = 2.0 ** d / math.factorial(d)
+    grad = np.linalg.inv(np.vstack([verts.T, np.ones(d + 1)]))[:, :d]
+    norms = np.linalg.norm(grad, axis=1)
+    normals = -grad / norms[:, None]
+    normals.flags.writeable = verts.flags.writeable = False
+    facets = tuple(Facet(f, tuple(i for i in range(d + 1) if i != f),
+                         normals[f], float(d * measure * norms[f]))
+                   for f in range(d + 1))
+    return ReferenceSimplex(d, verts, measure, facets)
 
 
 # ----------------------------------------------------------------------
@@ -278,14 +257,6 @@ class SymmetryOrbit:
     params: tuple[float, ...] = ()
     weight: float = 0.0
 
-    def structure(self, d: int) -> OrbitStructure:
-        st = orbit_structure(self.kind, d)
-        if len(self.params) != st.n_params:
-            raise ValueError(
-                f"{self.kind} takes {st.n_params} parameter(s), "
-                f"got {len(self.params)}")
-        return st
-
 
 @dataclass(frozen=True)
 class GroupSignature:
@@ -323,8 +294,8 @@ class NodeSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def facet_mask(self, facet_id: int, tol: float = 1e-12) -> np.ndarray:
-        return np.abs(self.bary[:, facet_id]) <= tol
+    def facet_mask(self, facet_id: int) -> np.ndarray:
+        return np.abs(self.bary[:, facet_id]) <= _FACET_TOL
 
 
 def pairwise_distances(x: np.ndarray) -> np.ndarray:
@@ -365,15 +336,12 @@ def expand_orbit(kind: str, params, d: int) -> np.ndarray:
     return bary
 
 
-def assemble_nodes(sig: GroupSignature,
-                   elem: ReferenceSimplex | None = None) -> NodeSet:
+def assemble_nodes(sig: GroupSignature) -> NodeSet:
     """Expand all orbits of a signature into a cartesian node set.
 
     Raises NodeSetError when any orbit is degenerate, leaves the element,
     or two orbits produce coincident nodes.
     """
-    if elem is None:
-        elem = reference_simplex(sig.dim)
     barys, weights, owners = [], [], []
     for i, orb in enumerate(sig.orbits):
         b = expand_orbit(orb.kind, orb.params, sig.dim)
@@ -388,7 +356,7 @@ def assemble_nodes(sig: GroupSignature,
             f"orbits {sig.orbits[np.concatenate(owners)[j]].kind} and "
             f"{sig.orbits[np.concatenate(owners)[k]].kind} produce "
             f"coincident nodes")
-    return NodeSet(coords=bary @ elem.vertices,
+    return NodeSet(coords=bary @ reference_simplex(sig.dim).vertices,
                    weights=np.concatenate(weights),
                    bary=bary,
                    orbit_index=np.concatenate(owners),
@@ -403,25 +371,21 @@ def min_node_spacing(nodes: NodeSet | np.ndarray) -> float:
     return float(pairwise_distances(x).min())
 
 
-def facet_restriction(nodes: NodeSet, facet_id: int,
-                      elem: ReferenceSimplex | None = None,
-                      tol: float = 1e-12):
+def facet_restriction(nodes: NodeSet, facet_id: int):
     """Indices and facet-local coordinates of the nodes on one facet.
 
     Returns (indices, local) where local has shape (m, d-1); for the
     interval the local block is an (m, 0) array.
     """
-    if elem is None:
-        elem = reference_simplex(nodes.dim)
-    facet = elem.facets[facet_id]
-    idx = np.flatnonzero(nodes.facet_mask(facet_id, tol))
+    facet = reference_simplex(nodes.dim).facets[facet_id]
+    idx = np.flatnonzero(nodes.facet_mask(facet_id))
     sub = nodes.bary[np.ix_(idx, list(facet.vertex_ids))]
     if nodes.dim == 1:
         return idx, np.zeros((idx.size, 0))
     return idx, sub @ reference_simplex(nodes.dim - 1).vertices
 
 
-def node_set_is_symmetric(nodes: NodeSet, tol: float = 1e-10) -> bool:
+def node_set_is_symmetric(nodes: NodeSet) -> bool:
     """Whether the weighted node set is invariant under vertex permutations."""
     m = nodes.dim + 1
     key = {}
@@ -435,9 +399,9 @@ def node_set_is_symmetric(nodes: NodeSet, tol: float = 1e-10) -> bool:
                 # fall back to a slow search before declaring failure
                 dist = np.abs(nodes.bary - img).sum(axis=1)
                 j = int(np.argmin(dist))
-                if dist[j] > tol:
+                if dist[j] > _SYMMETRY_TOL:
                     return False
-            if abs(nodes.weights[i] - nodes.weights[j]) > tol * (
+            if abs(nodes.weights[i] - nodes.weights[j]) > _SYMMETRY_TOL * (
                     1.0 + abs(nodes.weights[i])):
                 return False
     return True

@@ -4,11 +4,12 @@ Everything here is computed by a different route than the package uses:
 monomial integrals by direct nested antidifferentiation in exact
 rational arithmetic, Jacobi polynomials through scipy's unnormalized
 evaluations plus the explicit norm formula.  The per-dimension basis
-evaluator is the one the package used before its basis became d-generic,
-the two orbit-layout enumerators are the ones it used before both search
-stages shared one, and the swarm objective at the end scores one design
-per call as the package did before it scored whole swarms; all are kept
-verbatim as the exact reference.
+evaluator, reference simplex and collapsed Gauss rule are the ones the
+package used before each became d-generic, the two orbit-layout
+enumerators are the ones it used before both search stages shared one,
+and the swarm objective at the end scores one design per call as the
+package did before it scored whole swarms; all are kept verbatim as the
+exact reference.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import scipy.special
 from sbpquad import basis
 from sbpquad.search import InfeasibleDesignError
 from sbpquad.signatures import invariant_moment_count
-from sbpquad.simplex import CLOSURE_TOL, reference_simplex
+from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
 
 
 def _even_moment(m: int) -> Fraction:
@@ -327,6 +328,97 @@ def grad_vandermonde(coords: np.ndarray, q: int, d: int | None = None,
             Vs[:, col] = scale * ds
             Vt[:, col] = scale * dt
         return [Vr, Vs, Vt]
+    raise ValueError(f"unsupported dimension {d}")
+
+
+# ----------------------------------------------------------------------
+# per-dimension reference simplex and collapsed Gauss rule (reference
+# for sbpquad.simplex.reference_simplex and sbpquad.basis.
+# simplex_gauss_rule; verbatim but for the simplex cache)
+
+
+def _facet_geometry(verts: np.ndarray, centroid: np.ndarray):
+    """Outward unit normal and measure of the facet spanned by verts."""
+    d = centroid.shape[0]
+    if d == 1:
+        normal = np.array([1.0])
+        measure = 1.0
+    elif d == 2:
+        t = verts[1] - verts[0]
+        normal = np.array([t[1], -t[0]])
+        measure = float(np.linalg.norm(t))
+        normal /= np.linalg.norm(normal)
+    else:
+        cr = np.cross(verts[1] - verts[0], verts[2] - verts[0])
+        measure = 0.5 * float(np.linalg.norm(cr))
+        normal = cr / np.linalg.norm(cr)
+    if normal @ (verts.mean(axis=0) - centroid) < 0:
+        normal = -normal
+    return normal, measure
+
+
+def reference_simplex(d: int) -> ReferenceSimplex:
+    """Bi-unit reference simplex of dimension d in {1, 2, 3}."""
+    if d == 1:
+        verts = np.array([[-1.0], [1.0]])
+        measure = 2.0
+    elif d == 2:
+        verts = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        measure = 2.0
+    elif d == 3:
+        verts = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0],
+                          [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        measure = 4.0 / 3.0
+    else:
+        raise ValueError(f"unsupported dimension {d}")
+    centroid = verts.mean(axis=0)
+    facets = []
+    for f in range(d + 1):
+        ids = tuple(i for i in range(d + 1) if i != f)
+        normal, fmeas = _facet_geometry(verts[list(ids)], centroid)
+        normal.flags.writeable = False
+        facets.append(Facet(f, ids, normal, fmeas))
+    verts.flags.writeable = False
+    elem = ReferenceSimplex(d, verts, measure, tuple(facets))
+    return elem
+
+
+def simplex_gauss_rule(degree: int, d: int):
+    """Positive-weight interior rule exact to the given total degree.
+
+    Duffy-type product of Gauss-Legendre and Gauss-Jacobi rules mapped
+    through the collapsed coordinates; node count grows like
+    ceil((degree+1)/2)^d.
+
+    Returns (coords (n, d), weights (n,)).
+    """
+    # imported here: scipy.special is slow to import and only this uses it
+    from scipy.special import roots_jacobi
+    n1 = max(1, (degree + 2) // 2)
+    if d == 1:
+        x, w = np.polynomial.legendre.leggauss(n1)
+        return x[:, None].copy(), w.copy()
+    if d == 2:
+        xa, wa = np.polynomial.legendre.leggauss(n1)
+        xb, wb = roots_jacobi(n1, 1.0, 0.0)
+        A, B = np.meshgrid(xa, xb, indexing="ij")
+        WA, WB = np.meshgrid(wa, wb, indexing="ij")
+        x = 0.5 * (1.0 + A) * (1.0 - B) - 1.0
+        y = B
+        w = 0.5 * WA * WB
+        return (np.column_stack([x.ravel(), y.ravel()]), w.ravel())
+    if d == 3:
+        xa, wa = np.polynomial.legendre.leggauss(n1)
+        xb, wb = roots_jacobi(n1, 1.0, 0.0)
+        xc, wc = roots_jacobi(n1, 2.0, 0.0)
+        A, B, C = np.meshgrid(xa, xb, xc, indexing="ij")
+        WA, WB, WC = np.meshgrid(wa, wb, wc, indexing="ij")
+        x = 0.25 * (1.0 + A) * (1.0 - B) * (1.0 - C) - 1.0
+        y = 0.5 * (1.0 + B) * (1.0 - C) - 1.0
+        z = C
+        w = 0.125 * WA * WB * WC
+        return (np.column_stack([x.ravel(), y.ravel(), z.ravel()]),
+                w.ravel())
     raise ValueError(f"unsupported dimension {d}")
 
 

@@ -184,6 +184,12 @@ def test_odd_omega_rejected(p1_problem):
         build_problem(p1_problem.op, 2, VELOCITY_2D, omega=3)
 
 
+def test_nonpositive_omega_rejected(p1_problem):
+    for omega in (0, -2):
+        with pytest.raises(ValueError, match="omega"):
+            build_problem(p1_problem.op, 2, VELOCITY_2D, omega=omega)
+
+
 # ----------------------------------------------------------------------
 # semi-discrete right-hand side
 
@@ -352,10 +358,11 @@ def test_certify_unstable_at_large_step(p1_problem):
 
 
 def test_overflowing_propagator_is_uncertified(p1_problem):
-    """Over a long horizon an unstable propagator overflows; the
-    certificate then fails with ratio inf instead of raising."""
-    ok, ratio = certify_stable(p1_problem, 50.0 * estimate_dt(p1_problem),
-                               T=1e3)
+    """On a fine mesh 50 times the safe step is so unstable that the
+    propagator overflows within the horizon; the certificate then fails
+    with ratio inf instead of raising."""
+    prob = build_problem(p1_problem.op, 8, VELOCITY_2D, flux="upwind")
+    ok, ratio = certify_stable(prob, 50.0 * estimate_dt(prob))
     assert not ok
     assert ratio == np.inf
 

@@ -161,9 +161,6 @@ def test_load_rule_tampered_weight(rule_file, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(RuleValidationError):
         load_rule(path)
-    # opting out of validation still returns the raw payload
-    loaded = load_rule(path, validate=False)
-    assert loaded.residual_inf() > 1e-12
 
 
 def test_explicit_nodes_rejected_for_simplex(rule_file):
@@ -215,8 +212,6 @@ def test_operator_archive_checks_norm(tri_lgl_results, tmp_path):
     data["H"][0] *= 1.0 + 1e-9
     with pytest.raises(ArchiveError, match="norm"):
         operator_from_dict(data)
-    # check=False skips the cross-check
-    assert operator_from_dict(data, check=False).p == op.p
 
 
 @pytest.mark.parametrize("name", ["E", "Q", "D"])
@@ -228,7 +223,6 @@ def test_operator_archive_checks_every_array(tri_lgl_results, name):
     data[name] = arr.tolist()
     with pytest.raises(ArchiveError, match=f"{name} disagrees"):
         operator_from_dict(data)
-    assert operator_from_dict(data, check=False).p == op.p
 
 
 def test_operator_archive_rejects_wrong_shape(tri_lgl_results):
@@ -388,6 +382,15 @@ def test_cli_usage_errors(rule_file):
     assert run_cli(["timestep", rule, "--m", "1"]) == cli.EXIT_USAGE
     for tol in ("0", "-1e-3", "nan", "inf", "x"):
         assert run_cli(["timestep", rule, "--rel-tol", tol]) \
+            == cli.EXIT_USAGE
+    assert run_cli(["timestep", rule, "--omega", "2"]) == cli.EXIT_USAGE
+    for omega in ("3", "0", "-2", "2.0", "x"):
+        assert run_cli(["converge", rule, "--omega", omega]) \
+            == cli.EXIT_USAGE
+    for t in ("-1", "0", "nan", "inf", "x"):
+        assert run_cli(["converge", rule, "--time", t]) == cli.EXIT_USAGE
+    for rate in ("nan", "inf", "-inf", "x"):
+        assert run_cli(["converge", rule, "--min-rate", rate]) \
             == cli.EXIT_USAGE
     assert run_cli(["frobnicate"]) == cli.EXIT_USAGE
     assert run_cli(["find", "--domain", "tri"]) == cli.EXIT_USAGE

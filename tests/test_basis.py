@@ -368,6 +368,15 @@ def test_simplex_gauss_rule_exactness(degree, d):
         assert num == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simplex_gauss_rule_matches_per_dimension_reference(d):
+    for degree in range(20):
+        pts, w = simplex_gauss_rule(degree, d)
+        ref_pts, ref_w = oracles.simplex_gauss_rule(degree, d)
+        assert np.array_equal(pts, ref_pts) and pts.shape == ref_pts.shape
+        assert np.array_equal(w, ref_w)
+
+
 def test_simplex_gauss_rule_bad_dimension():
     with pytest.raises(ValueError):
         simplex_gauss_rule(2, 4)

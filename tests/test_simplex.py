@@ -12,6 +12,8 @@ from sbpquad.simplex import (DegenerateOrbitError, GroupSignature,
                              orbit_kinds, orbit_size, kind_param_count,
                              reference_simplex)
 
+import oracles
+
 
 def test_reference_measures():
     assert reference_simplex(1).measure == 2.0
@@ -28,6 +30,24 @@ def test_facet_measures(dim, facet_measures):
     elem = reference_simplex(dim)
     got = [f.measure for f in elem.facets]
     assert got == pytest.approx(facet_measures)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reference_simplex_matches_per_dimension_reference(dim):
+    """The d-generic construction reproduces the per-dimension one bit
+    for bit: vertices, measure, and every facet's normal and measure."""
+    elem, ref = reference_simplex(dim), oracles.reference_simplex(dim)
+    assert np.array_equal(elem.vertices, ref.vertices)
+    assert elem.measure == ref.measure
+    for facet, rf in zip(elem.facets, ref.facets, strict=True):
+        assert facet.vertex_ids == rf.vertex_ids
+        assert np.array_equal(facet.normal, rf.normal)
+        assert facet.measure == rf.measure
+
+
+def test_reference_simplex_bad_dimension():
+    with pytest.raises(ValueError):
+        reference_simplex(4)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
