@@ -210,6 +210,8 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
+    if not np.any(c):
+        raise ValueError("velocity must be nonzero")
     ivert = _lattice(d, m)
     verts = ivert / m
     A, bvec, J = _affine_maps(verts)
@@ -373,6 +375,8 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
                     omega: int = 2, flux: str = "upwind"
                     ) -> ConvergenceResult:
     """L2 errors and successive rates over a mesh sequence."""
+    if any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise ValueError("mesh sizes must be strictly increasing")
     errors = []
     for m in meshes:
         prob = build_problem(op, m, c, flux=flux, omega=omega)

@@ -68,8 +68,9 @@ def _parse_cells(text: str) -> int:
 
 def _parse_meshes(text: str) -> list[int]:
     meshes = [_parse_cells(t) for t in text.split(",") if t]
-    if len(meshes) < 2:
-        raise argparse.ArgumentTypeError("need at least two mesh sizes")
+    if len(meshes) < 2 or any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise argparse.ArgumentTypeError(
+            "need two or more strictly increasing mesh sizes")
     return meshes
 
 
@@ -140,10 +141,12 @@ def _cmd_find(args) -> int:
     result = find_rule(args.domain, args.qv, seed=args.seed,
                        sweeps=args.sweeps, budget_s=args.budget, **family)
     if result.status != "ok":
-        solves = [a["stage"] for a in result.attempts if "error" not in a]
-        print(f"search {result.status} after {solves.count('facet')} facet "
-              f"and {solves.count('volume')} volume attempt(s), "
-              f"{result.elapsed:.1f}s", file=sys.stderr)
+        solves = [a for a in result.attempts if "error" not in a]
+        facet = [a for a in solves if a["stage"] == "facet"]
+        screened = sum(a["unknowns"] < a["moments"] for a in facet)
+        print(f"search {result.status} after {len(facet)} facet "
+              f"({screened} screened) and {len(solves) - len(facet)} "
+              f"volume attempt(s), {result.elapsed:.1f}s", file=sys.stderr)
         return EXIT_SEARCH
     rule = result.rule
     print(f"found {rule.domain} rule: degree {rule.qv}, "
@@ -191,8 +194,8 @@ def _cmd_sbp(args) -> int:
 def _velocity(args, dim: int) -> np.ndarray:
     if args.velocity is None:
         return np.asarray(_DEFAULT_C[dim])
-    if len(args.velocity) != dim:
-        print(f"velocity needs {dim} components", file=sys.stderr)
+    if len(args.velocity) != dim or not any(args.velocity):
+        print(f"velocity needs {dim} components, not all 0", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return np.asarray(args.velocity)
 

@@ -590,7 +590,7 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
     of up to max_rounds rounds runs pso_iters swarm steps, polishes the
     swarm's global best with LMA and feeds the result back as a particle.
     The swarm's global best never gets worse, so an unconverged search
-    reports it.
+    reports it (with max_rounds 0, no swarm: round zero's LMA endpoint).
     """
     lma_total = 0
     pso_total = 0
@@ -603,6 +603,9 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
         if rule is not None:
             return SearchResult(rule, True, final.res_inf, 0, lma_total,
                                 pso_total, best_tau=final.tau)
+    if max_rounds == 0:
+        return SearchResult(None, False, state.res_inf, 0, lma_total,
+                            pso_total, "no convergence", best_tau=state.tau)
 
     swarm = init_swarm(spec, rng, seeds=(state.tau, tau0))
     for rnd in range(1, max_rounds + 1):

@@ -127,11 +127,11 @@ def _tri_facet_candidates(q: int) -> list:
         for combo, nodes, unknowns
         in _layouts(2, orbit_kinds(2), 3 * need + 18) if nodes)
     # at high q the cheap prefix is all underdetermined layouts, which
-    # only work in special cases like the mid-edge rule; a second tier of
-    # determined layouts keeps high degrees reachable
+    # only work in special cases like the mid-edge rule; every determined
+    # layout after it follows, so high degrees stay reachable
     determined = [combo for _, _, neg_unknowns, combo in ranked[24:]
                   if -neg_unknowns >= need]
-    return [combo for *_, combo in ranked[:24]] + determined[:24]
+    return [combo for *_, combo in ranked[:24]] + determined
 
 
 def facet_layout(facet_rule: QuadratureRule, d: int):
@@ -250,22 +250,28 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
 
     Each layout gets `sweeps` restart seeds, children of
     SeedSequence(seed) taken in order, before the next layout is tried;
-    solve_args go to every solve_coupled call.
+    solve_args go to every solve_coupled call.  A layout with fewer free
+    unknowns than invariant moments solves them only in a special
+    consistent case, which round zero finds: it gets round zero only.
     Every solve is logged to the find_rule call in progress, and none
     starts once its budget has run out (_BudgetSpent).
     """
     run = _RUN.get() or _Run()
     ss = np.random.SeedSequence(seed)
     for spec in specs:
+        unknowns = int(spec.free_mask.sum())
+        moments = invariant_moment_count(spec.qv, spec.dim)
+        args = (dict(solve_args, max_rounds=0) if unknowns < moments
+                else solve_args)
         for sweep, child in enumerate(ss.spawn(sweeps)):
             if (run.budget_s is not None
                     and time.monotonic() - run.t0 > run.budget_s):
                 raise _BudgetSpent
-            res = solve_coupled(spec, np.random.default_rng(child),
-                                **solve_args)
+            res = solve_coupled(spec, np.random.default_rng(child), **args)
             run.attempts.append({
                 "stage": stage, "kinds": list(spec.kinds), "sweep": sweep,
                 "converged": res.converged, "residual": res.residual_inf,
+                "unknowns": unknowns, "moments": moments,
             })
             if res.converged:
                 return res.rule
@@ -278,7 +284,8 @@ def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
     Prefers layouts whose nodes sit at triangle vertices and edges so the
     induced tet volume rule is as small as possible.  Each layout gets 3
     restart seeds and a shorter solve (4 rounds of 25 swarm steps) than
-    the volume stage's.
+    the volume stage's (round zero only when short of unknowns), until
+    one converges or the budget of the find_rule call runs out.
     """
     q = 2 * p
     specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))

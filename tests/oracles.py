@@ -471,8 +471,9 @@ def interior_candidates(d: int, qv: int, n_facet_orbits: int,
         yield combo
 
 
-def _tri_facet_candidates(q: int, max_candidates: int = 24):
-    """Symmetric triangle layouts of degree q ordered by induced tet cost."""
+def _tri_facet_ranking(q: int):
+    """(cost, nodes, -unknowns, combo) of every symmetric triangle layout
+    of degree q within the node cap, sorted: induced tet cost first."""
     node_cap = 3 * invariant_moment_count(q, 2) + 18
     combos = []
     edge_max = node_cap // 6 + 1
@@ -498,6 +499,12 @@ def _tri_facet_candidates(q: int, max_candidates: int = 24):
                             combos.append((cost, nodes, -unknowns,
                                            tuple(combo)))
     combos.sort()
+    return combos
+
+
+def _tri_facet_candidates(q: int, max_candidates: int = 24):
+    """Symmetric triangle layouts of degree q ordered by induced tet cost."""
+    combos = _tri_facet_ranking(q)
     seen = set()
     out = []
     for _, _, _, combo in combos:

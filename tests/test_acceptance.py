@@ -130,7 +130,7 @@ def test_tet_degree2_node_count(tet_result):
 
 
 def test_tet_degree5_search_reaches_44_nodes():
-    # hardest search in the suite (about a minute): the degree-5
+    # hardest search in the suite (about 5 s): the degree-5
     # tetrahedron needs a degree-6 triangle rule on its faces first, and
     # the smallest reachable volume layout adds one interior S31 orbit
     # to the induced facet skeleton.  Not part of the bounded-effort

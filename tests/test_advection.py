@@ -190,6 +190,11 @@ def test_nonpositive_omega_rejected(p1_problem):
             build_problem(p1_problem.op, 2, VELOCITY_2D, omega=omega)
 
 
+def test_zero_velocity_rejected(p1_problem):
+    with pytest.raises(ValueError, match="nonzero"):
+        build_problem(p1_problem.op, 2, (0.0, 0.0))
+
+
 # ----------------------------------------------------------------------
 # semi-discrete right-hand side
 
@@ -327,6 +332,12 @@ def test_run_convergence_second_order(tri_lgl_results):
     assert result.errors[1] < result.errors[0]
     assert 1.5 < result.rates[0] < 2.7
     assert "rate" in result.summary()
+
+
+@pytest.mark.parametrize("meshes", [(2, 2), (4, 2), (2, 4, 4)])
+def test_run_convergence_rejects_unordered_meshes(p1_problem, meshes):
+    with pytest.raises(ValueError, match="increasing"):
+        run_convergence(p1_problem.op, meshes, VELOCITY_2D)
 
 
 def test_tet_solution_accuracy(tet_problem):

@@ -1,11 +1,13 @@
 """JSON archives and the command-line entry points."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import sbpquad.cli as cli
+import sbpquad.signatures
 from sbpquad.archive import (
     ArchiveError,
     canonical_json,
@@ -279,8 +281,19 @@ def test_cli_find_budget_exceeded(capsys):
                     "--budget", "0.001s"])
     assert code == cli.EXIT_SEARCH
     err = capsys.readouterr().err
-    assert "search budget after" in err
-    assert "facet and 0 volume attempt(s)" in err
+    assert re.search(r"search budget after (\d+) facet \(\1 screened\) "
+                     r"and 0 volume attempt\(s\)", err)
+
+
+def test_cli_find_reports_screened_attempts(monkeypatch, capsys):
+    # one vertex or one centroid orbit cannot carry the 2 invariant
+    # moments of degree 2: both layouts are screened, and both fail
+    monkeypatch.setattr(sbpquad.signatures, "_tri_facet_candidates",
+                        lambda q: [("Svert",), ("S1",)])
+    assert run_cli(["find", "--domain", "tet", "--qv", "2"]) \
+        == cli.EXIT_SEARCH
+    assert ("search exhausted after 6 facet (6 screened) and 0 volume "
+            "attempt(s)") in capsys.readouterr().err
 
 
 def test_cli_find_rejects_facet_family_of_other_domain(capsys):
@@ -379,6 +392,11 @@ def test_cli_usage_errors(rule_file):
     rule = str(rule_file)
     assert run_cli(["converge", rule, "--meshes", "1,2"]) == cli.EXIT_USAGE
     assert run_cli(["converge", rule, "--meshes", "4"]) == cli.EXIT_USAGE
+    for meshes in ("2,2", "4,2"):
+        assert run_cli(["converge", rule, "--meshes", meshes]) \
+            == cli.EXIT_USAGE
+    for cmd in ("timestep", "converge"):
+        assert run_cli([cmd, rule, "--velocity", "0,0"]) == cli.EXIT_USAGE
     assert run_cli(["timestep", rule, "--m", "1"]) == cli.EXIT_USAGE
     for tol in ("0", "-1e-3", "nan", "inf", "x"):
         assert run_cli(["timestep", rule, "--rel-tol", tol]) \

@@ -482,3 +482,29 @@ def test_solve_coupled_matches_rowwise_scoring(monkeypatch, spec_fn, seed):
     rowwise = solve()
     assert batched.pso_iterations > 0
     assert_same_result(batched, rowwise)
+
+
+def test_round_zero_solve_matches_full_solve():
+    """The mid-edge layout converges in round zero, so a solve that stops
+    after round zero returns every field the full facet solve does."""
+    child = np.random.SeedSequence(0).spawn(1)[0]
+
+    def solve(**rounds):
+        return solve_coupled(SearchSpec(2, 2, ("SmidEdge",)),
+                             np.random.default_rng(child), **rounds)
+
+    short = solve(max_rounds=0)
+    assert short.converged and short.rounds == 0
+    assert_same_result(short, solve(max_rounds=4, pso_iters=25))
+
+
+def test_round_zero_solve_builds_no_swarm(monkeypatch):
+    def no_swarm(*args, **kwargs):
+        raise AssertionError("round-zero solve built a swarm")
+
+    monkeypatch.setattr(search, "init_swarm", no_swarm)
+    res = solve_coupled(SearchSpec(2, 2, ("Svert",)),
+                        np.random.default_rng(0), max_rounds=0)
+    assert not res.converged
+    assert (res.rounds, res.pso_iterations) == (0, 0)
+    assert res.residual_inf > 1e-3

@@ -100,8 +100,16 @@ def test_interior_candidates_match_reference(qv, d):
 
 @pytest.mark.parametrize("q", range(1, 13))
 def test_facet_candidates_match_reference(q):
-    assert (sbpquad.signatures._tri_facet_candidates(q)
-            == oracles._tri_facet_candidates(q))
+    # the reference's capped list is the head; every other determined
+    # layout follows once, in the reference's cost order
+    got = sbpquad.signatures._tri_facet_candidates(q)
+    head = oracles._tri_facet_candidates(q)
+    need = invariant_moment_count(q, 2)
+    tail = [combo for _, _, neg_unknowns, combo
+            in oracles._tri_facet_ranking(q)
+            if -neg_unknowns >= need and combo not in head]
+    assert got[:len(head)] == head
+    assert got[len(head):] == tail
 
 
 def test_interior_candidates_at_most_one_centroid():
@@ -285,10 +293,40 @@ def test_find_rule_budget_caps_facet_stage():
 
 
 def test_find_rule_logs_facet_stage(tet_result):
-    # the mid-edge face rule is the third facet layout, after 2 x 3 sweeps
-    log = [(a["stage"], a["converged"]) for a in tet_result.attempts]
-    assert log == [("facet", False)] * 6 + [("facet", True), ("volume", True)]
+    # the mid-edge face rule is the third facet layout, after 2 x 3 sweeps;
+    # all three facet layouts have 1 unknown for 2 moments (screened),
+    # and the volume layout has enough unknowns
+    log = [(a["stage"], a["converged"], a["unknowns"], a["moments"])
+           for a in tet_result.attempts]
+    assert log == ([("facet", False, 1, 2)] * 6
+                   + [("facet", True, 1, 2), ("volume", True, 2, 2)])
     assert tet_result.attempts[6]["kinds"] == ["SmidEdge"]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_facet_screen_keeps_face_rule(monkeypatch, p):
+    """Underdetermined layouts that fail round zero fail the swarm rounds
+    too, so the screen leaves the face rule bit-identical to the one
+    found with the full solve on every layout."""
+    full = sbpquad.signatures.solve_coupled
+    rounds = []
+
+    def record(spec, rng, **kw):
+        moments = invariant_moment_count(spec.qv, spec.dim)
+        rounds.append((spec.free_mask.sum() < moments, kw["max_rounds"]))
+        return full(spec, rng, **kw)
+
+    monkeypatch.setattr(sbpquad.signatures, "solve_coupled", record)
+    screened = find_facet_rule(p)
+    # round zero only for the underdetermined layouts, 4 rounds otherwise
+    assert all(r == (0 if under else 4) for under, r in rounds)
+    monkeypatch.setattr(sbpquad.signatures, "solve_coupled",
+                        lambda spec, rng, **kw: full(
+                            spec, rng, **{**kw, "max_rounds": 4}))
+    unscreened = find_facet_rule(p)
+    assert np.array_equal(screened.nodes.coords, unscreened.nodes.coords)
+    assert np.array_equal(screened.nodes.weights, unscreened.nodes.weights)
+    assert screened.provenance == unscreened.provenance
 
 
 def test_find_rule_no_layout_converges(monkeypatch):
