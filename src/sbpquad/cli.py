@@ -19,7 +19,7 @@ from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
                       save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
 from .search import RuleValidationError, validate_rule
-from .signatures import FACET_FAMILIES, find_rule
+from .signatures import FACET_FAMILIES, check_request, find_rule
 
 EXIT_OK = 0
 EXIT_SEARCH = 2
@@ -129,17 +129,15 @@ def _load_operator(args):
 
 
 def _cmd_find(args) -> int:
-    families = FACET_FAMILIES[args.domain]
-    if args.facet not in (None, "none", *families):
-        print(f"facet family {args.facet!r} does not apply to the "
-              f"{args.domain}; use one of {', '.join(families)} or none",
-              file=sys.stderr)
+    facet_kind = (FACET_FAMILIES[args.domain][0] if args.facet is None
+                  else None if args.facet == "none" else args.facet)
+    try:
+        check_request(args.domain, args.qv, facet_kind, args.sweeps)
+    except ValueError as exc:
+        print(f"sbpquad find: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # without --facet, find_rule picks the domain's default family
-    family = ({} if args.facet is None else
-              {"facet_kind": None if args.facet == "none" else args.facet})
-    result = find_rule(args.domain, args.qv, seed=args.seed,
-                       sweeps=args.sweeps, budget_s=args.budget, **family)
+    result = find_rule(args.domain, args.qv, facet_kind, seed=args.seed,
+                       sweeps=args.sweeps, budget_s=args.budget)
     if result.status != "ok":
         solves = [a for a in result.attempts if "error" not in a]
         facet = [a for a in solves if a["stage"] == "facet"]
@@ -208,8 +206,8 @@ def _cmd_converge(args) -> int:
     print(result.summary())
     if args.output:
         payload = {
-            "format": "convergence-study", "schema": 1,
-            "p": result.p, "flux": result.flux,
+            "format": "convergence-study", "schema": 2,
+            "p": result.p, "flux": result.flux, "dt_m": result.dt_m,
             "meshes": result.meshes, "errors": result.errors,
             "rates": result.rates, "time": args.time,
             "omega": args.omega, "velocity": c.tolist(),

@@ -194,19 +194,9 @@ def _facet_fine_points(rule: QuadratureRule, facet_id: int, degree: int):
     verts = elem.vertices[list(facet.vertex_ids)]
     if rule.dim == 1:
         return verts[0:1].copy(), np.array([facet.measure])
-    if rule.dim == 2:
-        x1, w1 = np.polynomial.legendre.leggauss(degree // 2 + 2)
-        pts = (np.outer(1.0 - x1, verts[0]) + np.outer(1.0 + x1, verts[1])) / 2.0
-        w = w1 * (facet.measure / 2.0)
-        return pts, w
-    fp, fw = simplex_gauss_rule(degree, 2)
-    lam0 = -(fp[:, 0] + fp[:, 1]) / 2.0
-    lam1 = (1.0 + fp[:, 0]) / 2.0
-    lam2 = (1.0 + fp[:, 1]) / 2.0
-    pts = np.outer(lam0, verts[0]) + np.outer(lam1, verts[1]) \
-        + np.outer(lam2, verts[2])
-    w = fw * (facet.measure / 2.0)
-    return pts, w
+    ref = reference_simplex(rule.dim - 1)
+    fp, fw = simplex_gauss_rule(degree, rule.dim - 1)
+    return ref.barycentric(fp) @ verts, fw * (facet.measure / ref.measure)
 
 
 @dataclass

@@ -39,6 +39,7 @@ __all__ = [
     "FacetSearchError",
     "find_facet_rule",
     "FindResult",
+    "check_request",
     "find_rule",
 ]
 
@@ -183,21 +184,31 @@ def facet_quadrature(kind: str, p: int, d: int, seed: int = 0
     raise ValueError("facet rules exist for d in {2, 3}")
 
 
+def check_request(domain: str, qv: int, facet_kind: str | None,
+                  sweeps: int = 1) -> None:
+    """Raise ValueError for a facet family of another domain, a negative
+    degree, degree 0 with a facet family (SBP degree p = 0), or fewer
+    than one sweep."""
+    if facet_kind not in (None, *FACET_FAMILIES[domain]):
+        raise ValueError(f"facet family {facet_kind!r} does not apply to "
+                         f"the {domain}; use one of {FACET_FAMILIES[domain]}")
+    if qv < (0 if facet_kind is None else 1) or sweeps < 1:
+        raise ValueError(f"no {domain} rule of degree {qv} with facet "
+                         f"family {facet_kind!r} in {sweeps} sweep(s)")
+
+
 def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
                         seed: int = 0):
     """Candidate SearchSpecs for one rule request, cheapest first.
 
     facet_kind None requests an interior-only rule (no facet layout, no
-    frozen parameters, not SBP-compatible); any other family outside
-    FACET_FAMILIES[domain] raises ValueError.
+    frozen parameters, not SBP-compatible); a request check_request
+    rejects raises ValueError.
     """
+    check_request(domain, qv, facet_kind)
     d = _DIM_BY_DOMAIN[domain]
     layout, frule, p = [], None, None
     if facet_kind is not None:
-        if facet_kind not in FACET_FAMILIES[domain]:
-            raise ValueError(
-                f"facet family {facet_kind!r} does not apply to the "
-                f"{domain}; use one of {FACET_FAMILIES[domain]}")
         p = (qv + 1) // 2
         frule = facet_quadrature(facet_kind, p, d, seed=seed)
         layout = facet_layout(frule, d)
@@ -306,20 +317,22 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
     restart seeds before the next (larger) layout is attempted, so the
     returned rule has the smallest reachable node count.  facet_kind
     defaults to the domain's first FACET_FAMILIES entry; None asks for
-    an interior-only rule.  The attempt
-    log holds the facet stage's solves, stage "facet", before the volume
-    stage's, stage "volume".  Deterministic for fixed arguments; budget_s
-    caps the wall time of both stages.
+    an interior-only rule.  The attempt log holds the facet stage's
+    solves, stage "facet", before the volume stage's, stage "volume".
+    Deterministic for fixed arguments; budget_s caps the wall time of
+    both stages.  A request check_request rejects raises ValueError
+    before any search.
     """
     if facet_kind is _FIRST_FAMILY:
         facet_kind = FACET_FAMILIES[domain][0]
+    check_request(domain, qv, facet_kind, sweeps)
     run = _Run(budget_s)
     token = _RUN.set(run)
     try:
         specs = volume_search_specs(domain, qv, facet_kind, seed=seed)
         if not specs:
             raise ValueError("no candidate layouts")
-        rule = _solve_layouts("volume", specs, max(1, sweeps), seed)
+        rule = _solve_layouts("volume", specs, sweeps, seed)
     except FacetSearchError as exc:
         run.attempts.append({"stage": "facet", "converged": False,
                              "error": str(exc)})

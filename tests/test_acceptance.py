@@ -26,8 +26,8 @@ from sbpquad.advection import (
     certify_stable,
     energy,
     energy_ratios,
-    estimate_dt,
     initial_condition,
+    max_stable_dt,
     rk4_step,
     run_convergence,
     run_to_time,
@@ -247,13 +247,13 @@ def test_upwind_energy_nonincreasing_at_half_max_dt(timestep_certs, p):
 @pytest.mark.parametrize("p", [1, 2])
 def test_central_flux_conserves_energy(all_operators, p):
     """Semi-discrete central-flux energy is exactly conserved; running
-    RK4 at a timestep small enough that its O(dt^5) dissipation is
-    negligible exposes the property to 1e-10 relative."""
+    RK4 at 1/200 of the certified step, small enough that its O(dt^5)
+    dissipation is negligible, exposes the property to 1e-10 relative."""
     op = all_operators[f"tri-lgl-q{2 * p - 1}"]
     prob = build_problem(op, 4, VELOCITY_2D, flux="central")
     u0 = initial_condition(prob)
     e0 = energy(prob, u0)
-    u = run_to_time(prob, u0, 0.25, dt=estimate_dt(prob) / 16.0)
+    u = run_to_time(prob, u0, 0.25, dt=max_stable_dt(prob) / 200.0)
     assert abs(energy(prob, u) / e0 - 1.0) <= 1e-10
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sbpquad.advection import (
+    _STEP_MARGIN,
     MeshError,
     _affine_maps,
     _cell_simplices,
@@ -20,7 +21,6 @@ from sbpquad.advection import (
     certify_stable,
     energy,
     energy_ratios,
-    estimate_dt,
     exact_solution,
     initial_condition,
     integrate,
@@ -59,6 +59,14 @@ def p2_problem(tri_lgl_results):
 def tet_problem(tet_result):
     op = build_operator(tet_result.rule)
     return build_problem(op, 2, VELOCITY_3D, flux="upwind")
+
+
+@pytest.fixture(scope="module")
+def half_certified(p1_problem, p2_problem, tet_problem):
+    """Half of max_stable_dt of each problem fixture, by fixture name."""
+    return {name: 0.5 * max_stable_dt(prob) for name, prob in
+            (("p1_problem", p1_problem), ("p2_problem", p2_problem),
+             ("tet_problem", tet_problem))}
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +209,12 @@ def test_zero_velocity_rejected(p1_problem):
 
 @pytest.mark.parametrize("name", ["p1_problem", "p2_problem",
                                   "tet_problem"])
-def test_free_stream_preserved(name, request):
+def test_free_stream_preserved(name, request, half_certified):
     prob = request.getfixturevalue(name)
     u = np.ones((prob.n_elements, prob.op.n_nodes))
     du = rhs(prob, u)
     assert np.abs(du).max() <= 1e-12
-    u = integrate(prob, u, estimate_dt(prob), 100)
+    u = integrate(prob, u, half_certified[name], 100)
     assert np.abs(u - 1.0).max() <= 1e-12
 
 
@@ -216,14 +224,14 @@ def test_mass_conserved(tri_lgl_results, flux):
     prob = build_problem(op, 3, VELOCITY_2D, flux=flux)
     u0 = initial_condition(prob)
     m0 = mass(prob, u0)
-    u = run_to_time(prob, u0, 0.1)
+    u = run_to_time(prob, u0, 0.1, 0.5 * max_stable_dt(prob))
     assert mass(prob, u) == pytest.approx(m0, abs=1e-12)
 
 
-def test_upwind_energy_decays(p2_problem):
+def test_upwind_energy_decays(p2_problem, half_certified):
     u0 = initial_condition(p2_problem)
     e0 = energy(p2_problem, u0)
-    u = run_to_time(p2_problem, u0, 0.2)
+    u = run_to_time(p2_problem, u0, 0.2, half_certified["p2_problem"])
     assert energy(p2_problem, u) <= e0
 
 
@@ -291,9 +299,9 @@ def test_dense_operator_matches_element_loop(name, request):
     assert np.array_equal(assemble_dense(prob), ref)
 
 
-def test_rk4_step_rounds_like_the_plain_formula(p2_problem):
+def test_rk4_step_rounds_like_the_plain_formula(p2_problem, half_certified):
     u = initial_condition(p2_problem)
-    dt = estimate_dt(p2_problem)
+    dt = half_certified["p2_problem"]
     k1 = rhs(p2_problem, u)
     k2 = rhs(p2_problem, u + 0.5 * dt * k1)
     k3 = rhs(p2_problem, u + 0.5 * dt * k2)
@@ -302,9 +310,9 @@ def test_rk4_step_rounds_like_the_plain_formula(p2_problem):
     assert np.array_equal(rk4_step(p2_problem, u, dt), ref)
 
 
-def test_step_matrix_matches_rk4(p1_problem):
+def test_step_matrix_matches_rk4(p1_problem, half_certified):
     L = assemble_dense(p1_problem)
-    dt = estimate_dt(p1_problem)
+    dt = half_certified["p1_problem"]
     G = step_matrix(L, dt)
     u = initial_condition(p1_problem)
     assert np.allclose(G @ u.reshape(-1),
@@ -340,9 +348,29 @@ def test_run_convergence_rejects_unordered_meshes(p1_problem, meshes):
         run_convergence(p1_problem.op, meshes, VELOCITY_2D)
 
 
-def test_tet_solution_accuracy(tet_problem):
+@pytest.mark.parametrize("name, meshes", [
+    ("tri-lgl-q2", (3, 4, 6)), ("tri-lgl-q4", (3, 4, 6)),
+    ("tri-lgl-q6", (3, 4, 6)), ("tri-lg-q2", (3, 4, 6)),
+    ("tet-q2", (2, 3))])
+def test_study_steps_are_certified_on_their_mesh(all_operators, name,
+                                                 meshes):
+    """run_convergence certifies only the 2-cell mesh, yet the step it
+    takes on every mesh of the study, nominal and as rounded to reach t,
+    passes certify_stable on that mesh."""
+    op = all_operators[name]
+    c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+    t = 0.05
+    result = run_convergence(op, meshes, c, t=t)
+    for m in meshes:
+        prob = build_problem(op, m, c)
+        dt = _STEP_MARGIN * result.dt_m / m
+        for step in (dt, t / math.ceil(t / dt)):
+            assert certify_stable(prob, step)[0], (m, step)
+
+
+def test_tet_solution_accuracy(tet_problem, half_certified):
     u0 = initial_condition(tet_problem)
-    u = run_to_time(tet_problem, u0, 0.05)
+    u = run_to_time(tet_problem, u0, 0.05, half_certified["tet_problem"])
     err = l2_error(tet_problem, u, 0.05)
     assert err < l2_error(tet_problem, 0.0 * u, 0.05)  # beats zero field
     assert energy(tet_problem, u) <= energy(tet_problem, u0)
@@ -356,24 +384,24 @@ def test_certification_horizon(p1_problem):
     assert certification_horizon(p1_problem) == pytest.approx(4.0)
 
 
-def test_certify_stable_at_safe_step(p1_problem):
-    ok, ratio = certify_stable(p1_problem, 0.5 * estimate_dt(p1_problem))
+def test_certify_stable_at_safe_step(p1_problem, half_certified):
+    ok, ratio = certify_stable(p1_problem, half_certified["p1_problem"])
     assert ok
     assert ratio <= 1.0 + 1e-12
 
 
-def test_certify_unstable_at_large_step(p1_problem):
-    ok, ratio = certify_stable(p1_problem, 50.0 * estimate_dt(p1_problem))
+def test_certify_unstable_at_large_step(p1_problem, half_certified):
+    ok, ratio = certify_stable(p1_problem, 8.0 * half_certified["p1_problem"])
     assert not ok
     assert ratio > 1.0
 
 
 def test_overflowing_propagator_is_uncertified(p1_problem):
-    """On a fine mesh 50 times the safe step is so unstable that the
+    """On a fine mesh 4 times the certified step is so unstable that the
     propagator overflows within the horizon; the certificate then fails
     with ratio inf instead of raising."""
     prob = build_problem(p1_problem.op, 8, VELOCITY_2D, flux="upwind")
-    ok, ratio = certify_stable(prob, 50.0 * estimate_dt(prob))
+    ok, ratio = certify_stable(prob, 4.0 * max_stable_dt(prob))
     assert not ok
     assert ratio == np.inf
 
@@ -489,8 +517,6 @@ def test_max_stable_dt_brackets_threshold(tri_lgl_results):
     dt = max_stable_dt(prob, rel_tol=1e-3)
     assert certify_stable(prob, dt)[0]
     assert not certify_stable(prob, 1.01 * dt)[0]
-    # the row-sum estimate lands below the certified threshold
-    assert estimate_dt(prob) <= dt
 
 
 def test_max_stable_dt_tolerance_below_float_spacing(tri_lgl_results):

@@ -346,6 +346,8 @@ def test_cli_converge_runs(rule_file, tmp_path, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["format"] == "convergence-study"
+    assert payload["schema"] == 2
+    assert payload["dt_m"] > 0.0
     assert len(payload["errors"]) == 2
     assert payload["rates"][0] > 1.0
 
@@ -419,6 +421,13 @@ def test_cli_usage_errors(rule_file):
     for budget in ("-5s", "nans", "inf", "infs"):
         assert run_cli(["find", "--domain", "tri", "--qv", "2",
                         "--budget", budget]) == cli.EXIT_USAGE
+    for request in (["--domain", "tri", "--qv", "0"],
+                    ["--domain", "tet", "--qv", "0"],
+                    ["--domain", "tri", "--qv", "-1"],
+                    ["--domain", "tri", "--qv", "-1", "--facet", "none"],
+                    ["--domain", "tri", "--qv", "2", "--sweeps", "0"],
+                    ["--domain", "tri", "--qv", "2", "--sweeps", "-2"]):
+        assert run_cli(["find", *request]) == cli.EXIT_USAGE
 
 
 def test_cli_version(capsys):

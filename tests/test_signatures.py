@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sbpquad.signatures
-from sbpquad.archive import canonical_json, rule_to_dict
+from sbpquad.archive import canonical_json, rule_from_dict, rule_to_dict
 from sbpquad.search import lg_rule, lgl_rule
 from sbpquad.signatures import (
     FACET_FAMILIES,
@@ -337,6 +337,27 @@ def test_find_rule_no_layout_converges(monkeypatch):
     assert res.status == "exhausted"
     assert res.rule is None
     assert all(not a["converged"] for a in res.attempts)
+
+
+@pytest.mark.parametrize("domain, qv, facet_kind, sweeps", [
+    ("tri", 0, "lgl", 5), ("tri", 0, "lg", 5), ("tet", 0, "gen", 5),
+    ("tri", -1, None, 5), ("tri", 2, "lgl", 0), ("tri", 2, "lgl", -2)])
+def test_find_rule_rejects_unworkable_requests(monkeypatch, domain, qv,
+                                               facet_kind, sweeps):
+    """Degree 0 with a facet family (SBP degree p = 0), a negative degree
+    and fewer than one sweep are refused before any search starts."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("search started")
+    monkeypatch.setattr(sbpquad.signatures, "volume_search_specs", no_search)
+    with pytest.raises(ValueError):
+        find_rule(domain, qv, facet_kind=facet_kind, sweeps=sweeps)
+
+
+def test_find_rule_interior_degree0_archives():
+    res = find_rule("tri", 0, facet_kind=None, sweeps=1)
+    assert res.status == "ok"
+    data = rule_to_dict(res.rule)
+    assert rule_to_dict(rule_from_dict(data)) == data
 
 
 def test_find_rule_interior_only_gauss_like():
