@@ -168,7 +168,8 @@ def _cmd_verify(args) -> int:
     print(f"{rule.domain} rule, degree {rule.qv}, {rule.n_nodes} nodes")
     print(f"moment residual   : {rule.residual_inf():.3e}")
     print(f"min weight        : {rule.nodes.weights.min():.6e}")
-    print(f"min node spacing  : {rule.min_spacing():.4f}")
+    if rule.n_nodes >= 2:
+        print(f"min node spacing  : {rule.min_spacing():.4f}")
     if rule.facet_rule is not None:
         print(f"facet rule        : degree {rule.facet_rule.qv}, "
               f"{rule.facet_rule.n_nodes} nodes, residual "

@@ -40,7 +40,6 @@ __all__ = [
     "orbit_structure",
     "orbit_size",
     "orbit_kinds",
-    "kind_param_count",
     "SymmetryOrbit",
     "GroupSignature",
     "NodeSet",
@@ -104,10 +103,6 @@ class ReferenceSimplex:
         m = np.vstack([self.vertices.T, np.ones(self.dim + 1)])
         rhs = np.hstack([coords, np.ones((n, 1))]).T
         return np.linalg.solve(m, rhs).T
-
-    def from_barycentric(self, bary: np.ndarray) -> np.ndarray:
-        bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        return bary @ self.vertices
 
 
 @lru_cache(maxsize=None)
@@ -196,13 +191,9 @@ class OrbitStructure:
     size: int
 
 
-_STRUCT_CACHE: dict[tuple[int, str], OrbitStructure] = {}
-
-
+@lru_cache(maxsize=None)
 def orbit_structure(kind: str, d: int) -> OrbitStructure:
     key = (d, kind)
-    if key in _STRUCT_CACHE:
-        return _STRUCT_CACHE[key]
     if key not in _GENERATORS:
         raise ValueError(f"unknown orbit kind {kind!r} for dimension {d}")
     base, coeff = _GENERATORS[key]
@@ -226,9 +217,7 @@ def orbit_structure(kind: str, d: int) -> OrbitStructure:
             coeff_arr[k, i, :] = [float(c) for c in coeff[sigma[i]]]
     base_arr.flags.writeable = False
     coeff_arr.flags.writeable = False
-    struct = OrbitStructure(kind, d, n_params, base_arr, coeff_arr, size)
-    _STRUCT_CACHE[key] = struct
-    return struct
+    return OrbitStructure(kind, d, n_params, base_arr, coeff_arr, size)
 
 
 def orbit_kinds(d: int) -> list[str]:
@@ -239,10 +228,6 @@ def orbit_kinds(d: int) -> list[str]:
 
 def orbit_size(kind: str, d: int) -> int:
     return orbit_structure(kind, d).size
-
-
-def kind_param_count(kind: str, d: int) -> int:
-    return orbit_structure(kind, d).n_params
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import sbpquad.advection as advection
 from sbpquad.advection import (
     _STEP_MARGIN,
     MeshError,
@@ -515,6 +516,63 @@ def test_max_stable_dt_brackets_threshold(tri_lgl_results):
     op = build_operator(tri_lgl_results[1].rule)
     prob = build_problem(op, 2, VELOCITY_2D, flux="upwind")
     dt = max_stable_dt(prob, rel_tol=1e-3)
+    assert certify_stable(prob, dt)[0]
+    assert not certify_stable(prob, 1.01 * dt)[0]
+
+
+def test_rk4_grows_beyond_the_bracket_top():
+    """max_stable_dt's bracket premise: the RK4 polynomial R has
+    |R(z)| > 1 for every 3 <= |z| <= 10 (and beyond 10 the z^4 / 24 term
+    alone outweighs the rest)."""
+    r = np.linspace(3.0, 10.0, 701)[:, None]
+    z = r * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 1441))[None, :]
+    growth = np.abs(step_matrix(z[..., None, None], 1.0)[..., 0, 0])
+    assert growth.min() > 1.1
+    big = 10.0
+    assert big ** 4 / 24 - big ** 3 / 6 - big ** 2 / 2 - big - 1 > 1.0
+
+
+def test_max_stable_dt_bisects_from_the_spectral_bracket(monkeypatch,
+                                                         tri_lgl_results):
+    """One bisection of (0, 3 / rho) to rel_tol 1e-4 needs at most
+    ceil(log2(1e4)) + 2 energy checks."""
+    prob = _rule_problem(tri_lgl_results, None, "tri", 2, 4)
+    calls = []
+    certify = advection.certify_stable
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return certify(*args, **kwargs)
+    monkeypatch.setattr(advection, "certify_stable", counted)
+    dt = max_stable_dt(prob)
+    assert 0 < len(calls) <= math.ceil(math.log2(1e4)) + 2
+    rho = np.abs(np.linalg.eigvals(bloch_symbols(prob))).max()
+    assert max(calls) < 3.0 / rho
+    assert certify(prob, dt)[0]
+
+
+def test_max_stable_dt_gives_up_when_nothing_certifies(monkeypatch,
+                                                       p1_problem):
+    """With no step certified the bisection halves down to 1e-12 of the
+    bracket, about 40 checks, and raises."""
+    calls = []
+
+    def never(prob, dt, symbols=None):
+        calls.append(dt)
+        return False, np.inf
+    monkeypatch.setattr(advection, "certify_stable", never)
+    with pytest.raises(RuntimeError, match="no stable timestep"):
+        max_stable_dt(p1_problem)
+    assert len(calls) <= 41
+
+
+def test_central_flux_fine_mesh_certifies(tri_lgl_results):
+    """Central flux on the 8-cell mesh: its exactly neutral modes gather
+    rounding over many steps at a small dt, yet the search ends on a
+    certified step that is the boundary to 1 %."""
+    prob = build_problem(build_operator(tri_lgl_results[1].rule), 8,
+                         VELOCITY_2D, flux="central")
+    dt = max_stable_dt(prob)
     assert certify_stable(prob, dt)[0]
     assert not certify_stable(prob, 1.01 * dt)[0]
 

@@ -308,6 +308,19 @@ def test_cli_verify_pass(rule_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_verify_one_node_rule(tmp_path, capsys):
+    """A one-node rule has no node spacing; verify reports the rest."""
+    path = tmp_path / "r.json"
+    assert run_cli(["find", "--domain", "tri", "--qv", "0",
+                    "--facet", "none", "-o", str(path)]) == cli.EXIT_OK
+    assert load_rule(path).n_nodes == 1
+    capsys.readouterr()
+    assert run_cli(["verify", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "1 nodes" in out and "PASS" in out
+    assert "spacing" not in out
+
+
 def test_cli_verify_missing_file(tmp_path):
     assert run_cli(["verify", str(tmp_path / "nope.json")]) \
         == cli.EXIT_USAGE
@@ -376,6 +389,17 @@ def test_cli_timestep_certificate(rule_file, tmp_path, capsys):
     assert payload["energy_ratio_half_dt"] <= 1.0 + 1e-12
     j = payload["limiting_wavenumber"]
     assert len(j) == 2 and all(0 <= i < 2 for i in j)
+
+
+def test_cli_timestep_central_flux_fine_mesh(tri_lgl_results, tmp_path,
+                                            capsys):
+    """Central flux keeps energy exactly, so its neutral modes sit on the
+    certificate's tolerance; on the 8-cell mesh a step is still found."""
+    path = tmp_path / "tri-q1.json"
+    save_rule(tri_lgl_results[1].rule, path)
+    assert run_cli(["timestep", str(path), "--m", "8",
+                    "--flux", "central"]) == cli.EXIT_OK
+    assert "max stable dt" in capsys.readouterr().out
 
 
 def test_cli_velocity_arity_checked(rule_file):
