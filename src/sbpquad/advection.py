@@ -4,8 +4,10 @@ Verification harness for the operators: u_t + c.grad(u) = 0 on the unit
 square/cube with periodic boundaries, exact solution
 prod_i sin(omega*pi*(x_i - c_i t)).  The mesh is an integer lattice of
 m^d cells, each split alike: squares into two triangles, cubes into six
-tetrahedra (Kuhn split, conforming across cells).  Facets are paired by
-exact lattice keys, the sum of their integer vertices modulo d m.
+tetrahedra (Kuhn split, conforming across cells).  The mesh is built
+from the unit cell alone: its simplices' facets are paired by the sum of
+their integer vertices modulo d, with the lattice offset between the
+two sides, and facet nodes are matched once, on cell 0.
 Facet coupling uses penalty terms on the shared facet quadrature;
 'upwind' dissipates energy, 'central' conserves it.  The boundary
 metric terms are formed from J * A^{-T} N so the discrete energy
@@ -100,28 +102,19 @@ def _cell_simplices(d: int) -> np.ndarray:
     return simp
 
 
-def _lattice(d: int, m: int) -> np.ndarray:
-    """(T m^d, d+1, d) integer vertices of the periodic mesh.
+def _cell_partners(cell: np.ndarray):
+    """(t2, f2, shift): facet f of simplex t of the unit cell's simplices
+    cell, shape (T, d+1, d), meets facet f2[t, f] of simplex t2[t, f] of
+    the cell shift[t, f] lattice steps away.
 
-    Element k is simplex k % T of cell k // T, cells in lexicographic
-    order; physical vertices are these divided by m.
-    """
-    cells = np.indices((m,) * d).reshape(d, -1).T
-    return (cells[:, None, None, :]
-            + _cell_simplices(d)).reshape(-1, d + 1, d)
-
-
-def _pair_facets(ivert: np.ndarray, m: int) -> np.ndarray:
-    """(K, d+1) flat index k2 (d+1) + f2 of each facet's periodic partner.
-
-    Facet f, opposite vertex f, is keyed by the sum of its integer
-    vertices modulo d m: d m times its wrapped centroid, computed
+    Facet f, opposite vertex f, is keyed by the sum s of its integer
+    vertices modulo d: d times its centroid modulo the cell, computed
     exactly.  A stable sort of the keys brings the two sides of each
-    interface together.
+    interface together; the offset between them is (s - s2) / d.
     """
-    K, nv, d = ivert.shape
-    ksum = np.mod(ivert.sum(axis=1, keepdims=True) - ivert, d * m)
-    keys = (ksum @ (d * m) ** np.arange(d)).ravel()
+    T, nv, d = cell.shape
+    s = cell.sum(axis=1, keepdims=True) - cell            # (T, d+1, d)
+    keys = (np.mod(s, d) @ d ** np.arange(d)).ravel()
     counts = np.unique(keys, return_counts=True)[1]
     if np.any(counts != 2):
         raise MeshError(
@@ -130,7 +123,20 @@ def _pair_facets(ivert: np.ndarray, m: int) -> np.ndarray:
     order = np.argsort(keys, kind="stable")
     partner = np.empty_like(order)
     partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
-    return partner.reshape(K, nv)
+    t2, f2 = np.divmod(partner.reshape(T, nv), nv)
+    return t2, f2, (s - s[t2, f2]) // d
+
+
+def _element_points(xi: np.ndarray, m: int) -> np.ndarray:
+    """(T m^d, len(xi), d) images of reference points xi in every element
+    of the m-cell mesh: the cell's lattice origin plus the barycentric
+    coordinates of xi times its simplex's integer vertices, over m.
+    Element k is simplex k % T of cell k // T, cells in lexicographic
+    order."""
+    d = xi.shape[1]
+    local = reference_simplex(d).barycentric(xi) @ _cell_simplices(d)
+    origins = np.indices((m,) * d).reshape(d, -1).T
+    return ((origins[:, None, None] + local) / m).reshape(-1, len(xi), d)
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +154,7 @@ class AdvectionProblem:
     c: np.ndarray
     flux: str
     omega: int
-    verts: np.ndarray          # (K, d+1, d)
-    A: np.ndarray              # (K, d, d) columns (v_i - v_0)/2 style map
-    b: np.ndarray              # (K, d)
-    J: np.ndarray              # (K,)
+    J: np.ndarray              # (T,) Jacobians of the cell's simplices
     phys: np.ndarray           # (K, n, d) node coordinates
     hw: np.ndarray             # (K, n) physical norm J_k * H
     cell_own: np.ndarray       # (T n, T n) one cell's own block
@@ -164,21 +167,20 @@ class AdvectionProblem:
 
     @property
     def n_elements(self) -> int:
-        return self.verts.shape[0]
+        return self.hw.shape[0]
 
     @property
     def n_dof(self) -> int:
-        return self.verts.shape[0] * self.op.n_nodes
+        return self.hw.size
 
 
 def _affine_maps(verts: np.ndarray):
-    """(A, b, J) of the maps x = A xi + b from the reference simplex onto
+    """(A, J) of the maps x = A xi + b from the reference simplex onto
     each simplex of verts, shape (K, d+1, d)."""
     ref_v = reference_simplex(verts.shape[-1]).vertices
     Minv = np.linalg.inv((ref_v[1:] - ref_v[0]).T)
     A = np.einsum("kix,ij->kxj", verts[:, 1:] - verts[:, :1], Minv)
-    b = verts[:, 0] - np.einsum("kxj,j->kx", A, ref_v[0])
-    return A, b, np.linalg.det(A)
+    return A, np.linalg.det(A)
 
 
 def _sat_metrics(op: SBPOperator, A: np.ndarray, J: np.ndarray,
@@ -206,49 +208,41 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
                          "exact solution on the unit domain")
     if m < 2:
         raise MeshError("periodic mesh needs m >= 2 cells per direction; "
-                        "with m = 1 a facet spans the full period and its "
-                        "endpoints alias under the wrap")
+                        "one cell's certificate sees only theta = 0 and "
+                        "overstates the stable step of finer meshes")
     d, n = op.dim, op.n_nodes
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
     if not np.any(c):
         raise ValueError("velocity must be nonzero")
-    ivert = _lattice(d, m)
-    verts = ivert / m
-    A, bvec, J = _affine_maps(verts)
-    if np.any(J <= 0):
-        raise MeshError("negatively oriented element in the split")
-    phys = np.einsum("kxj,nj->knx", A, op.rule.nodes.coords) \
-        + bvec[:, None, :]
-    hw = J[:, None] * op.H[None, :]
-
-    # match each facet's nodes to its partner's by periodic minimum image
-    k2, f2 = np.divmod(_pair_facets(ivert, m), d + 1)      # (K, d+1)
-    vi = np.stack([fop.vol_idx for fop in op.facets])      # (d+1, n_f)
-    partner = np.empty((len(ivert), *vi.shape), dtype=np.intp)
-    for f in range(d + 1):
-        theirs = vi[f2[:, f]]                              # (K, n_f)
-        diff = (phys[:, vi[f], None, :]
-                - phys[k2[:, f, None], theirs][:, None, :, :])
-        diff -= np.round(diff)
-        dist = np.linalg.norm(diff, axis=3)                # (K, n_f, n_f)
-        match = np.argmin(dist, axis=2)
-        srt = np.sort(match, axis=1)
-        bad = ((dist.min(axis=2).max(axis=1) > 1e-9)
-               | np.any(srt[:, 1:] == srt[:, :-1], axis=1))
-        if np.any(bad):
-            k = np.flatnonzero(bad)[0]
-            raise MeshError(f"facet nodes of elements {k}/{k2[k, f]} do "
-                            f"not collocate")
-        partner[:, f] = (k2[:, f, None] * n
-                         + np.take_along_axis(theirs, match, 1))
-
-    # every cell is split alike, so one cell's metrics serve them all
     cell = _cell_simplices(d)
     T = len(cell)
-    At, _, Jt = _affine_maps(cell / m)
-    Gvol, coef = _sat_metrics(op, At, Jt, c, flux)
+    A, J = _affine_maps(cell / m)
+    phys = _element_points(op.rule.nodes.coords, m)
+    hw = np.tile(J[:, None] * op.H, (m ** d, 1))
+
+    # match each facet's nodes to its partner's once, on cell 0
+    t2, f2, shift = _cell_partners(cell)                   # (T, d+1)
+    vi = np.stack([fop.vol_idx for fop in op.facets])      # (d+1, n_f)
+    theirs = vi[f2]                                        # (T, d+1, n_f)
+    there = phys[t2[..., None], theirs] + shift[:, :, None, :] / m
+    dist = np.linalg.norm(phys[:T, vi][..., None, :]
+                          - there[..., None, :, :], axis=-1)
+    match = np.argmin(dist, axis=-1)                       # (T, d+1, n_f)
+    srt = np.sort(match, axis=-1)
+    if (dist.min(axis=-1).max() > 1e-9
+            or np.any(srt[..., 1:] == srt[..., :-1])):
+        raise MeshError("facet nodes of the cell's simplices do not "
+                        "collocate with their partners'")
+    # each facet's partner cell, flat and wrapped: (m^d, T, d+1)
+    cells = np.ravel_multi_index(np.indices((m,) * d).reshape(d, -1, 1, 1)
+                                 + shift.transpose(2, 0, 1)[:, None],
+                                 (m,) * d, mode="wrap")
+    ext_idx = ((cells * T + t2)[..., None] * n
+               + np.take_along_axis(theirs, match, -1))
+
+    Gvol, coef = _sat_metrics(op, A, J, c, flux)
     rows = (np.arange(T)[:, None, None] * n + vi).ravel()  # facet node rows
     cell_own = np.zeros((T, n, T, n))
     cell_own[range(T), :, range(T), :] = -np.einsum("tj,jab->tba", Gvol, op.D)
@@ -257,9 +251,9 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     cell_ext = np.zeros((rows.size, T * n))
     cell_ext[np.arange(rows.size), rows] = -coef.ravel()
     return AdvectionProblem(
-        op=op, m=m, c=c, flux=flux, omega=omega, verts=verts, A=A,
-        b=bvec, J=J, phys=phys, hw=hw, cell_own=cell_own,
-        cell_ext=cell_ext, ext_idx=partner.reshape(m ** d, -1))
+        op=op, m=m, c=c, flux=flux, omega=omega, J=J, phys=phys, hw=hw,
+        cell_own=cell_own, cell_ext=cell_ext,
+        ext_idx=ext_idx.reshape(m ** d, -1))
 
 
 # ----------------------------------------------------------------------
@@ -333,9 +327,9 @@ def l2_error(prob: AdvectionProblem, u: np.ndarray, t: float) -> float:
     xf, wf = simplex_gauss_rule(3 * p + 1, d)
     Vf = vandermonde(xf, p, d, check=False)
     uh = coeffs @ Vf.T                              # (K, nf)
-    pf = np.einsum("kxj,nj->knx", prob.A, xf) + prob.b[:, None, :]
-    ue = exact_solution(pf, t, prob.c, prob.omega)
-    err2 = np.einsum("k,f,kf->", prob.J, wf, (uh - ue) ** 2)
+    ue = exact_solution(_element_points(xf, prob.m), t, prob.c, prob.omega)
+    err2 = np.einsum("t,f,ctf->", prob.J, wf,
+                     ((uh - ue) ** 2).reshape(-1, len(prob.J), len(wf)))
     return float(np.sqrt(err2))
 
 

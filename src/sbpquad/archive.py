@@ -10,15 +10,17 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .operators import SBPOperator, build_operator
-from .search import (QuadratureRule, _interval_nodeset, lg_rule, lgl_rule,
-                     validate_rule)
+from .operators import SBPConstructionError, SBPOperator, build_operator
+from .search import (QuadratureRule, RuleValidationError, _interval_nodeset,
+                     lg_rule, lgl_rule, validate_rule)
 from .signatures import FACET_FAMILIES
-from .simplex import GroupSignature, SymmetryOrbit, assemble_nodes
+from .simplex import (GroupSignature, NodeSetError, SymmetryOrbit,
+                      assemble_nodes, orbit_kinds, orbit_structure)
 
 __all__ = [
     "ArchiveError",
@@ -89,35 +91,80 @@ def rule_to_dict(rule: QuadratureRule) -> dict:
     return data
 
 
-def rule_from_dict(data: dict) -> QuadratureRule:
-    """Rebuild a rule from its archive; it is re-validated, and its facet
-    family, facet rule and SBP degree checked, before it is returned."""
-    if data.get("format") != _RULE_FORMAT:
-        raise ArchiveError(f"not a rule archive: {data.get('format')!r}")
+def _check_header(data, fmt: str, what: str) -> None:
+    """Raise ArchiveError unless data is a JSON object holding `what`
+    archive of the current schema."""
+    if not isinstance(data, dict) or data.get("format") != fmt:
+        found = (repr(data.get("format")) if isinstance(data, dict)
+                 else f"a JSON {type(data).__name__}")
+        raise ArchiveError(f"not {what} archive: {found}")
     if data.get("schema") != SCHEMA_VERSION:
         raise ArchiveError(f"unsupported schema {data.get('schema')!r}")
-    domain = data["domain"]
-    if domain not in _DIM:
+
+
+def _numbers(values, what: str) -> list[float]:
+    """values, a JSON list of finite numbers, as floats; raises
+    ArchiveError for anything else."""
+    if type(values) is not list or not all(
+            type(v) in (int, float) and math.isfinite(v) for v in values):
+        raise ArchiveError(f"non-numeric or non-finite {what}: {values!r}")
+    return [float(v) for v in values]
+
+
+def _orbit(data, dim: int) -> SymmetryOrbit:
+    """One archived orbit; raises ArchiveError for an unknown kind, a
+    wrong parameter count or a non-numeric field."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in orbit_kinds(dim):
+        raise ArchiveError(f"not an orbit of the {dim}-D simplex: {data!r}")
+    params = _numbers(data.get("params"), f"{kind} params")
+    weight, = _numbers([data.get("weight")], f"{kind} weight")
+    if len(params) != orbit_structure(kind, dim).n_params:
+        raise ArchiveError(f"wrong parameter count in {data!r}")
+    return SymmetryOrbit(kind, tuple(params), weight)
+
+
+def rule_from_dict(data: dict) -> QuadratureRule:
+    """Rebuild a rule from its archive; it is re-validated, and its facet
+    family, facet rule and SBP degree checked, before it is returned.
+
+    A missing or ill-typed field raises ArchiveError; orbits that leave
+    the element or coincide raise RuleValidationError.
+    """
+    _check_header(data, _RULE_FORMAT, "a rule")
+    domain = data.get("domain")
+    if not isinstance(domain, str) or domain not in _DIM:
         raise ArchiveError(f"unknown domain {domain!r}")
     dim = _DIM[domain]
-    qv = int(data["qv"])
+    qv = data.get("qv")
+    if type(qv) is not int or qv < 0:
+        raise ArchiveError(f"qv is not a nonnegative integer: {qv!r}")
+    for key, kind in (("facet_kind", str), ("provenance", dict)):
+        if not isinstance(data.get(key), (kind, type(None))):
+            raise ArchiveError(f"{key} is not a {kind.__name__}: "
+                               f"{data.get(key)!r}")
     facet_rule = None
     if data.get("facet_rule") is not None:
         facet_rule = rule_from_dict(data["facet_rule"])
     if "orbits" in data:
-        orbits = tuple(
-            SymmetryOrbit(o["kind"], tuple(float(p) for p in o["params"]),
-                          float(o["weight"]))
-            for o in data["orbits"])
-        sig = GroupSignature(dim, orbits, qv)
-        nodes = assemble_nodes(sig)
+        if type(data["orbits"]) is not list or not data["orbits"]:
+            raise ArchiveError(f"orbits is not a nonempty list: "
+                               f"{data['orbits']!r}")
+        sig = GroupSignature(
+            dim, tuple(_orbit(o, dim) for o in data["orbits"]), qv)
+        try:
+            nodes = assemble_nodes(sig)
+        except NodeSetError as exc:
+            raise RuleValidationError(str(exc)) from exc
     else:
-        x = np.asarray(data["nodes"], dtype=float)
-        w = np.asarray(data["weights"], dtype=float)
         if dim != 1:
             raise ArchiveError("explicit node lists are interval-only")
+        x = _numbers(data.get("nodes"), "nodes")
+        w = _numbers(data.get("weights"), "weights")
+        if not x or len(x) != len(w):
+            raise ArchiveError(f"{len(x)} nodes and {len(w)} weights")
         sig = None
-        nodes = _interval_nodeset(x, w)
+        nodes = _interval_nodeset(np.array(x), np.array(w))
     rule = QuadratureRule(
         domain=domain, qv=qv, nodes=nodes, signature=sig,
         facet_rule=facet_rule, facet_kind=data.get("facet_kind"),
@@ -178,7 +225,7 @@ def save_rule(rule: QuadratureRule, path) -> None:
 def load_rule(path) -> QuadratureRule:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArchiveError(f"malformed archive {path}: {exc}") from exc
     return rule_from_dict(data)
 
@@ -199,13 +246,16 @@ def operator_to_dict(op: SBPOperator) -> dict:
 def operator_from_dict(data: dict) -> SBPOperator:
     """Rebuild an operator from its rule; every stored array must agree
     with the rebuild."""
-    if data.get("format") != _OP_FORMAT:
-        raise ArchiveError(
-            f"not an operator archive: {data.get('format')!r}")
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ArchiveError(f"unsupported schema {data.get('schema')!r}")
-    rule = rule_from_dict(data["rule"])
-    op = build_operator(rule, p=int(data["p"]))
+    _check_header(data, _OP_FORMAT, "an operator")
+    p = data.get("p")
+    if type(p) is not int:
+        raise ArchiveError(f"operator degree p is not an integer: {p!r}")
+    rule = rule_from_dict(data.get("rule"))
+    try:
+        op = build_operator(rule, p=p)
+    except SBPConstructionError as exc:
+        raise ArchiveError(f"operator degree p = {p} does not fit its "
+                           f"rule: {exc}") from exc
     for name, what in _OP_ARRAYS.items():
         ref = np.asarray(getattr(op, name))
         try:
@@ -227,6 +277,6 @@ def save_operator(op: SBPOperator, path) -> None:
 def load_operator(path) -> SBPOperator:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ArchiveError(f"malformed archive {path}: {exc}") from exc
     return operator_from_dict(data)

@@ -55,15 +55,22 @@ def _parse_budget(text: str) -> float:
     return value
 
 
-def _parse_cells(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad cell count: {text!r}")
-    if m < 2:
-        raise argparse.ArgumentTypeError(
-            "a periodic mesh needs at least 2 cells per direction")
-    return m
+def _int_at_least(least: int, what: str):
+    """argparse type: an integer no smaller than least."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what}: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be at least {least}, not {value}")
+        return value
+    return parse
+
+
+_parse_cells = _int_at_least(2, "cells per direction")
+_parse_degree = _int_at_least(1, "operator degree")
 
 
 def _parse_meshes(text: str) -> list[int]:
@@ -273,7 +280,7 @@ def build_parser() -> _Parser:
                         default=None,
                         help="facet family frozen into the search "
                              "(default: lgl on the tri, gen on the tet)")
-    p_find.add_argument("--seed", type=int, default=0)
+    p_find.add_argument("--seed", type=_int_at_least(0, "seed"), default=0)
     p_find.add_argument("--sweeps", type=int, default=5,
                         help="restart sweeps over the candidate layouts")
     p_find.add_argument("--budget", type=_parse_budget, default=None,
@@ -288,7 +295,7 @@ def build_parser() -> _Parser:
 
     p_sbp = sub.add_parser("sbp", help="build and check SBP operators")
     p_sbp.add_argument("rule")
-    p_sbp.add_argument("-p", type=int, default=None,
+    p_sbp.add_argument("-p", type=_parse_degree, default=None,
                        help="operator degree (default: rule's design p)")
     p_sbp.add_argument("-o", "--output", default=None)
     p_sbp.set_defaults(func=_cmd_sbp)
@@ -304,7 +311,7 @@ def build_parser() -> _Parser:
                         default="upwind")
     p_conv.add_argument("--velocity", type=_parse_velocity, default=None,
                         help="comma-separated components")
-    p_conv.add_argument("-p", type=int, default=None)
+    p_conv.add_argument("-p", type=_parse_degree, default=None)
     p_conv.add_argument("--min-rate", type=_parse_finite, default=None,
                         help="fail unless the final rate reaches this")
     p_conv.add_argument("-o", "--output", default=None)
@@ -318,7 +325,7 @@ def build_parser() -> _Parser:
                       default="upwind")
     p_dt.add_argument("--velocity", type=_parse_velocity, default=None)
     p_dt.add_argument("--rel-tol", type=_parse_positive, default=1e-4)
-    p_dt.add_argument("-p", type=int, default=None)
+    p_dt.add_argument("-p", type=_parse_degree, default=None)
     p_dt.add_argument("-o", "--output", default=None)
     p_dt.set_defaults(func=_cmd_timestep)
     return parser

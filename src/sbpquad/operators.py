@@ -156,6 +156,8 @@ def build_operator(rule: QuadratureRule, p: int | None = None
     d = rule.dim
     if p is None:
         p = rule.sbp_p if rule.sbp_p is not None else (rule.qv + 1) // 2
+    if p < 1:
+        raise SBPConstructionError(f"operator degree p = {p} < 1")
     if rule.qv < 2 * p - 1:
         raise SBPConstructionError(
             f"volume degree {rule.qv} < 2p-1 = {2 * p - 1}")

@@ -118,13 +118,13 @@ class QuadratureRule:
 def validate_rule(rule: QuadratureRule, res_tol: float = 1e-12) -> None:
     """Check the rule invariants; raises RuleValidationError on failure."""
     w = rule.nodes.weights
-    if w.min() <= 0.0:
+    if not w.min() > 0.0:  # NaN fails too
         raise RuleValidationError(f"nonpositive weight {w.min():.3e}")
     elem = reference_simplex(rule.dim)
     if abs(w.sum() - elem.measure) > 1e-12 * elem.measure:
         raise RuleValidationError("weights do not sum to the element measure")
     res = rule.residual_inf()
-    if res > res_tol:
+    if not res <= res_tol:
         raise RuleValidationError(f"moment residual {res:.3e} > {res_tol:g}")
     if rule.nodes.bary.min() < -CLOSURE_TOL:
         raise RuleValidationError("node outside the closed element")

@@ -186,9 +186,12 @@ def facet_quadrature(kind: str, p: int, d: int, seed: int = 0
 
 def check_request(domain: str, qv: int, facet_kind: str | None,
                   sweeps: int = 1) -> None:
-    """Raise ValueError for a facet family of another domain, a negative
-    degree, degree 0 with a facet family (SBP degree p = 0), or fewer
-    than one sweep."""
+    """Raise ValueError for an unknown domain, a facet family of another
+    domain, a negative degree, degree 0 with a facet family (SBP degree
+    p = 0), or fewer than one sweep."""
+    if domain not in FACET_FAMILIES:
+        raise ValueError(f"unknown domain {domain!r}; use one of "
+                         f"{tuple(FACET_FAMILIES)}")
     if facet_kind not in (None, *FACET_FAMILIES[domain]):
         raise ValueError(f"facet family {facet_kind!r} does not apply to "
                          f"the {domain}; use one of {FACET_FAMILIES[domain]}")
@@ -323,7 +326,7 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
     both stages.  A request check_request rejects raises ValueError
     before any search.
     """
-    if facet_kind is _FIRST_FAMILY:
+    if facet_kind is _FIRST_FAMILY and domain in FACET_FAMILIES:
         facet_kind = FACET_FAMILIES[domain][0]
     check_request(domain, qv, facet_kind, sweeps)
     run = _Run(budget_s)

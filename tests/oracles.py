@@ -8,8 +8,9 @@ evaluator, reference simplex and collapsed Gauss rule are the ones the
 package used before each became d-generic, the two orbit-layout
 enumerators are the ones it used before both search stages shared one,
 and the swarm objective at the end scores one design per call as the
-package did before it scored whole swarms; all are kept verbatim as the
-exact reference.
+package did before it scored whole swarms, and the periodic mesh at the
+end is built per element, as the package built it before it built the
+mesh from one cell; all are kept verbatim as the exact reference.
 """
 
 import itertools
@@ -21,6 +22,7 @@ import numpy as np
 import scipy.special
 
 from sbpquad import basis
+from sbpquad.advection import MeshError, _cell_simplices
 from sbpquad.search import InfeasibleDesignError
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
@@ -576,3 +578,84 @@ def record_best(swarm, i: int, tau: np.ndarray, obj: float) -> None:
         if obj < swarm.gbest_obj:
             swarm.gbest_obj = float(obj)
             swarm.gbest_pos = tau.copy()
+
+
+# ----------------------------------------------------------------------
+# the periodic mesh per element: integer lattice, facet pairing by exact
+# lattice keys and facet node matching by minimum image (reference for
+# the one-cell construction in sbpquad.advection.build_problem)
+
+
+def lattice(d: int, m: int) -> np.ndarray:
+    """(T m^d, d+1, d) integer vertices of the periodic mesh.
+
+    Element k is simplex k % T of cell k // T, cells in lexicographic
+    order; physical vertices are these divided by m.
+    """
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    return (cells[:, None, None, :]
+            + _cell_simplices(d)).reshape(-1, d + 1, d)
+
+
+def pair_facets(ivert: np.ndarray, m: int) -> np.ndarray:
+    """(K, d+1) flat index k2 (d+1) + f2 of each facet's periodic partner.
+
+    Facet f, opposite vertex f, is keyed by the sum of its integer
+    vertices modulo d m: d m times its wrapped centroid, computed
+    exactly.  A stable sort of the keys brings the two sides of each
+    interface together.
+    """
+    K, nv, d = ivert.shape
+    ksum = np.mod(ivert.sum(axis=1, keepdims=True) - ivert, d * m)
+    keys = (ksum @ (d * m) ** np.arange(d)).ravel()
+    counts = np.unique(keys, return_counts=True)[1]
+    if np.any(counts != 2):
+        raise MeshError(
+            f"{np.count_nonzero(counts != 2)} facets are not shared by "
+            f"exactly two elements (nonconforming split?)")
+    order = np.argsort(keys, kind="stable")
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    return partner.reshape(K, nv)
+
+
+def affine_maps(verts: np.ndarray):
+    """(A, b, J) of the maps x = A xi + b from the reference simplex onto
+    each simplex of verts, shape (K, d+1, d)."""
+    ref_v = reference_simplex(verts.shape[-1]).vertices
+    Minv = np.linalg.inv((ref_v[1:] - ref_v[0]).T)
+    A = np.einsum("kix,ij->kxj", verts[:, 1:] - verts[:, :1], Minv)
+    b = verts[:, 0] - np.einsum("kxj,j->kx", A, ref_v[0])
+    return A, b, np.linalg.det(A)
+
+
+def periodic_mesh(op, m: int):
+    """(phys, partners) of the m-cell mesh: (T m^d, n, d) node
+    coordinates from each element's affine map, and (m^d, T (d+1) n_f)
+    flat index of each facet node's SAT partner node, matched element by
+    element."""
+    d, n = op.dim, op.n_nodes
+    ivert = lattice(d, m)
+    A, bvec, _ = affine_maps(ivert / m)
+    phys = np.einsum("kxj,nj->knx", A, op.rule.nodes.coords) \
+        + bvec[:, None, :]
+    k2, f2 = np.divmod(pair_facets(ivert, m), d + 1)      # (K, d+1)
+    vi = np.stack([fop.vol_idx for fop in op.facets])      # (d+1, n_f)
+    partner = np.empty((len(ivert), *vi.shape), dtype=np.intp)
+    for f in range(d + 1):
+        theirs = vi[f2[:, f]]                              # (K, n_f)
+        diff = (phys[:, vi[f], None, :]
+                - phys[k2[:, f, None], theirs][:, None, :, :])
+        diff -= np.round(diff)
+        dist = np.linalg.norm(diff, axis=3)                # (K, n_f, n_f)
+        match = np.argmin(dist, axis=2)
+        srt = np.sort(match, axis=1)
+        bad = ((dist.min(axis=2).max(axis=1) > 1e-9)
+               | np.any(srt[:, 1:] == srt[:, :-1], axis=1))
+        if np.any(bad):
+            k = np.flatnonzero(bad)[0]
+            raise MeshError(f"facet nodes of elements {k}/{k2[k, f]} do "
+                            f"not collocate")
+        partner[:, f] = (k2[:, f, None] * n
+                         + np.take_along_axis(theirs, match, 1))
+    return phys, partner.reshape(m ** d, -1)

@@ -11,9 +11,8 @@ from sbpquad.advection import (
     _STEP_MARGIN,
     MeshError,
     _affine_maps,
+    _cell_partners,
     _cell_simplices,
-    _lattice,
-    _pair_facets,
     _sat_metrics,
     assemble_dense,
     bloch_symbols,
@@ -36,6 +35,7 @@ from sbpquad.advection import (
 from sbpquad.operators import build_operator
 from sbpquad.search import lgl_rule
 
+import oracles
 from conftest import VELOCITY_2D, VELOCITY_3D
 
 
@@ -153,15 +153,17 @@ def test_interface_nodes_collocated(mesh_operators, name, m):
 @pytest.mark.parametrize("name", ["p1", "p2", "tet"])
 def test_every_element_has_its_cell_types_metrics(mesh_operators, name, m):
     """One cell stencil serves every cell: each element's map, volume
-    metric and SAT coefficients, recomputed from its own vertices, are
-    those of its simplex type in the unit cell scaled by 1/m."""
+    metric and SAT coefficients, recomputed from its own vertices on the
+    per-element lattice, are those of its simplex type in the unit cell
+    scaled by 1/m."""
     op = mesh_operators[name]
     c = np.asarray(VELOCITY_2D if op.dim == 2 else VELOCITY_3D)
     prob = build_problem(op, m, c)
     T = len(_cell_simplices(op.dim))
-    At, _, Jt = _affine_maps(_cell_simplices(op.dim) / m)
+    At, Jt = _affine_maps(_cell_simplices(op.dim) / m)
+    assert np.array_equal(prob.J, Jt)
     Gt, coef_t = _sat_metrics(op, At, Jt, c, prob.flux)
-    A, _, J = _affine_maps(prob.verts)
+    A, _, J = oracles.affine_maps(oracles.lattice(op.dim, m) / m)
     G, coef = _sat_metrics(op, A, J, c, prob.flux)
     types = np.arange(prob.n_elements) % T
     for mine, typed in ((A, At), (G, Gt), (coef, coef_t)):
@@ -174,12 +176,31 @@ def test_every_element_has_its_cell_types_metrics(mesh_operators, name, m):
     assert np.count_nonzero(prob.cell_ext) == np.count_nonzero(coef_t)
 
 
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+@pytest.mark.parametrize("name", ["p2", "tet"])
+def test_cell_pairing_matches_the_per_element_mesh(mesh_operators, name, m,
+                                                   flux):
+    """Pairing the unit cell's facets and matching their nodes once gives
+    the partner indices of pairing every element's facets by lattice key
+    and matching their nodes by minimum image, and the nodes sit where
+    each element's affine map puts them."""
+    op = mesh_operators[name]
+    prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
+                         flux=flux)
+    phys, partners = oracles.periodic_mesh(op, m)
+    assert np.array_equal(prob.ext_idx, partners)
+    assert np.abs(prob.phys - phys).max() <= 4e-16
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_pair_facets_rejects_a_missing_element(d):
-    ivert = _lattice(d, 3)
-    assert _pair_facets(ivert, 3).shape == (ivert.shape[0], d + 1)
+def test_cell_partners_rejects_a_missing_simplex(d):
+    cell = _cell_simplices(d)
+    t2, f2, shift = _cell_partners(cell)
+    assert np.array_equal(t2[t2, f2], np.indices(t2.shape)[0])
+    assert np.array_equal(shift[t2, f2], -shift)
     with pytest.raises(MeshError, match="exactly two"):
-        _pair_facets(ivert[1:], 3)
+        _cell_partners(cell[1:])
 
 
 def test_mesh_rejects_interval_operators():

@@ -1,10 +1,13 @@
 """JSON archives and the command-line entry points."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sbpquad.cli as cli
 import sbpquad.signatures
@@ -21,7 +24,8 @@ from sbpquad.archive import (
     save_rule,
 )
 from sbpquad.operators import build_operator
-from sbpquad.search import RuleValidationError, lgl_rule
+from sbpquad.search import RuleValidationError, lgl_rule, validate_rule
+from sbpquad.simplex import reference_simplex
 
 
 def run_cli(argv):
@@ -244,6 +248,120 @@ def test_operator_archive_checks_schema(tri_lgl_results):
         operator_from_dict(data)
 
 
+def _free_orbit(data):
+    return next(o for o in data["orbits"] if o["params"])
+
+
+@pytest.mark.parametrize("archive, edit, error", [
+    ("rule", lambda d: d["orbits"][0].update(kind="S999"), ArchiveError),
+    ("rule", lambda d: d.update(orbits=[]), ArchiveError),
+    ("rule", lambda d: d.__delitem__("domain"), ArchiveError),
+    ("rule", lambda d: d.update(qv="abc"), ArchiveError),
+    ("rule", lambda d: _free_orbit(d)["params"].append(0.1), ArchiveError),
+    ("rule", lambda d: _free_orbit(d).update(params=["x"]), ArchiveError),
+    ("rule", lambda d: d["orbits"][0].update(weight="w"), ArchiveError),
+    ("rule", lambda d: d["orbits"][0].update(weight=float("nan")),
+     ArchiveError),
+    ("rule", lambda d: [d], ArchiveError),
+    ("rule", lambda d: d["facet_rule"]["nodes"].__delitem__(-1),
+     ArchiveError),
+    ("rule", lambda d: _free_orbit(d).update(params=[5.0]),
+     RuleValidationError),
+    ("rule", lambda d: d["orbits"].append(d["orbits"][0]),
+     RuleValidationError),
+    ("operator", lambda d: d.__delitem__("p"), ArchiveError),
+    ("operator", lambda d: d.update(p="2"), ArchiveError),
+    ("operator", lambda d: d.update(p=1.5), ArchiveError),
+    ("operator", lambda d: d.update(p=0), ArchiveError),
+    ("operator", lambda d: d.update(p=5), ArchiveError),
+    ("operator", lambda d: d.update(rule="tri"), ArchiveError),
+], ids=["orbit-kind", "no-orbits", "no-domain", "qv-string",
+        "param-count", "param-string", "weight-string", "weight-nan",
+        "json-list", "facet-node-missing", "orbit-outside",
+        "coincident-orbits", "no-p", "p-string", "p-float", "p-zero",
+        "p-above-rule", "rule-string"])
+def test_malformed_archive_is_rejected(tri_lgl_results, tmp_path, archive,
+                                       edit, error):
+    """A missing or ill-typed field is an ArchiveError (sbpquad verify
+    exits 4); orbits that leave the element or coincide are a
+    RuleValidationError (exit 3)."""
+    op = build_operator(tri_lgl_results[3].rule)
+    data = operator_to_dict(op) if archive == "operator" \
+        else rule_to_dict(op.rule)
+    data = edit(data) or data
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error):
+        (load_operator if archive == "operator" else load_rule)(path)
+    if archive == "rule":
+        assert run_cli(["verify", str(path)]) == (
+            cli.EXIT_USAGE if error is ArchiveError else cli.EXIT_VERIFY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_archives_round_trip_byte_identically(all_rules, all_operators,
+                                              data):
+    """Loading a rule or operator archive, whatever its JSON layout, and
+    writing it again gives the canonical bytes."""
+    archives = ([(rule_to_dict(r), rule_from_dict) for r in
+                 all_rules.values()]
+                + [(operator_to_dict(o), operator_from_dict) for o in
+                   all_operators.values()])
+    payload, from_dict = data.draw(st.sampled_from(archives))
+    text = json.dumps(payload, indent=data.draw(st.sampled_from(
+        [None, 0, 1, 4])), sort_keys=data.draw(st.booleans()))
+    rebuilt = from_dict(json.loads(text))
+    to_dict = rule_to_dict if from_dict is rule_from_dict \
+        else operator_to_dict
+    assert canonical_json(to_dict(rebuilt)) == canonical_json(payload)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_validate_rule_rejects_perturbed_weights_and_moved_nodes(all_rules,
+                                                                 data):
+    """Scaling one orbit's weights, or moving one node off its orbit,
+    breaks a rule's invariants."""
+    rule = all_rules[data.draw(st.sampled_from(sorted(all_rules)))]
+    nodes = rule.nodes
+    if data.draw(st.booleans()):
+        orbit = data.draw(st.sampled_from(sorted(set(nodes.orbit_index))))
+        weights = nodes.weights.copy()
+        weights[nodes.orbit_index == orbit] *= 1.0 + data.draw(
+            st.floats(1e-8, 0.5)) * data.draw(st.sampled_from([-1, 1]))
+        nodes = dataclasses.replace(nodes, weights=weights)
+    else:
+        step = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=rule.dim, max_size=rule.dim)))
+        assume(np.linalg.norm(step) > 1e-3)
+        coords = nodes.coords.copy()
+        coords[data.draw(st.integers(0, rule.n_nodes - 1))] += \
+            data.draw(st.floats(1e-6, 1e-2)) * step / np.linalg.norm(step)
+        nodes = dataclasses.replace(
+            nodes, coords=coords,
+            bary=reference_simplex(rule.dim).barycentric(coords))
+    with pytest.raises(RuleValidationError):
+        validate_rule(dataclasses.replace(rule, nodes=nodes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_operator_archive_rejects_any_changed_entry(all_operators, data):
+    """Changing any entry of any stored array by 1e-10 of the array's
+    largest entry, or more, is caught against the rebuild."""
+    op = all_operators[data.draw(st.sampled_from(sorted(all_operators)))]
+    name = data.draw(st.sampled_from(["D", "E", "H", "Q"]))
+    payload = operator_to_dict(op)
+    arr = np.asarray(payload[name])
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] += (
+        data.draw(st.floats(1e-10, 1.0)) * data.draw(st.sampled_from(
+            [-1, 1])) * np.abs(arr).max())
+    payload[name] = arr.tolist()
+    with pytest.raises(ArchiveError, match=f"{name} disagrees"):
+        operator_from_dict(payload)
+
+
 # ----------------------------------------------------------------------
 # command-line interface
 
@@ -424,6 +542,9 @@ def test_cli_usage_errors(rule_file):
     for cmd in ("timestep", "converge"):
         assert run_cli([cmd, rule, "--velocity", "0,0"]) == cli.EXIT_USAGE
     assert run_cli(["timestep", rule, "--m", "1"]) == cli.EXIT_USAGE
+    for cmd in ("sbp", "converge", "timestep"):
+        for p in ("0", "-1", "x"):
+            assert run_cli([cmd, rule, "-p", p]) == cli.EXIT_USAGE
     for tol in ("0", "-1e-3", "nan", "inf", "x"):
         assert run_cli(["timestep", rule, "--rel-tol", tol]) \
             == cli.EXIT_USAGE
@@ -442,6 +563,8 @@ def test_cli_usage_errors(rule_file):
         == cli.EXIT_USAGE
     assert run_cli(["find", "--domain", "tri", "--qv", "2",
                     "--budget", "abc"]) == cli.EXIT_USAGE
+    assert run_cli(["find", "--domain", "tri", "--qv", "2",
+                    "--seed", "-1"]) == cli.EXIT_USAGE
     for budget in ("-5s", "nans", "inf", "infs"):
         assert run_cli(["find", "--domain", "tri", "--qv", "2",
                         "--budget", budget]) == cli.EXIT_USAGE

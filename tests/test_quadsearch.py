@@ -159,6 +159,14 @@ def test_validate_rule_negative_weight():
         validate_rule(rule)
 
 
+@pytest.mark.parametrize("field", ["weights", "coords"])
+def test_validate_rule_rejects_nan(field):
+    rule = copy.deepcopy(lgl_rule(4))
+    getattr(rule.nodes, field)[1] = np.nan
+    with pytest.raises(RuleValidationError):
+        validate_rule(rule)
+
+
 def test_validate_rule_wrong_weight_sum():
     rule = copy.deepcopy(lgl_rule(4))
     rule.nodes.weights[:] = rule.nodes.weights * 1.01

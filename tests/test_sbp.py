@@ -236,6 +236,12 @@ def test_build_operator_rejects_high_degree(tri_lgl_results):
         build_operator(rule, p=2)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_build_operator_rejects_degree_below_one(tri_lgl_results, p):
+    with pytest.raises(SBPConstructionError, match="< 1"):
+        build_operator(tri_lgl_results[3].rule, p=p)
+
+
 def test_build_operator_rejects_weak_facet_rule(tri_lgl_results):
     rule = copy.deepcopy(tri_lgl_results[3].rule)
     rule.facet_rule = lgl_rule(2)

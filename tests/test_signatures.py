@@ -264,6 +264,11 @@ def test_find_rule_rejects_facet_family_of_other_domain(domain, family):
         find_rule(domain, 2, family)
 
 
+def test_find_rule_rejects_an_unknown_domain():
+    with pytest.raises(ValueError, match="unknown domain 'interval'"):
+        find_rule("interval", 3)
+
+
 @pytest.mark.parametrize("domain", ["tri", "tet"])
 def test_find_rule_defaults_to_first_facet_family(domain, tri_lgl_results,
                                                   tet_result):
