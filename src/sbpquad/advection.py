@@ -24,8 +24,12 @@ certified when, at every theta, the RK4 propagator over the horizon
 step N = ceil(T/dt) does not raise the energy of any initial datum (the
 worst case over all data, not one sine).  Only the energy at the
 horizon is bounded: intermediate steps may grow transiently, because
-RK4 is not strongly stable for these non-normal operators.  The largest
-certified step is found by bisection below 3 / rho, rho the symbols'
+RK4 is not strongly stable for these non-normal operators.  The
+operator is real, so the symbol at -theta is the conjugate of the one
+at theta; one wavenumber of each conjugate pair is certified.  The
+largest certified step is found by bisection, started from energy
+checks just below and at the RK4 spectral limit of the symbols'
+eigenvalues and otherwise kept below 3 / rho, rho the symbols'
 spectral radius, past which RK4 grows the fastest mode every step.
 Every step the package takes rests on this certificate (see
 run_convergence).
@@ -59,6 +63,7 @@ __all__ = [
     "assemble_dense",
     "bloch_symbols",
     "step_matrix",
+    "spectral_limit",
     "energy_ratios",
     "certify_stable",
     "max_stable_dt",
@@ -70,6 +75,9 @@ _HORIZON_PERIODS = 5.0
 #: run_convergence certifies the _CERT_CELLS mesh and steps at _STEP_MARGIN
 _CERT_CELLS = 2
 _STEP_MARGIN = 0.5
+#: max_stable_dt's first energy check sits this far below the RK4
+#: spectral limit, relative; certified steps lie 0.06-0.16 % below it
+_PROBE_GAP = 2.0 ** -8
 
 
 class MeshError(ValueError):
@@ -147,7 +155,9 @@ def _element_points(xi: np.ndarray, m: int) -> np.ndarray:
 class AdvectionProblem:
     """The operator on u as (m^d, T n), T simplices a cell, is u @ cell_own
     (volume terms, own-side SAT) + u.ravel()[ext_idx] @ cell_ext (lift of
-    the partner values; rows by simplex, facet, facet node)."""
+    the partner values; rows by simplex, facet, facet node, only those
+    with a nonzero SAT coefficient: upwind flux lifts nothing on an
+    outflow facet)."""
 
     op: SBPOperator
     m: int
@@ -158,8 +168,8 @@ class AdvectionProblem:
     phys: np.ndarray           # (K, n, d) node coordinates
     hw: np.ndarray             # (K, n) physical norm J_k * H
     cell_own: np.ndarray       # (T n, T n) one cell's own block
-    cell_ext: np.ndarray       # (T (d+1) n_f, T n) lift of partner values
-    ext_idx: np.ndarray        # (m^d, T (d+1) n_f) flat partner indices
+    cell_ext: np.ndarray       # (n_lift, T n) lift of partner values
+    ext_idx: np.ndarray        # (m^d, n_lift) flat partner indices
 
     @property
     def dim(self) -> int:
@@ -243,17 +253,21 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
                + np.take_along_axis(theirs, match, -1))
 
     Gvol, coef = _sat_metrics(op, A, J, c, flux)
+    coef = coef.ravel()
     rows = (np.arange(T)[:, None, None] * n + vi).ravel()  # facet node rows
     cell_own = np.zeros((T, n, T, n))
     cell_own[range(T), :, range(T), :] = -np.einsum("tj,jab->tba", Gvol, op.D)
     cell_own = cell_own.reshape(T * n, T * n)
-    np.add.at(cell_own, (rows, rows), coef.ravel())
-    cell_ext = np.zeros((rows.size, T * n))
-    cell_ext[np.arange(rows.size), rows] = -coef.ravel()
+    np.add.at(cell_own, (rows, rows), coef)
+    # only facet nodes with a coefficient lift (upwind: the inflow facets);
+    # ext_idx stays C-ordered, as the gather's layout sets rhs's rounding
+    lift = np.flatnonzero(coef)
+    cell_ext = np.zeros((lift.size, T * n))
+    cell_ext[np.arange(lift.size), rows[lift]] = -coef[lift]
     return AdvectionProblem(
         op=op, m=m, c=c, flux=flux, omega=omega, J=J, phys=phys, hw=hw,
         cell_own=cell_own, cell_ext=cell_ext,
-        ext_idx=ext_idx.reshape(m ** d, -1))
+        ext_idx=np.ascontiguousarray(ext_idx.reshape(m ** d, -1)[:, lift]))
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +449,53 @@ def certification_horizon(prob: AdvectionProblem) -> float:
     return _HORIZON_PERIODS / float(np.abs(prob.c).max())
 
 
+def _conjugate_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, inverse): the wavenumbers j (flat, lexicographic) with j at
+    most -j mod m, one of each conjugate pair, and for every wavenumber
+    the position of its pair's representative in reps; reps[0] = 0."""
+    j = np.arange(m ** d)
+    minus_j = np.ravel_multi_index(np.negative(np.unravel_index(j, (m,) * d)),
+                                   (m,) * d, mode="wrap")
+    return np.unique(np.minimum(j, minus_j), return_inverse=True)
+
+
+def _rk4_growth(z: np.ndarray) -> np.ndarray:
+    """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0
+                                               * (1.0 + z / 4.0))))
+
+
+def spectral_limit(prob: AdvectionProblem, symbols: np.ndarray | None = None
+                   ) -> tuple[float, float, complex, tuple[int, ...]]:
+    """(rho, limit, lam, j): the Bloch symbols' spectral radius, the RK4
+    spectral limit, and the eigenvalue that sets it with its wavenumber.
+
+    The limit is the largest dt with |R(dt lam)| <= 1 + 1e-12 for every
+    eigenvalue lam, found by bisecting (0, 3 / rho) over all eigenvalues
+    at once: along every ray of the left half-plane the RK4 region is an
+    interval from 0, and |R(z)| >= 1.118 for |z| >= 3.  The tolerance
+    absorbs the rounding-level real parts of central flux's neutral
+    modes, and the constants' zero eigenvalue has |R| = 1 at every dt.
+    Eigenvalues come from one wavenumber of each conjugate pair (the
+    conjugate's are their conjugates, with the same |R|), so j is the
+    representative of its pair: the smaller in lexicographic order.
+    """
+    if symbols is None:
+        symbols = bloch_symbols(prob)
+    reps = _conjugate_pairs(prob.m, prob.dim)[0]
+    eigs = np.linalg.eigvals(symbols[reps])
+    rho = float(np.abs(eigs).max())
+    lo, hi = 0.0, 3.0 / rho
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _rk4_growth(mid * eigs).max() > 1.0 + 1e-12:
+            hi = mid
+        else:
+            lo = mid
+    k = np.unravel_index(np.argmax(_rk4_growth(hi * eigs)), eigs.shape)
+    j = np.unravel_index(reps[k[0]], (prob.m,) * prob.dim)
+    return rho, lo, complex(eigs[k]), tuple(map(int, j))
+
+
 def energy_ratios(prob: AdvectionProblem, dt: float,
                   symbols: np.ndarray | None = None) -> np.ndarray:
     """(m^d,) worst case over initial data of the energy ratio
@@ -447,20 +508,27 @@ def energy_ratios(prob: AdvectionProblem, dt: float,
     scheme keeps the constants' energy exactly, and keeps data
     H-orthogonal to them H-orthogonal, so theta = 0 (row 0) is measured
     on that data alone; with the constants it would read 1 at every dt.
+    The operator is real, so Ghat(-theta) is the conjugate of
+    Ghat(theta) and has the same norm: the ratio is computed for one
+    wavenumber of each conjugate pair (j at most -j mod m) and copied to
+    the other.  The ratio is at least the spectral growth
+    rho(Ghat)^(2N), above 1 + 1e-12 at every dt beyond the RK4 spectral
+    limit (spectral_limit), so no such dt certifies.
     """
     if symbols is None:
         symbols = bloch_symbols(prob)
+    reps, inverse = _conjugate_pairs(prob.m, prob.dim)
     n_steps = max(1, math.ceil(certification_horizon(prob) / dt))
     h = np.sqrt(prob.hw.ravel()[:symbols.shape[-1]])      # cell 0's norm
     e = h / np.linalg.norm(h)          # the constants, scaled by H^1/2
     with np.errstate(over="ignore", invalid="ignore"):
-        G = np.linalg.matrix_power(step_matrix(symbols, dt), n_steps)
+        G = np.linalg.matrix_power(step_matrix(symbols[reps], dt), n_steps)
         G = h[:, None] * G / h
         G[0] -= np.outer(G[0] @ e, e)
         finite = np.isfinite(G).all(axis=(1, 2))
         ratios = np.full(len(G), np.inf)
         ratios[finite] = np.linalg.norm(G[finite], ord=2, axis=(1, 2)) ** 2
-    return ratios
+    return ratios[inverse]
 
 
 def certify_stable(prob: AdvectionProblem, dt: float,
@@ -474,20 +542,36 @@ def certify_stable(prob: AdvectionProblem, dt: float,
 def max_stable_dt(prob: AdvectionProblem, rel_tol: float = 1e-4) -> float:
     """Largest dt certified stable for all initial data (certify_stable).
 
-    Bisects (0, 3 / rho), rho the largest eigenvalue modulus of the Bloch
-    symbols, until the bracket's relative width is at most rel_tol or it
-    has no float strictly inside; returns the certified-stable lower
-    edge.  The bracket rests on the RK4 stability polynomial R: every z
-    with |R(z)| <= 1 has |z| < 3 (the region reaches 2.96), and
-    |R(z)| >= 1.118 for |z| >= 3, so from dt = 3 / rho up the fastest
-    mode grows every step and no such dt certifies.  Raises RuntimeError
-    when no step above 1e-12 of the bracket certifies.
+    Every step it returns or rules out is decided by an energy check.
+    The energy ratio is at least the spectral growth rho(Ghat)^(2N), so
+    no step above the RK4 spectral limit of the Bloch symbols
+    (spectral_limit) certifies; certified steps have been measured
+    0.06-0.16 % below it.  The first two checks probe at
+    P = (1 - 2^-8) limit, 0.39 % below, and at the limit: a passed probe
+    becomes the bracket's lower edge and a failed one its upper edge, so
+    at rel_tol = 1e-4 six bisection checks follow.  A probe that misses
+    leaves the rest of (0, 3 / rho), rho the symbols' spectral radius:
+    every z with |R(z)| <= 1, R the RK4 stability polynomial, has
+    |z| < 3 (the region reaches 2.96), and |R(z)| >= 1.118 for
+    |z| >= 3, so from dt = 3 / rho up the fastest mode grows every step
+    and no such dt certifies.  Bisection runs until the bracket's
+    relative width is at most rel_tol or it has no float strictly
+    inside, and returns the certified lower edge.  Each check and the
+    eigenvalues cover one wavenumber of each conjugate pair, whose
+    ratios and eigenvalue moduli are equal.  Raises RuntimeError when
+    no step above 1e-12 of the bracket certifies.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, not {rel_tol}")
     symbols = bloch_symbols(prob)
-    top = 3.0 / float(np.abs(np.linalg.eigvals(symbols)).max())
+    rho, limit = spectral_limit(prob, symbols)[:2]
+    top = 3.0 / rho
     lo, hi = 0.0, top
+    for probe in ((1.0 - _PROBE_GAP) * limit, limit):
+        if not certify_stable(prob, probe, symbols=symbols)[0]:
+            hi = probe
+            break
+        lo = probe
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

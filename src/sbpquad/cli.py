@@ -7,6 +7,7 @@ or construction failure, 4 bad usage or unreadable input.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from . import __version__
 from .advection import (bloch_symbols, build_problem, certify_stable,
-                        energy_ratios, max_stable_dt, run_convergence)
+                        energy_ratios, max_stable_dt, run_convergence,
+                        spectral_limit)
 from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
                       save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
@@ -244,19 +246,30 @@ def _cmd_timestep(args) -> int:
     j = np.unravel_index(
         np.argmax(energy_ratios(prob, ruled_out, symbols=symbols)),
         (args.m,) * op.dim)
+    _, limit, lam, j_lam = spectral_limit(prob, symbols)
+    rule_sha256 = hashlib.sha256(
+        canonical_json(rule_to_dict(op.rule)).encode()).hexdigest()
     print(f"max stable dt                     : {dt:.6e}")
     print(f"limiting wavenumber j (2 pi j / m): {tuple(map(int, j))}")
     print(f"worst-case energy ratio @dt       : {ratio_dt:.12f}")
     print(f"worst-case energy ratio @dt/2     : {ratio:.12f} "
           f"({'nonincreasing' if ok_half else 'INCREASING'}, all data)")
+    print(f"RK4 spectral limit                : {limit:.6e}")
+    print(f"limiting eigenvalue (re, im)      : ({lam.real:.6e}, "
+          f"{lam.imag:.6e}) at j = {j_lam}")
+    print(f"rule sha256                       : {rule_sha256}")
     if args.output:
         payload = {
-            "format": "timestep-certificate", "schema": 3,
+            "format": "timestep-certificate", "schema": 4,
             "p": op.p, "m": args.m, "flux": args.flux,
             "velocity": c.tolist(), "max_stable_dt": dt,
             "limiting_wavenumber": [int(i) for i in j],
             "energy_ratio_dt": ratio_dt,
             "energy_ratio_half_dt": ratio,
+            "rk4_spectral_limit": limit,
+            "spectral_limit_eigenvalue": [lam.real, lam.imag],
+            "spectral_limit_wavenumber": list(j_lam),
+            "rule_sha256": rule_sha256,
         }
         with open(args.output, "w") as fh:
             fh.write(canonical_json(payload))

@@ -8,9 +8,12 @@ evaluator, reference simplex and collapsed Gauss rule are the ones the
 package used before each became d-generic, the two orbit-layout
 enumerators are the ones it used before both search stages shared one,
 and the swarm objective at the end scores one design per call as the
-package did before it scored whole swarms, and the periodic mesh at the
+package did before it scored whole swarms, the periodic mesh at the
 end is built per element, as the package built it before it built the
-mesh from one cell; all are kept verbatim as the exact reference.
+mesh from one cell, and the energy ratios after it are computed at every
+Bloch wavenumber, as the package computed them before it certified one
+wavenumber of each conjugate pair; all are kept verbatim as the exact
+reference.
 """
 
 import itertools
@@ -22,7 +25,8 @@ import numpy as np
 import scipy.special
 
 from sbpquad import basis
-from sbpquad.advection import MeshError, _cell_simplices
+from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
+                               certification_horizon, step_matrix)
 from sbpquad.search import InfeasibleDesignError
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
@@ -659,3 +663,37 @@ def periodic_mesh(op, m: int):
         partner[:, f] = (k2[:, f, None] * n
                          + np.take_along_axis(theirs, match, 1))
     return phys, partner.reshape(m ** d, -1)
+
+
+# ----------------------------------------------------------------------
+# energy ratios at every Bloch wavenumber (reference for
+# sbpquad.advection.energy_ratios, which certifies one of each conjugate
+# pair)
+
+
+def energy_ratios(prob, dt: float,
+                  symbols: np.ndarray | None = None) -> np.ndarray:
+    """(m^d,) worst case over initial data of the energy ratio
+    E(N dt) / E(0), N = ceil(T / dt) for T the certification horizon,
+    per Bloch wavenumber.
+
+    The Bloch modes are orthogonal in the energy norm, so the worst case
+    at wavenumber theta is ||H^1/2 Ghat(theta)^N H^-1/2||_2^2, with H
+    the norm on one cell; a propagator that overflows scores inf.  The
+    scheme keeps the constants' energy exactly, and keeps data
+    H-orthogonal to them H-orthogonal, so theta = 0 (row 0) is measured
+    on that data alone; with the constants it would read 1 at every dt.
+    """
+    if symbols is None:
+        symbols = bloch_symbols(prob)
+    n_steps = max(1, math.ceil(certification_horizon(prob) / dt))
+    h = np.sqrt(prob.hw.ravel()[:symbols.shape[-1]])      # cell 0's norm
+    e = h / np.linalg.norm(h)          # the constants, scaled by H^1/2
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.linalg.matrix_power(step_matrix(symbols, dt), n_steps)
+        G = h[:, None] * G / h
+        G[0] -= np.outer(G[0] @ e, e)
+        finite = np.isfinite(G).all(axis=(1, 2))
+        ratios = np.full(len(G), np.inf)
+        ratios[finite] = np.linalg.norm(G[finite], ord=2, axis=(1, 2)) ** 2
+    return ratios

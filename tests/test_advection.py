@@ -8,11 +8,13 @@ import pytest
 
 import sbpquad.advection as advection
 from sbpquad.advection import (
+    _PROBE_GAP,
     _STEP_MARGIN,
     MeshError,
     _affine_maps,
     _cell_partners,
     _cell_simplices,
+    _conjugate_pairs,
     _sat_metrics,
     assemble_dense,
     bloch_symbols,
@@ -30,6 +32,7 @@ from sbpquad.advection import (
     rk4_step,
     run_convergence,
     run_to_time,
+    spectral_limit,
     step_matrix,
 )
 from sbpquad.operators import build_operator
@@ -123,12 +126,17 @@ def mesh_operators(tri_lgl_results, tet_result):
 
 
 def _facet_node_rows(prob):
-    """(T (d+1) n_f,) row of each facet node in the cell: the volume node
-    that row r of cell_ext lifts into."""
+    """(rows, lift) over the cell's T (d+1) n_f facet nodes: the row of
+    each in the cell (the volume node its partner value lifts into), and
+    whether its SAT coefficient is nonzero, which the stencil keeps a
+    cell_ext row and an ext_idx column for."""
     n = prob.op.n_nodes
     vi = np.stack([fop.vol_idx for fop in prob.op.facets])
-    T = prob.cell_own.shape[0] // n
-    return (np.arange(T)[:, None, None] * n + vi).ravel()
+    cell = _cell_simplices(prob.dim)
+    At, Jt = _affine_maps(cell / prob.m)
+    coef = _sat_metrics(prob.op, At, Jt, prob.c, prob.flux)[1]
+    return (np.arange(len(cell))[:, None, None] * n + vi).ravel(), \
+        coef.ravel() != 0
 
 
 # m = 2 is where facet keys built from wrapped vertices alone would alias
@@ -141,7 +149,8 @@ def test_interface_nodes_collocated(mesh_operators, name, m):
     prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D)
     d = prob.dim
     flat = prob.phys.reshape(-1, d)
-    mine = prob.phys.reshape(m ** d, -1, d)[:, _facet_node_rows(prob)]
+    rows, lift = _facet_node_rows(prob)
+    mine = prob.phys.reshape(m ** d, -1, d)[:, rows[lift]]
     theirs = flat[prob.ext_idx]
     assert mine.shape == theirs.shape == (*prob.ext_idx.shape, d)
     diff = mine - theirs
@@ -169,10 +178,10 @@ def test_every_element_has_its_cell_types_metrics(mesh_operators, name, m):
     for mine, typed in ((A, At), (G, Gt), (coef, coef_t)):
         gap = np.abs(mine - typed[types]).max()
         assert gap <= 1e-15 * np.abs(typed).max()
-    # and the stencil lifts exactly the type's coefficients
-    rows = _facet_node_rows(prob)
-    assert np.array_equal(prob.cell_ext[np.arange(rows.size), rows],
-                          -coef_t.ravel())
+    # and the stencil lifts exactly the type's nonzero coefficients
+    rows, lift = _facet_node_rows(prob)
+    assert np.array_equal(prob.cell_ext[np.arange(lift.sum()), rows[lift]],
+                          -coef_t.ravel()[lift])
     assert np.count_nonzero(prob.cell_ext) == np.count_nonzero(coef_t)
 
 
@@ -184,13 +193,35 @@ def test_cell_pairing_matches_the_per_element_mesh(mesh_operators, name, m,
     """Pairing the unit cell's facets and matching their nodes once gives
     the partner indices of pairing every element's facets by lattice key
     and matching their nodes by minimum image, and the nodes sit where
-    each element's affine map puts them."""
+    each element's affine map puts them.  The stencil keeps the columns
+    of the facet nodes that lift: under upwind flux the inflow half."""
     op = mesh_operators[name]
     prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
                          flux=flux)
     phys, partners = oracles.periodic_mesh(op, m)
-    assert np.array_equal(prob.ext_idx, partners)
+    lift = _facet_node_rows(prob)[1]
+    assert lift.sum() == (lift.size if flux == "central" else lift.size // 2)
+    assert np.array_equal(prob.ext_idx, partners[:, lift])
     assert np.abs(prob.phys - phys).max() <= 4e-16
+
+
+@pytest.mark.parametrize("name", ["p2", "tet"])
+def test_upwind_stencil_drops_only_zero_lifts(mesh_operators, name):
+    """Leaving out the outflow facet nodes' all-zero cell_ext rows and
+    their ext_idx columns leaves rhs bit for bit what the full lift of
+    every facet node's partner value gives."""
+    op = mesh_operators[name]
+    prob = build_problem(op, 3, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
+                         flux="upwind")
+    rows, lift = _facet_node_rows(prob)
+    full = np.zeros((rows.size, prob.cell_own.shape[0]))
+    full[lift] = prob.cell_ext
+    partners = oracles.periodic_mesh(op, 3)[1]
+    u = np.random.default_rng(3).standard_normal(
+        (prob.n_elements, op.n_nodes))
+    want = (u.reshape(len(partners), -1) @ prob.cell_own
+            + u.reshape(-1)[partners] @ full).reshape(u.shape)
+    assert np.array_equal(rhs(prob, u), want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -428,12 +459,12 @@ def test_overflowing_propagator_is_uncertified(p1_problem):
     assert ratio == np.inf
 
 
-def _rule_problem(tri_lgl_results, tet_result, domain, p, m):
-    """Upwind problem on the rule the timestep benchmark uses for p."""
+def _rule_problem(tri_lgl_results, tet_result, domain, p, m, flux="upwind"):
+    """Problem on the rule the timestep benchmark uses for p."""
     rule = (tri_lgl_results[2 * p - 1] if domain == "tri"
             else tet_result).rule
     velocity = VELOCITY_2D if domain == "tri" else VELOCITY_3D
-    return build_problem(build_operator(rule), m, velocity, flux="upwind")
+    return build_problem(build_operator(rule), m, velocity, flux=flux)
 
 
 @pytest.mark.parametrize("domain, p, m", [("tri", 1, 4), ("tri", 2, 4),
@@ -585,6 +616,120 @@ def test_max_stable_dt_gives_up_when_nothing_certifies(monkeypatch,
     with pytest.raises(RuntimeError, match="no stable timestep"):
         max_stable_dt(p1_problem)
     assert len(calls) <= 41
+
+
+def _counted_certify(monkeypatch, passes=None):
+    """Steps handed to certify_stable from now on; with passes given,
+    certify_stable answers passes(dt) instead of checking."""
+    calls = []
+    certify = advection.certify_stable
+
+    def counted(prob, dt, symbols=None):
+        calls.append(dt)
+        if passes is None:
+            return certify(prob, dt, symbols=symbols)
+        return passes(dt), 1.0
+    monkeypatch.setattr(advection, "certify_stable", counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain, p, m, flux", [
+    ("tri", 1, 4, "upwind"), ("tri", 1, 6, "upwind"), ("tri", 2, 4, "upwind"),
+    ("tri", 2, 6, "upwind"), ("tet", 1, 3, "upwind"),
+    ("tri", 1, 8, "central")])
+def test_max_stable_dt_certifies_in_nine_checks(monkeypatch, tri_lgl_results,
+                                                tet_result, domain, p, m,
+                                                flux):
+    """Probing at (1 - 2^-8) and 1 times the RK4 spectral limit brackets
+    the certified step, leaving 6 bisection checks to rel_tol 1e-4."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m, flux)
+    limit = spectral_limit(prob)[1]
+    calls = _counted_certify(monkeypatch)
+    dt = max_stable_dt(prob)
+    assert len(calls) <= 9
+    assert calls[:2] == [(1.0 - _PROBE_GAP) * limit, limit]
+    assert advection.certify_stable(prob, dt)[0]
+    assert (1.0 - _PROBE_GAP) * limit <= dt < limit
+
+
+@pytest.mark.parametrize("where", ["below the first probe",
+                                   "above the spectral limit"])
+def test_max_stable_dt_falls_back_when_a_probe_misses(monkeypatch,
+                                                      p1_problem, where):
+    """A step that passes below x and fails from x on, with x away from
+    the probes, is still found to rel_tol: a failed first probe leaves
+    (0, P) to bisect and a passed limit probe (limit, 3 / rho)."""
+    rho, limit = spectral_limit(p1_problem)[:2]
+    x = (0.5 * limit if where == "below the first probe"
+         else 0.5 * (limit + 3.0 / rho))
+    calls = _counted_certify(monkeypatch, lambda dt: dt < x)
+    dt = max_stable_dt(p1_problem, rel_tol=1e-4)
+    assert dt < x <= dt * (1.0 + 1e-4)
+    assert calls[0] == (1.0 - _PROBE_GAP) * limit
+    assert (calls[1] == limit) == (x > limit)
+    assert max(calls) < 3.0 / rho
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("name, m", [("p2", 3), ("p2", 4), ("p2", 5),
+                                     ("tet", 3)])
+def test_energy_ratios_match_every_wavenumber(mesh_operators, name, m, flux):
+    """Certifying one wavenumber of each conjugate pair and copying its
+    ratio to the other gives the ratios of every wavenumber exactly, on
+    both sides of the certified step."""
+    op = mesh_operators[name]
+    prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
+                         flux=flux)
+    symbols = bloch_symbols(prob)
+    dt = max_stable_dt(prob)
+    for scale in (0.5, 1.0, 1.01):
+        ratios = energy_ratios(prob, scale * dt, symbols=symbols)
+        assert np.array_equal(
+            ratios, oracles.energy_ratios(prob, scale * dt, symbols=symbols))
+
+
+@pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (4, 2), (6, 2), (3, 3),
+                                  (4, 3)])
+def test_conjugate_pairs_cover_every_wavenumber(m, d):
+    """One representative per pair {j, -j mod m}, the smaller in
+    lexicographic order; self-conjugate wavenumbers are their own."""
+    reps, inverse = _conjugate_pairs(m, d)
+    j = np.indices((m,) * d).reshape(d, -1).T
+    minus_j = np.ravel_multi_index(tuple((-j % m).T), (m,) * d)
+    assert np.array_equal(reps[inverse], np.minimum(np.arange(m ** d),
+                                                    minus_j))
+    n_self = np.count_nonzero(minus_j == np.arange(m ** d))
+    assert len(reps) == (m ** d + n_self) // 2
+    assert reps[0] == 0
+
+
+@pytest.mark.parametrize("domain, p, m, flux", [
+    ("tri", 1, 4, "upwind"), ("tri", 2, 3, "central"), ("tet", 1, 2, "upwind")])
+def test_spectral_limit_is_where_rk4_first_grows(tri_lgl_results, tet_result,
+                                                 domain, p, m, flux):
+    """At the limit no eigenvalue of any symbol, conjugates included,
+    grows by more than 1e-12 a step, the reported one sits on |R| = 1,
+    and 1e-9 further it grows; conjugate symbols are conjugates, and the
+    reported wavenumber is its pair's representative."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m, flux)
+    symbols = bloch_symbols(prob)
+    rho, limit, lam, j = spectral_limit(prob, symbols)
+    eigs = np.linalg.eigvals(symbols)
+    assert rho == pytest.approx(np.abs(eigs).max(), rel=1e-12)
+
+    def growth(z):
+        return np.abs(step_matrix(np.asarray(z)[..., None, None], 1.0)
+                      [..., 0, 0])
+    assert growth(limit * eigs).max() <= 1.0 + 1e-12
+    assert growth((1.0 + 1e-9) * limit * eigs).max() > 1.0 + 1e-12
+    assert abs(growth(limit * lam) - 1.0) <= 1e-9
+    k = np.ravel_multi_index(j, (m,) * prob.dim)
+    minus_k = np.ravel_multi_index(tuple(-np.asarray(j) % m), (m,) * prob.dim)
+    assert k <= minus_k
+    assert np.abs(symbols[minus_k] - symbols[k].conj()).max() \
+        <= 1e-12 * np.abs(symbols[k]).max()
+    assert np.abs(np.linalg.eigvals(symbols[k]) - lam).min() \
+        <= 1e-12 * rho
 
 
 def test_central_flux_fine_mesh_certifies(tri_lgl_results):

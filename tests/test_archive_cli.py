@@ -1,6 +1,7 @@
 """JSON archives and the command-line entry points."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -501,12 +502,35 @@ def test_cli_timestep_certificate(rule_file, tmp_path, capsys):
     assert code == cli.EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["format"] == "timestep-certificate"
-    assert payload["schema"] == 3
+    assert payload["schema"] == 4
     assert payload["max_stable_dt"] > 0.0
     assert payload["energy_ratio_dt"] <= 1.0 + 1e-12
     assert payload["energy_ratio_half_dt"] <= 1.0 + 1e-12
     j = payload["limiting_wavenumber"]
     assert len(j) == 2 and all(0 <= i < 2 for i in j)
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+def test_cli_timestep_records_its_spectral_limit(rule_file, tmp_path, capsys,
+                                                 flux):
+    """Schema 4 records the RK4 spectral limit, the eigenvalue on its
+    boundary (|R(limit lam)| = 1) with its wavenumber, which bounds the
+    certified step from above, and the sha256 of the rule archive."""
+    out = tmp_path / "cert.json"
+    assert run_cli(["timestep", str(rule_file), "--m", "3", "--flux", flux,
+                    "-o", str(out)]) == cli.EXIT_OK
+    payload = json.loads(out.read_text())
+    limit = payload["rk4_spectral_limit"]
+    z = limit * complex(*payload["spectral_limit_eigenvalue"])
+    growth = abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0
+                                             * (1.0 + z / 4.0))))
+    assert abs(growth - 1.0) <= 1e-9
+    assert payload["max_stable_dt"] <= limit
+    j = payload["spectral_limit_wavenumber"]
+    assert len(j) == 2 and all(0 <= i < 3 for i in j)
+    assert payload["rule_sha256"] \
+        == hashlib.sha256(rule_file.read_bytes()).hexdigest()
+    assert payload["rule_sha256"] in capsys.readouterr().out
 
 
 def test_cli_timestep_central_flux_fine_mesh(tri_lgl_results, tmp_path,
