@@ -9,8 +9,9 @@ exactness tests and a periodic linear-advection harness.
 __version__ = "0.1.0"
 
 from .advection import (AdvectionProblem, ConvergenceResult, build_problem,
-                        certify_stable, energy, exact_solution, l2_error,
-                        max_stable_dt, run_convergence)
+                        certify_stable, certify_timestep, energy,
+                        exact_solution, l2_error, max_stable_dt,
+                        run_convergence)
 from .archive import (load_operator, load_rule, save_operator, save_rule)
 from .basis import (grad_vandermonde, monomial_integral, n_basis,
                     simplex_gauss_rule, vandermonde)
@@ -25,8 +26,8 @@ from .simplex import (GroupSignature, NodeSet, SymmetryOrbit,
 __all__ = [
     "__version__",
     "AdvectionProblem", "ConvergenceResult", "build_problem",
-    "certify_stable", "energy", "exact_solution", "l2_error",
-    "max_stable_dt", "run_convergence",
+    "certify_stable", "certify_timestep", "energy", "exact_solution",
+    "l2_error", "max_stable_dt", "run_convergence",
     "load_operator", "load_rule", "save_operator", "save_rule",
     "grad_vandermonde", "monomial_integral", "n_basis",
     "simplex_gauss_rule", "vandermonde",

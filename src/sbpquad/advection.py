@@ -26,13 +26,12 @@ worst case over all data, not one sine).  Only the energy at the
 horizon is bounded: intermediate steps may grow transiently, because
 RK4 is not strongly stable for these non-normal operators.  The
 operator is real, so the symbol at -theta is the conjugate of the one
-at theta; one wavenumber of each conjugate pair is certified.  The
-largest certified step is found by bisection, started from energy
+at theta; one wavenumber of each conjugate pair is certified.
+certify_timestep bisects for the largest certified step, from energy
 checks just below and at the RK4 spectral limit of the symbols'
-eigenvalues and otherwise kept below 3 / rho, rho the symbols'
-spectral radius, past which RK4 grows the fastest mode every step.
-Every step the package takes rests on this certificate (see
-run_convergence).
+eigenvalues, below 3 / rho (rho the symbols' spectral radius), and
+returns it as one record with what certifies it; every step the
+package takes rests on it (see run_convergence).
 """
 
 from __future__ import annotations
@@ -66,6 +65,8 @@ __all__ = [
     "spectral_limit",
     "energy_ratios",
     "certify_stable",
+    "TimestepCertificate",
+    "certify_timestep",
     "max_stable_dt",
 ]
 
@@ -75,7 +76,7 @@ _HORIZON_PERIODS = 5.0
 #: run_convergence certifies the _CERT_CELLS mesh and steps at _STEP_MARGIN
 _CERT_CELLS = 2
 _STEP_MARGIN = 0.5
-#: max_stable_dt's first energy check sits this far below the RK4
+#: certify_timestep's first energy check sits this far below the RK4
 #: spectral limit, relative; certified steps lie 0.06-0.16 % below it
 _PROBE_GAP = 2.0 ** -8
 
@@ -539,47 +540,69 @@ def certify_stable(prob: AdvectionProblem, dt: float,
     return ratio <= 1.0 + 1e-12, ratio
 
 
-def max_stable_dt(prob: AdvectionProblem, rel_tol: float = 1e-4) -> float:
-    """Largest dt certified stable for all initial data (certify_stable).
+@dataclass(frozen=True, eq=False)
+class TimestepCertificate:
+    """certify_timestep's record; ratios(dt) checks dt on its symbols."""
+
+    prob: AdvectionProblem
+    symbols: np.ndarray        # bloch_symbols(prob)
+    dt: float                  # largest certified step
+    ratio: float               # worst-case energy ratio at dt
+    ruled_out: float           # smallest step ruled out: failed, or 3 / rho
+    rho: float                 # the symbols' spectral radius
+    limit: float               # RK4 spectral limit (spectral_limit)
+    eigenvalue: complex        # the eigenvalue that sets the limit
+    wavenumber: tuple[int, ...]    # and its wavenumber j
+
+    def ratios(self, dt: float) -> np.ndarray:
+        return energy_ratios(self.prob, dt, self.symbols)
+
+
+def certify_timestep(prob: AdvectionProblem, rel_tol: float = 1e-4
+                     ) -> TimestepCertificate:
+    """The largest dt certified stable for all initial data
+    (certify_stable), with what certifies it.
 
     Every step it returns or rules out is decided by an energy check.
-    The energy ratio is at least the spectral growth rho(Ghat)^(2N), so
-    no step above the RK4 spectral limit of the Bloch symbols
-    (spectral_limit) certifies; certified steps have been measured
-    0.06-0.16 % below it.  The first two checks probe at
-    P = (1 - 2^-8) limit, 0.39 % below, and at the limit: a passed probe
-    becomes the bracket's lower edge and a failed one its upper edge, so
-    at rel_tol = 1e-4 six bisection checks follow.  A probe that misses
-    leaves the rest of (0, 3 / rho), rho the symbols' spectral radius:
-    every z with |R(z)| <= 1, R the RK4 stability polynomial, has
-    |z| < 3 (the region reaches 2.96), and |R(z)| >= 1.118 for
-    |z| >= 3, so from dt = 3 / rho up the fastest mode grows every step
-    and no such dt certifies.  Bisection runs until the bracket's
+    No step above the RK4 spectral limit of the Bloch symbols
+    (spectral_limit) certifies (energy_ratios).  The first two checks
+    probe at (1 - 2^-8) limit and at the limit: a passed probe becomes
+    the bracket's lower edge and a failed one its upper edge, so at
+    rel_tol = 1e-4 six bisection checks follow.  A probe that misses
+    leaves the rest of (0, 3 / rho), past which the fastest mode grows
+    every step (spectral_limit).  Bisection runs until the bracket's
     relative width is at most rel_tol or it has no float strictly
-    inside, and returns the certified lower edge.  Each check and the
-    eigenvalues cover one wavenumber of each conjugate pair, whose
-    ratios and eigenvalue moduli are equal.  Raises RuntimeError when
-    no step above 1e-12 of the bracket certifies.
+    inside; dt is its certified lower edge and ruled_out its upper edge.
+    The symbols are built and their eigenvalues taken once.  Raises
+    RuntimeError when no step above 1e-12 of the bracket certifies.
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, not {rel_tol}")
     symbols = bloch_symbols(prob)
-    rho, limit = spectral_limit(prob, symbols)[:2]
+    rho, limit, lam, j = spectral_limit(prob, symbols)
     top = 3.0 / rho
-    lo, hi = 0.0, top
+    lo, hi, ratio = 0.0, top, math.inf
     for probe in ((1.0 - _PROBE_GAP) * limit, limit):
-        if not certify_stable(prob, probe, symbols=symbols)[0]:
+        ok, r = certify_stable(prob, probe, symbols=symbols)
+        if not ok:
             hi = probe
             break
-        lo = probe
+        lo, ratio = probe, r
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if certify_stable(prob, mid, symbols=symbols)[0]:
-            lo = mid
+        ok, r = certify_stable(prob, mid, symbols=symbols)
+        if ok:
+            lo, ratio = mid, r
         elif lo == 0.0 and mid < 1e-12 * top:
             raise RuntimeError("no stable timestep found")
         else:
             hi = mid
-    return lo
+    return TimestepCertificate(prob, symbols, lo, ratio, hi, rho, limit,
+                               lam, j)
+
+
+def max_stable_dt(prob: AdvectionProblem, rel_tol: float = 1e-4) -> float:
+    """The largest certified step: certify_timestep(prob, rel_tol).dt."""
+    return certify_timestep(prob, rel_tol).dt

@@ -39,8 +39,6 @@ from .simplex import reference_simplex
 __all__ = [
     "n_basis",
     "mode_indices",
-    "jacobi",
-    "jacobi_derivative",
     "vandermonde",
     "grad_vandermonde",
     "integral_vector",
@@ -119,25 +117,6 @@ def _jacobi_derivative_table(x: np.ndarray, alphas: tuple[float, ...],
         out[1:] = np.sqrt(k * (k + al + beta + 1)) * _jacobi_table(
             x, tuple(alpha + 1 for alpha in alphas), beta + 1, n - 1)
     return out
-
-
-def jacobi(x: np.ndarray, alpha: float, beta: float, n: int) -> np.ndarray:
-    """Values of the orthonormal Jacobi polynomials P~_0..P~_n at x.
-
-    Orthonormal w.r.t. the weight (1-x)^alpha (1+x)^beta on [-1, 1].
-    Returns an array of shape (n+1,) + x.shape.
-    """
-    x = np.asarray(x, dtype=float)
-    return _jacobi_table(x.ravel(), (float(alpha),), float(beta),
-                         n).reshape((n + 1,) + x.shape)
-
-
-def jacobi_derivative(x: np.ndarray, alpha: float, beta: float,
-                      n: int) -> np.ndarray:
-    """First derivatives of the orthonormal Jacobi polynomials P~_0..P~_n."""
-    x = np.asarray(x, dtype=float)
-    return _jacobi_derivative_table(x.ravel(), (float(alpha),), float(beta),
-                                    n).reshape((n + 1,) + x.shape)
 
 
 # ----------------------------------------------------------------------

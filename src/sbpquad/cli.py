@@ -14,9 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .advection import (bloch_symbols, build_problem, certify_stable,
-                        energy_ratios, max_stable_dt, run_convergence,
-                        spectral_limit)
+from .advection import (build_problem, certify_stable, certify_timestep,
+                        run_convergence)
 from .archive import (ArchiveError, canonical_json, load_rule, rule_to_dict,
                       save_operator, save_rule)
 from .operators import SBPConstructionError, build_operator, verify_operator
@@ -235,40 +234,36 @@ def _cmd_converge(args) -> int:
 def _cmd_timestep(args) -> int:
     op = _load_operator(args)
     c = _velocity(args, op.dim)
-    prob = build_problem(op, args.m, c, flux=args.flux)
-    dt = max_stable_dt(prob, rel_tol=args.rel_tol)
-    symbols = bloch_symbols(prob)
-    ratio_dt = float(energy_ratios(prob, dt, symbols=symbols).max())
-    ok_half, ratio = certify_stable(prob, 0.5 * dt, symbols=symbols)
-    # the wavenumber that fails first: the worst one at a step the
-    # search ruled out (its bracket ends within rel_tol, or one ulp)
-    ruled_out = np.nextafter(dt * (1.0 + args.rel_tol), np.inf)
-    j = np.unravel_index(
-        np.argmax(energy_ratios(prob, ruled_out, symbols=symbols)),
-        (args.m,) * op.dim)
-    _, limit, lam, j_lam = spectral_limit(prob, symbols)
+    cert = certify_timestep(build_problem(op, args.m, c, flux=args.flux),
+                            rel_tol=args.rel_tol)
+    ok_half, ratio_half = certify_stable(cert.prob, 0.5 * cert.dt,
+                                         symbols=cert.symbols)
+    # the wavenumber that fails first: the worst at the smallest step ruled out
+    j = np.unravel_index(np.argmax(cert.ratios(cert.ruled_out)),
+                         (args.m,) * op.dim)
+    lam = cert.eigenvalue
     rule_sha256 = hashlib.sha256(
         canonical_json(rule_to_dict(op.rule)).encode()).hexdigest()
-    print(f"max stable dt                     : {dt:.6e}")
+    print(f"max stable dt                     : {cert.dt:.6e}")
     print(f"limiting wavenumber j (2 pi j / m): {tuple(map(int, j))}")
-    print(f"worst-case energy ratio @dt       : {ratio_dt:.12f}")
-    print(f"worst-case energy ratio @dt/2     : {ratio:.12f} "
+    print(f"worst-case energy ratio @dt       : {cert.ratio:.12f}")
+    print(f"worst-case energy ratio @dt/2     : {ratio_half:.12f} "
           f"({'nonincreasing' if ok_half else 'INCREASING'}, all data)")
-    print(f"RK4 spectral limit                : {limit:.6e}")
+    print(f"RK4 spectral limit                : {cert.limit:.6e}")
     print(f"limiting eigenvalue (re, im)      : ({lam.real:.6e}, "
-          f"{lam.imag:.6e}) at j = {j_lam}")
+          f"{lam.imag:.6e}) at j = {cert.wavenumber}")
     print(f"rule sha256                       : {rule_sha256}")
     if args.output:
         payload = {
             "format": "timestep-certificate", "schema": 4,
             "p": op.p, "m": args.m, "flux": args.flux,
-            "velocity": c.tolist(), "max_stable_dt": dt,
+            "velocity": c.tolist(), "max_stable_dt": cert.dt,
             "limiting_wavenumber": [int(i) for i in j],
-            "energy_ratio_dt": ratio_dt,
-            "energy_ratio_half_dt": ratio,
-            "rk4_spectral_limit": limit,
+            "energy_ratio_dt": cert.ratio,
+            "energy_ratio_half_dt": ratio_half,
+            "rk4_spectral_limit": cert.limit,
             "spectral_limit_eigenvalue": [lam.real, lam.imag],
-            "spectral_limit_wavenumber": list(j_lam),
+            "spectral_limit_wavenumber": list(cert.wavenumber),
             "rule_sha256": rule_sha256,
         }
         with open(args.output, "w") as fh:

@@ -49,7 +49,8 @@ __all__ = [
     "solve_coupled",
 ]
 
-#: weights are kept at or above this floor while iterating
+#: random_design and the LMA steps keep weights at or above this floor;
+#: pso_step resets only weights <= 0 to it, so swarm weights may be below
 EPS_WEIGHT = 1e-4
 #: a design solves its moments once ||g||_inf <= TOL
 TOL = 5e-14

@@ -21,6 +21,7 @@ from sbpquad.advection import (
     build_problem,
     certification_horizon,
     certify_stable,
+    certify_timestep,
     energy,
     energy_ratios,
     exact_solution,
@@ -650,6 +651,27 @@ def test_max_stable_dt_certifies_in_nine_checks(monkeypatch, tri_lgl_results,
     assert calls[:2] == [(1.0 - _PROBE_GAP) * limit, limit]
     assert advection.certify_stable(prob, dt)[0]
     assert (1.0 - _PROBE_GAP) * limit <= dt < limit
+
+
+@pytest.mark.parametrize("domain, p, m, flux", [
+    ("tri", 1, 4, "upwind"), ("tri", 1, 6, "upwind"), ("tri", 2, 4, "upwind"),
+    ("tri", 2, 6, "upwind"), ("tet", 1, 3, "upwind"),
+    ("tri", 1, 8, "central")])
+def test_certificate_record_matches_its_parts(tri_lgl_results, tet_result,
+                                              domain, p, m, flux):
+    """The record's step, its ratio at the step and its spectral fields
+    are max_stable_dt, energy_ratios' maximum and spectral_limit bit for
+    bit; its ruled-out step fails, within rel_tol of the step."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m, flux)
+    cert = certify_timestep(prob)
+    assert cert.dt == max_stable_dt(prob)
+    assert cert.ratio == energy_ratios(prob, cert.dt).max() <= 1.0 + 1e-12
+    assert (cert.rho, cert.limit, cert.eigenvalue, cert.wavenumber) \
+        == spectral_limit(prob)
+    assert 0.0 < cert.ruled_out - cert.dt <= 1e-4 * cert.dt
+    assert not certify_stable(prob, cert.ruled_out)[0]
+    assert np.array_equal(cert.ratios(cert.ruled_out),
+                          energy_ratios(prob, cert.ruled_out))
 
 
 @pytest.mark.parametrize("where", ["below the first probe",

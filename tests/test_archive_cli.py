@@ -1,5 +1,6 @@
 """JSON archives and the command-line entry points."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sbpquad.advection as advection
 import sbpquad.cli as cli
 import sbpquad.signatures
 from sbpquad.archive import (
@@ -531,6 +533,35 @@ def test_cli_timestep_records_its_spectral_limit(rule_file, tmp_path, capsys,
     assert payload["rule_sha256"] \
         == hashlib.sha256(rule_file.read_bytes()).hexdigest()
     assert payload["rule_sha256"] in capsys.readouterr().out
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("domain", ["tri", "tet"])
+def test_cli_timestep_reads_one_certificate(rule_file, tet_result, tmp_path,
+                                            monkeypatch, capsys, domain):
+    """`timestep` builds the Bloch symbols and takes their eigenvalues
+    once, and makes at most 10 energy checks: the certificate's 8 and two
+    on its record.  Each check is one energy_ratios call, certify_stable's
+    included."""
+    path = rule_file
+    if domain == "tet":
+        path = tmp_path / "tet-q2.json"
+        save_rule(tet_result.rule, path)
+    calls = collections.Counter()
+    for name in ("bloch_symbols", "spectral_limit", "energy_ratios"):
+        assert not hasattr(cli, name)
+        counted = _counting(calls, name, getattr(advection, name))
+        for module in (advection, cli):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    assert run_cli(["timestep", str(path), "--m", "3"]) == cli.EXIT_OK
+    assert calls["bloch_symbols"] == calls["spectral_limit"] == 1
+    assert calls["energy_ratios"] <= 10
 
 
 def test_cli_timestep_central_flux_fine_mesh(tri_lgl_results, tmp_path,

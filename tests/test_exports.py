@@ -1,0 +1,20 @@
+"""Every exported name resolves: a deleted or renamed function cannot
+stay behind in an `__all__`."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import sbpquad
+
+MODULES = ["sbpquad"] + [f"sbpquad.{info.name}" for info in
+                         pkgutil.iter_modules(sbpquad.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
