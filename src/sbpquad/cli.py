@@ -148,11 +148,13 @@ def _cmd_find(args) -> int:
                        sweeps=args.sweeps, budget_s=args.budget)
     if result.status != "ok":
         solves = [a for a in result.attempts if "error" not in a]
-        facet = [a for a in solves if a["stage"] == "facet"]
-        screened = sum(a["unknowns"] < a["moments"] for a in facet)
-        print(f"search {result.status} after {len(facet)} facet "
-              f"({screened} screened) and {len(solves) - len(facet)} "
-              f"volume attempt(s), {result.elapsed:.1f}s", file=sys.stderr)
+        parts = []
+        for stage in ("facet", "volume"):
+            tried = [a for a in solves if a["stage"] == stage]
+            screened = sum(a["screen"] is not None for a in tried)
+            parts.append(f"{len(tried)} {stage} ({screened} screened)")
+        print(f"search {result.status} after {' and '.join(parts)} "
+              f"attempt(s), {result.elapsed:.1f}s", file=sys.stderr)
         return EXIT_SEARCH
     rule = result.rule
     print(f"found {rule.domain} rule: degree {rule.qv}, "

@@ -38,6 +38,8 @@ __all__ = [
     "random_design",
     "residual",
     "residual_and_jacobian",
+    "nnls",
+    "floor_residual",
     "lma_step",
     "apply_update_with_positivity",
     "LmaState",
@@ -364,6 +366,69 @@ def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
 
 
 # ----------------------------------------------------------------------
+# the weight floor of layouts without free parameters
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x >= 0 minimising ||A x - b||_2, by the active-set method of
+    Lawson & Hanson (1974).
+
+    Each outer step frees the bound entry with the largest gradient
+    A^T (b - A x) and solves least squares on the free entries; while
+    that solution has a nonpositive entry, x moves toward it as far as
+    positivity allows and the entry that reaches zero is bound again.
+    Gradients within rounding of ||A||_1 count as zero.  At most 3n outer
+    steps, as scipy.optimize.nnls.
+    """
+    m, n = A.shape
+    eps = np.finfo(float).eps
+    tol = 10.0 * max(m, n) * eps * np.abs(A).sum(axis=0).max(initial=0.0)
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        grad = np.where(free, -np.inf, A.T @ (b - A @ x))
+        if free.all() or grad.max() <= tol:
+            break
+        free[np.argmax(grad)] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
+            if (z[free] > 0.0).all():
+                break
+            ratio = np.full(n, np.inf)
+            neg = free & (z <= 0.0)
+            # x = z = 0, the entry freed last, gives ratio 0, not 0/0
+            ratio[neg] = x[neg] / np.maximum(x[neg] - z[neg], eps * eps)
+            k = int(np.argmin(ratio))
+            x += ratio[k] * (z - x)
+            free &= x > 0.0
+            free[k] = False
+            x[~free] = 0.0
+        x = z
+    return x
+
+
+def floor_residual(spec: SearchSpec) -> np.ndarray | None:
+    """Moment residual g of the least-squares weights at or above
+    EPS_WEIGHT of a layout whose parameters are all frozen or absent;
+    None for a layout with free parameters.
+
+    Such a layout's residual is linear in the weights, g = A w - f, with
+    A the vandermonde rows at its fixed nodes summed over each orbit.  So
+    no weights on the floor reach a smaller ||g||_2: nnls on the shifted
+    weights w - EPS_WEIGHT decides the layout in one solve.
+    """
+    if spec.free_mask[:spec.n_params].any():
+        return None
+    tau = spec.frozen_template()
+    tau[spec.weight_slice] = EPS_WEIGHT
+    _, coords, w = spec.expand(tau)
+    V, g = _moments(spec, coords, w)
+    A = np.add.reduceat(V, spec.node_starts[:-1], axis=0).T
+    return g + A @ nnls(A, -g)
+
+
+# ----------------------------------------------------------------------
 # Levenberg-Marquardt
 
 
@@ -394,7 +459,9 @@ def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
     which parks the worst offender exactly at the floor.  Keeping all
     weights >= eps (not merely positive) is what rejects layouts whose
     only solutions have vanishing weights: their residual stalls at the
-    floor and the search moves to the next candidate.
+    floor and the search moves to the next candidate.  A layout whose
+    unknowns are all weights is not left to stall: floor_residual tells
+    before any solve whether weights on the floor can solve it.
     """
     ws = spec.weight_slice
     w = tau[ws]

@@ -19,14 +19,15 @@ layouts (the 3-point mid-edge degree-2 rule) would otherwise be lost.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import (QuadratureRule, SearchSpec, lg_rule, lgl_rule,
-                     solve_coupled)
+from .search import (TOL, QuadratureRule, SearchSpec, floor_residual,
+                     lg_rule, lgl_rule, solve_coupled)
 from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
@@ -247,6 +248,12 @@ class _Run:
     t0: float = field(default_factory=time.monotonic)
     attempts: list = field(default_factory=list)
 
+    def check_budget(self) -> None:
+        """Raise _BudgetSpent once the budget has run out."""
+        if (self.budget_s is not None
+                and time.monotonic() - self.t0 > self.budget_s):
+            raise _BudgetSpent
+
     def result(self, rule: QuadratureRule | None, status: str) -> FindResult:
         return FindResult(rule, status, self.attempts,
                           time.monotonic() - self.t0)
@@ -266,27 +273,39 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     SeedSequence(seed) taken in order, before the next layout is tried;
     solve_args go to every solve_coupled call.  A layout with fewer free
     unknowns than invariant moments solves them only in a special
-    consistent case, which round zero finds: it gets round zero only.
-    Every solve is logged to the find_rule call in progress, and none
-    starts once its budget has run out (_BudgetSpent).
+    consistent case, which round zero finds: it gets round zero only
+    (screen "count").  A layout whose unknowns are all weights is not
+    left to stall at the weight floor: when floor_residual shows that no
+    weights on the floor reach ||g||_inf <= TOL, it is screened without
+    a solve (screen "floor", one record with sweep None) and its seeds
+    are spent unused.  Every solve is logged to the find_rule call in
+    progress, and none starts once its budget has run out (_BudgetSpent).
     """
     run = _RUN.get() or _Run()
     ss = np.random.SeedSequence(seed)
     for spec in specs:
         unknowns = int(spec.free_mask.sum())
         moments = invariant_moment_count(spec.qv, spec.dim)
-        args = (dict(solve_args, max_rounds=0) if unknowns < moments
-                else solve_args)
-        for sweep, child in enumerate(ss.spawn(sweeps)):
-            if (run.budget_s is not None
-                    and time.monotonic() - run.t0 > run.budget_s):
-                raise _BudgetSpent
+        screen = "count" if unknowns < moments else None
+        args = dict(solve_args, max_rounds=0) if screen else solve_args
+        layout = {"stage": stage, "kinds": list(spec.kinds),
+                  "unknowns": unknowns, "moments": moments}
+        children = ss.spawn(sweeps)
+        run.check_budget()
+        g = floor_residual(spec)
+        if g is not None and (np.linalg.norm(g)
+                              > math.sqrt(spec.n_moments) * TOL):
+            run.attempts.append(dict(layout, sweep=None, converged=False,
+                                     residual=float(np.abs(g).max()),
+                                     screen="floor"))
+            continue
+        for sweep, child in enumerate(children):
+            run.check_budget()
             res = solve_coupled(spec, np.random.default_rng(child), **args)
-            run.attempts.append({
-                "stage": stage, "kinds": list(spec.kinds), "sweep": sweep,
-                "converged": res.converged, "residual": res.residual_inf,
-                "unknowns": unknowns, "moments": moments,
-            })
+            run.attempts.append(dict(layout, sweep=sweep,
+                                     converged=res.converged,
+                                     residual=res.residual_inf,
+                                     screen=screen))
             if res.converged:
                 return res.rule
     return None

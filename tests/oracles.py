@@ -13,7 +13,8 @@ end is built per element, as the package built it before it built the
 mesh from one cell, and the energy ratios after it are computed at every
 Bloch wavenumber, as the package computed them before it certified one
 wavenumber of each conjugate pair; all are kept verbatim as the exact
-reference.
+reference.  Non-negative least squares, finally, is solved by trying
+every support, where the package runs an active-set method.
 """
 
 import itertools
@@ -27,7 +28,7 @@ import scipy.special
 from sbpquad import basis
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
-from sbpquad.search import InfeasibleDesignError
+from sbpquad.search import EPS_WEIGHT, InfeasibleDesignError
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
 
@@ -697,3 +698,39 @@ def energy_ratios(prob, dt: float,
         ratios = np.full(len(G), np.inf)
         ratios[finite] = np.linalg.norm(G[finite], ord=2, axis=(1, 2)) ** 2
     return ratios
+
+
+# ----------------------------------------------------------------------
+# non-negative least squares by enumerating supports (reference for
+# sbpquad.search.nnls and floor_residual)
+
+
+def nnls_min_norm(A: np.ndarray, b: np.ndarray) -> float:
+    """min ||A x - b||_2 over x >= 0.
+
+    Some minimiser has linearly independent columns on its support, and
+    there it is the support's unique least-squares solution; so the
+    minimum is the smallest residual of a nonnegative least-squares
+    solution over every support, the empty one included.
+    """
+    n = A.shape[1]
+    best = float(np.linalg.norm(b))
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            cols = A[:, list(support)]
+            x = np.linalg.lstsq(cols, b, rcond=None)[0]
+            if x.min() >= 0.0:
+                best = min(best, float(np.linalg.norm(cols @ x - b)))
+    return best
+
+
+def floor_residual_norm(spec) -> float:
+    """min ||g||_2 over weights >= EPS_WEIGHT of a layout without free
+    parameters: each orbit's column sums the evaluator above over its
+    nodes, and the floor moves into the right-hand side."""
+    _, coords, _ = expand(spec, spec.frozen_template())
+    V = vandermonde(coords, spec.qv, spec.dim)
+    s = spec.node_starts
+    A = np.column_stack([V[s[i]:s[i + 1]].sum(axis=0)
+                         for i in range(spec.n_orbits)])
+    return nnls_min_norm(A, spec._f - A @ np.full(spec.n_orbits, EPS_WEIGHT))

@@ -403,18 +403,19 @@ def test_cli_find_budget_exceeded(capsys):
     assert code == cli.EXIT_SEARCH
     err = capsys.readouterr().err
     assert re.search(r"search budget after (\d+) facet \(\1 screened\) "
-                     r"and 0 volume attempt\(s\)", err)
+                     r"and 0 volume \(0 screened\) attempt\(s\)", err)
 
 
 def test_cli_find_reports_screened_attempts(monkeypatch, capsys):
     # one vertex or one centroid orbit cannot carry the 2 invariant
-    # moments of degree 2: both layouts are screened, and both fail
+    # moments of degree 2: no weight solves them, so the floor screen
+    # logs one record for each layout and runs no sweep
     monkeypatch.setattr(sbpquad.signatures, "_tri_facet_candidates",
                         lambda q: [("Svert",), ("S1",)])
     assert run_cli(["find", "--domain", "tet", "--qv", "2"]) \
         == cli.EXIT_SEARCH
-    assert ("search exhausted after 6 facet (6 screened) and 0 volume "
-            "attempt(s)") in capsys.readouterr().err
+    assert ("search exhausted after 2 facet (2 screened) and 0 volume "
+            "(0 screened) attempt(s)") in capsys.readouterr().err
 
 
 def test_cli_find_rejects_facet_family_of_other_domain(capsys):

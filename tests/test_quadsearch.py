@@ -2,9 +2,13 @@
 
 import copy
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sbpquad import search
 from sbpquad.archive import rule_to_dict
@@ -16,10 +20,12 @@ from sbpquad.search import (
     SwarmState,
     TOL,
     apply_update_with_positivity,
+    floor_residual,
     lg_rule,
     lgl_rule,
     lma_solve,
     lma_step,
+    nnls,
     random_design,
     residual,
     residual_and_jacobian,
@@ -516,3 +522,112 @@ def test_round_zero_solve_builds_no_swarm(monkeypatch):
     assert not res.converged
     assert (res.rounds, res.pso_iterations) == (0, 0)
     assert res.residual_inf > 1e-3
+
+
+# ----------------------------------------------------------------------
+# non-negative least squares and the weight floor
+
+
+def entries(shape):
+    """Multiples of 1/8 in [-4, 4]: exact zeros, ties and repeats are
+    common, and a nonzero column is of order one.  (nnls counts a
+    gradient within rounding of ||A||_1 as zero, so it, unlike scipy,
+    ignores a column 1e-38 the size of the others.)"""
+    return arrays(np.float64, shape,
+                  elements=st.integers(-32, 32).map(lambda k: k / 8.0))
+
+
+@st.composite
+def nnls_problems(draw, kind):
+    """(A, b) with m <= 8 rows and n <= 6 columns: a random A, a product
+    of lower rank, one with repeated columns, or a nonnegative A with a
+    nonpositive b (whose solution is zero)."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    if kind == "rank-deficient":
+        r = draw(st.integers(1, max(1, min(m, n) - 1)))
+        A = draw(entries((m, r))) @ draw(entries((r, n)))
+    elif kind == "duplicate-columns":
+        B = draw(entries((m, n)))
+        picks = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=3))
+        A = np.hstack([B, B[:, picks]])
+    elif kind == "zero-solution":
+        A = np.abs(draw(entries((m, n))))
+        return A, -np.abs(draw(entries((m,))))
+    else:
+        A = draw(entries((m, n)))
+    return A, draw(entries((m,)))
+
+
+def assert_nnls_optimal(A, b):
+    """nnls(A, b) is nonnegative, reaches scipy's residual and meets the
+    optimality conditions: no entry's gradient A^T (b - A x) is
+    positive, and it vanishes where x is positive."""
+    from scipy.optimize import nnls as scipy_nnls
+    x = nnls(A, b)
+    _, rnorm = scipy_nnls(A, b)
+    scale = 1.0 + np.linalg.norm(A) * (1.0 + np.linalg.norm(b))
+    assert x.min() >= 0.0
+    assert abs(np.linalg.norm(A @ x - b) - rnorm) <= 1e-9 * scale
+    grad = A.T @ (b - A @ x)
+    assert grad.max(initial=0.0) <= 1e-9 * scale
+    assert np.abs(grad[x > 0.0]).max(initial=0.0) <= 1e-9 * scale
+    return x
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-deficient",
+                                  "duplicate-columns", "zero-solution"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nnls_matches_scipy(kind, data):
+    A, b = data.draw(nnls_problems(kind))
+    x = assert_nnls_optimal(A, b)
+    if kind == "zero-solution":
+        assert not x.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=entries((8, 4)),
+       x0=arrays(np.float64, 4, elements=st.floats(0.1, 2.0)))
+def test_nnls_recovers_an_interior_solution(A, x0):
+    """b = A x0 with x0 > 0 and A well conditioned: x0 is the unique
+    minimiser, at zero residual."""
+    assume(np.linalg.cond(A) < 1e3)
+    x = assert_nnls_optimal(A, A @ x0)
+    assert np.allclose(x, x0, rtol=0.0, atol=1e-10)
+
+
+def weight_only_specs():
+    """Layouts without free parameters: every vertex, mid-edge and
+    centroid triangle layout of the tet face degrees 2, 4 and 6, and the
+    weight-only volume layouts of the pinned triangle requests."""
+    specs = {}
+    for q in (2, 4, 6):
+        for k in (1, 2, 3):
+            for combo in itertools.combinations(("Svert", "SmidEdge", "S1"),
+                                                k):
+                specs[f"face-q{q}-{'-'.join(combo)}"] = SearchSpec(2, q,
+                                                                   combo)
+    for family, degrees in (("lgl", range(1, 7)), ("lg", range(1, 5))):
+        for q in degrees:
+            for spec in volume_search_specs("tri", q, family):
+                if not spec.free_mask[:spec.n_params].any():
+                    specs[f"tri-{family}-q{q}-{'-'.join(spec.kinds)}"] = spec
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(weight_only_specs()))
+def test_floor_residual_matches_support_enumeration(name):
+    """||g||_2 of floor_residual is the least over weights at or above
+    EPS_WEIGHT, by the reference evaluator and support enumeration."""
+    spec = weight_only_specs()[name]
+    got = float(np.linalg.norm(floor_residual(spec)))
+    want = oracles.floor_residual_norm(spec)
+    assert abs(got - want) <= 1e-13 + 1e-10 * want
+
+
+def test_floor_residual_skips_layouts_with_free_parameters():
+    assert floor_residual(SearchSpec(2, 2, ("S21", "S1"))) is None
+    frozen = SearchSpec(2, 3, ("Sedge", "S1"), frozen={0: (0.3,)})
+    assert floor_residual(frozen) is not None

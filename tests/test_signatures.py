@@ -1,5 +1,10 @@
 """Orbit layout enumeration and the rule-search driver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,7 @@ from sbpquad.signatures import (
 from sbpquad.simplex import orbit_structure
 
 import oracles
+from conftest import TRI_LG_DEGREES, TRI_LGL_DEGREES
 
 
 # ----------------------------------------------------------------------
@@ -298,40 +304,125 @@ def test_find_rule_budget_caps_facet_stage():
 
 
 def test_find_rule_logs_facet_stage(tet_result):
-    # the mid-edge face rule is the third facet layout, after 2 x 3 sweeps;
-    # all three facet layouts have 1 unknown for 2 moments (screened),
-    # and the volume layout has enough unknowns
-    log = [(a["stage"], a["converged"], a["unknowns"], a["moments"])
-           for a in tet_result.attempts]
-    assert log == ([("facet", False, 1, 2)] * 6
-                   + [("facet", True, 1, 2), ("volume", True, 2, 2)])
-    assert tet_result.attempts[6]["kinds"] == ["SmidEdge"]
+    # the mid-edge face rule is the third facet layout; all three facet
+    # layouts have 1 unknown for 2 moments (count screen), and the two
+    # before it cannot reach their moments with weights on the floor, so
+    # each logs one floor-screen record and no sweep; the volume layout
+    # has enough unknowns
+    log = [(a["stage"], a["sweep"], a["converged"], a["unknowns"],
+            a["moments"], a["screen"]) for a in tet_result.attempts]
+    assert log == ([("facet", None, False, 1, 2, "floor")] * 2
+                   + [("facet", 0, True, 1, 2, "count"),
+                      ("volume", 0, True, 2, 2, None)])
+    assert tet_result.attempts[2]["kinds"] == ["SmidEdge"]
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_facet_screen_keeps_face_rule(monkeypatch, p):
     """Underdetermined layouts that fail round zero fail the swarm rounds
-    too, so the screen leaves the face rule bit-identical to the one
-    found with the full solve on every layout."""
+    too, and the layouts the floor screen skips fail every sweep of the
+    full solve, so the screens leave the face rule bit-identical to the
+    one found with the full solve on every layout."""
     full = sbpquad.signatures.solve_coupled
-    rounds = []
+    calls = []
 
     def record(spec, rng, **kw):
+        res = full(spec, rng, **kw)
         moments = invariant_moment_count(spec.qv, spec.dim)
-        rounds.append((spec.free_mask.sum() < moments, kw["max_rounds"]))
-        return full(spec, rng, **kw)
+        calls.append((spec.kinds, spec.free_mask.sum() < moments,
+                      kw["max_rounds"], res.converged))
+        return res
 
     monkeypatch.setattr(sbpquad.signatures, "solve_coupled", record)
     screened = find_facet_rule(p)
     # round zero only for the underdetermined layouts, 4 rounds otherwise
-    assert all(r == (0 if under else 4) for under, r in rounds)
+    assert all(r == (0 if under else 4) for _, under, r, _ in calls)
+    solved = {kinds for kinds, *_ in calls}
+    calls.clear()
     monkeypatch.setattr(sbpquad.signatures, "solve_coupled",
-                        lambda spec, rng, **kw: full(
+                        lambda spec, rng, **kw: record(
                             spec, rng, **{**kw, "max_rounds": 4}))
+    monkeypatch.setattr(sbpquad.signatures, "floor_residual",
+                        lambda spec: None)
     unscreened = find_facet_rule(p)
     assert np.array_equal(screened.nodes.coords, unscreened.nodes.coords)
     assert np.array_equal(screened.nodes.weights, unscreened.nodes.weights)
     assert screened.provenance == unscreened.provenance
+    # the floor screen skipped weight-only layouts (vertex, mid-edge and
+    # centroid orbits), and each of their 3 full solves failed
+    skipped = [(kinds, ok) for kinds, _, _, ok in calls
+               if kinds not in solved]
+    assert len(skipped) == 3 * {1: 2, 2: 7}[p]
+    assert not any(ok for _, ok in skipped)
+    assert {k for kinds, _ in skipped for k in kinds} \
+        <= {"Svert", "SmidEdge", "S1"}
+
+
+def rule_bytes(result):
+    return canonical_json(rule_to_dict(result.rule))
+
+
+@pytest.mark.parametrize("domain, qv, family", [
+    *[("tri", q, "lgl") for q in TRI_LGL_DEGREES],
+    *[("tri", q, "lg") for q in TRI_LG_DEGREES], ("tet", 2, "gen")])
+def test_floor_screen_keeps_every_rule(monkeypatch, tri_lgl_results,
+                                       tri_lg_results, tet_result, domain,
+                                       qv, family):
+    """With the floor screen off, every pinned request finds the same
+    rule, and each layout the screen skips fails all of its sweeps."""
+    screened = {"lgl": tri_lgl_results, "lg": tri_lg_results,
+                "gen": {2: tet_result}}[family][qv]
+    monkeypatch.setattr(sbpquad.signatures, "floor_residual",
+                        lambda spec: None)
+    full = find_rule(domain, qv, family, seed=0)
+    assert rule_bytes(full) == rule_bytes(screened)
+    for skipped in screened.attempts:
+        if skipped["screen"] != "floor":
+            continue
+        solves = [a for a in full.attempts
+                  if (a["stage"], a["kinds"])
+                  == (skipped["stage"], skipped["kinds"])]
+        assert len(solves) == (3 if skipped["stage"] == "facet" else 5)
+        assert not any(a["converged"] for a in solves)
+
+
+@pytest.mark.parametrize("domain, qv, family, skipped", [
+    ("tri", 2, "lgl", [("volume", ("Svert", "SmidEdge"))]),
+    ("tet", 2, "gen", [("facet", ("S1",)), ("facet", ("Svert",))])])
+def test_floor_screened_layouts_are_never_solved(monkeypatch, domain, qv,
+                                                 family, skipped):
+    """A layout no weights on the floor solve logs one record, with no
+    sweep and its least residual on the floor, and gets no solve."""
+    solve = sbpquad.signatures.solve_coupled
+    solved = []
+
+    def record(spec, rng, **kw):
+        solved.append(spec.kinds)
+        return solve(spec, rng, **kw)
+
+    monkeypatch.setattr(sbpquad.signatures, "solve_coupled", record)
+    res = find_rule(domain, qv, family, seed=0)
+    assert res.status == "ok"
+    floor = [a for a in res.attempts if a["screen"] == "floor"]
+    assert [(a["stage"], tuple(a["kinds"])) for a in floor] == skipped
+    assert all(a["sweep"] is None and not a["converged"]
+               and a["residual"] > 1e-5 for a in floor)
+    assert not {kinds for _, kinds in skipped} & set(solved)
+    assert len(solved) == len(res.attempts) - len(floor)
+
+
+def test_search_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize takes about 0.6 s and 45 MB; the floor
+    # screen's nnls is numpy's
+    src = Path(sbpquad.__file__).resolve().parents[1]
+    code = ("import sys, sbpquad\n"
+            "from sbpquad.signatures import find_rule\n"
+            "assert find_rule('tri', 2, 'lgl').status == 'ok'\n"
+            "assert find_rule('tet', 2, 'gen').status == 'ok'\n"
+            "sys.exit('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0
 
 
 def test_find_rule_no_layout_converges(monkeypatch):
