@@ -353,6 +353,12 @@ def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
     """
     _, coords, w = spec.expand(tau)
     V, g = _moments(spec, coords, w)
+    return g, _jacobian(spec, coords, w, V)
+
+
+def _jacobian(spec: SearchSpec, coords: np.ndarray, w: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+    """Jacobian of an expanded design whose V _moments has evaluated."""
     J = np.empty((spec.n_moments, spec.n_tau))
     if spec.n_params:
         Vx = grad_vandermonde(coords, spec.qv, spec.dim, check=False)
@@ -362,7 +368,7 @@ def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
         J[:, :spec.n_params] = Jp
     J[:, spec.weight_slice] = np.add.reduceat(
         V, spec.node_starts[:-1], axis=0).T
-    return g, J
+    return J
 
 
 # ----------------------------------------------------------------------
@@ -433,20 +439,24 @@ def floor_residual(spec: SearchSpec) -> np.ndarray | None:
 
 
 def lma_step(g: np.ndarray, J: np.ndarray, free_mask: np.ndarray,
-             nu: float) -> np.ndarray:
+             nu: float | np.ndarray) -> np.ndarray:
     """One damped step on the free entries; frozen entries get zero.
 
     h = -pinv(J~^T J~ + nu diag(J~^T J~)) J~^T g with singular values
     below 1e-12 of the largest truncated, so rank-deficient (symmetric
-    or underdetermined) systems produce the minimum-norm step.
+    or underdetermined) systems produce the minimum-norm step.  For a
+    1-D array of dampings nu, one stacked pinv solves every damped
+    system and h has one row per damping, each the step of that damping
+    alone.
     """
+    nu = np.asarray(nu)
     Jf = J[:, free_mask]
     JtJ = Jf.T @ Jf
-    A = JtJ + nu * np.diag(np.diag(JtJ))
+    A = JtJ + nu[..., None, None] * np.diag(np.diag(JtJ))
     rhs = Jf.T @ g
     hf = -np.linalg.pinv(A, rcond=1e-12, hermitian=True) @ rhs
-    h = np.zeros(free_mask.size)
-    h[free_mask] = hf
+    h = np.zeros(nu.shape + free_mask.shape)
+    h[..., free_mask] = hf
     return h
 
 
@@ -459,9 +469,12 @@ def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
     which parks the worst offender exactly at the floor.  Keeping all
     weights >= eps (not merely positive) is what rejects layouts whose
     only solutions have vanishing weights: their residual stalls at the
-    floor and the search moves to the next candidate.  A layout whose
-    unknowns are all weights is not left to stall: floor_residual tells
-    before any solve whether weights on the floor can solve it.
+    floor and the search moves to the next candidate.  A weight already
+    below the floor (a swarm design may hold one) gets eta = 0 on every
+    step that lowers it, so such a step returns tau unchanged; lma_solve
+    rejects those trials without scoring them.  A layout whose unknowns
+    are all weights is not left to stall: floor_residual tells before
+    any solve whether weights on the floor can solve it.
     """
     ws = spec.weight_slice
     w = tau[ws]
@@ -485,38 +498,76 @@ class LmaState:
     message: str = ""
 
 
+def _damped_trials(spec: SearchSpec, tau: np.ndarray, g: np.ndarray,
+                   J: np.ndarray, nu: float):
+    """Yield, for each damping trial of one LMA iteration in order, the
+    trial design, its residual (None where it leaves the element) and
+    the (coords, w, V) that scored it.
+
+    The trials' dampings are nu and its products by NU_INC capped at
+    NU_MAX, MAX_REJECTS in all, as the rejection loop raises nu.  The
+    first trial is solved and scored alone; the rest, which only a
+    rejected first trial asks for, in one stacked lma_step and one
+    _moments call.  A trial equal to tau (a weight below the floor
+    blocks its step, or the step is below rounding) gets g unscored, so
+    it cannot pass ||g_try|| < ||g||.
+    """
+    ladder = [nu]
+    for _ in range(MAX_REJECTS - 1):
+        ladder.append(min(ladder[-1] * NU_INC, NU_MAX))
+    for nus in (ladder[:1], ladder[1:]):
+        taus = np.array([apply_update_with_positivity(spec, tau, h)
+                         for h in lma_step(g, J, spec.free_mask, nus)])
+        _, coords, w, feasible = spec.expand_stack(taus)
+        moved = feasible & (taus != tau).any(axis=1)
+        if moved.any():
+            scored = zip(*_moments(spec, coords[moved], w[moved]))
+        for k, tau_try in enumerate(taus):
+            if not feasible[k]:
+                yield tau_try, None, None
+            elif not moved[k]:
+                yield tau, g, None
+            else:
+                V, g_try = next(scored)
+                yield tau_try, g_try, (coords[k], w[k], V)
+
+
 def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
               max_iters: int = 100, nu_floor: float = 0.0) -> LmaState:
     """Damped LMA from tau0 until ||g||_inf <= TOL or max_iters.
 
     The damping nu starts at nu_init, shrinks by NU_DEC (not below
     nu_floor) on residual decrease and grows by NU_INC on a rejected
-    step; infeasible proposals are rejected the same way.
+    step; infeasible proposals are rejected the same way.  Once the
+    first trial of an iteration is rejected, the rest of its damping
+    ladder is solved and scored in one stacked evaluation
+    (_damped_trials), and the loop walks those outcomes in order.  A
+    design entering with a weight below the floor gets eta = 0 on every
+    step that lowers that weight; such a trial leaves tau unchanged and
+    is rejected without scoring.  The next Jacobian is built from the
+    basis values that scored the accepted design.
     """
     tau = np.asarray(tau0, dtype=float).copy()
     try:
-        g = residual(spec, tau)
+        _, coords, w = spec.expand(tau)
     except InfeasibleDesignError:
         return LmaState(tau, nu_init, np.inf, 0, False, "infeasible start")
+    V, g = _moments(spec, coords, w)
     nu = nu_init
     it = 0
     while it < max_iters:
         res_inf = float(np.abs(g).max())
         if res_inf <= TOL:
             return LmaState(tau, nu, res_inf, it, True)
-        _, J = residual_and_jacobian(spec, tau)
+        J = _jacobian(spec, coords, w, V)
         gnorm = float(np.linalg.norm(g))
         accepted = False
-        for _ in range(MAX_REJECTS):
-            h = lma_step(g, J, spec.free_mask, nu)
-            tau_try = apply_update_with_positivity(spec, tau, h)
-            try:
-                g_try = residual(spec, tau_try)
-            except InfeasibleDesignError:
+        for tau_try, g_try, basis in _damped_trials(spec, tau, g, J, nu):
+            if g_try is None:
                 nu = min(nu * NU_INC, NU_MAX)
                 continue
             if np.linalg.norm(g_try) < gnorm:
-                tau, g = tau_try, g_try
+                tau, g, (coords, w, V) = tau_try, g_try, basis
                 nu = max(nu * NU_DEC, nu_floor, 1e-300)
                 accepted = True
                 break

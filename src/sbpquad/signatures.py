@@ -279,7 +279,9 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     weights on the floor reach ||g||_inf <= TOL, it is screened without
     a solve (screen "floor", one record with sweep None) and its seeds
     are spent unused.  Every solve is logged to the find_rule call in
-    progress, and none starts once its budget has run out (_BudgetSpent).
+    progress with the work it did (rounds, lma_iterations and
+    pso_iterations; None on a floor-screened record), and none starts
+    once its budget has run out (_BudgetSpent).
     """
     run = _RUN.get() or _Run()
     ss = np.random.SeedSequence(seed)
@@ -297,7 +299,9 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
                               > math.sqrt(spec.n_moments) * TOL):
             run.attempts.append(dict(layout, sweep=None, converged=False,
                                      residual=float(np.abs(g).max()),
-                                     screen="floor"))
+                                     screen="floor", rounds=None,
+                                     lma_iterations=None,
+                                     pso_iterations=None))
             continue
         for sweep, child in enumerate(children):
             run.check_budget()
@@ -305,7 +309,9 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
             run.attempts.append(dict(layout, sweep=sweep,
                                      converged=res.converged,
                                      residual=res.residual_inf,
-                                     screen=screen))
+                                     screen=screen, rounds=res.rounds,
+                                     lma_iterations=res.lma_iterations,
+                                     pso_iterations=res.pso_iterations))
             if res.converged:
                 return res.rule
     return None

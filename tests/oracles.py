@@ -14,7 +14,10 @@ mesh from one cell, and the energy ratios after it are computed at every
 Bloch wavenumber, as the package computed them before it certified one
 wavenumber of each conjugate pair; all are kept verbatim as the exact
 reference.  Non-negative least squares, finally, is solved by trying
-every support, where the package runs an active-set method.
+every support, where the package runs an active-set method.  The
+damped LMA at the very end makes one solve and one residual per damping
+trial, as the package did before it scored each damping ladder in one
+stacked evaluation.
 """
 
 import itertools
@@ -28,7 +31,10 @@ import scipy.special
 from sbpquad import basis
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
-from sbpquad.search import EPS_WEIGHT, InfeasibleDesignError
+from sbpquad.search import (EPS_WEIGHT, MAX_REJECTS, NU_DEC, NU_INC, NU_MAX,
+                            TOL, InfeasibleDesignError, LmaState, SearchSpec,
+                            apply_update_with_positivity, lma_step,
+                            residual, residual_and_jacobian)
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
 
@@ -545,7 +551,7 @@ def _tri_facet_candidates(q: int, max_candidates: int = 24):
 # with the evaluator above
 
 
-def expand(spec, tau: np.ndarray):
+def expand_design(spec, tau: np.ndarray):
     """(bary, coords, node_weights) of a design; raises when
     any node leaves the closed element."""
     bary = spec._base + spec._dbary @ tau[:spec.n_params]
@@ -556,10 +562,10 @@ def expand(spec, tau: np.ndarray):
     return bary, coords, w
 
 
-def residual(spec, tau: np.ndarray) -> np.ndarray:
+def residual_design(spec, tau: np.ndarray) -> np.ndarray:
     """Moment residual g = V^T w - f; raises InfeasibleDesignError when
     the design leaves the element."""
-    _, coords, w = expand(spec, tau)
+    _, coords, w = expand_design(spec, tau)
     V = basis.vandermonde(coords, spec.qv, spec.dim, check=False)
     return V.T @ w - spec._f
 
@@ -567,7 +573,7 @@ def residual(spec, tau: np.ndarray) -> np.ndarray:
 def swarm_objective(spec, tau: np.ndarray) -> float:
     """0.5 ||g||^2, +inf for infeasible designs."""
     try:
-        g = residual(spec, tau)
+        g = residual_design(spec, tau)
     except InfeasibleDesignError:
         return np.inf
     return 0.5 * float(g @ g)
@@ -728,9 +734,62 @@ def floor_residual_norm(spec) -> float:
     """min ||g||_2 over weights >= EPS_WEIGHT of a layout without free
     parameters: each orbit's column sums the evaluator above over its
     nodes, and the floor moves into the right-hand side."""
-    _, coords, _ = expand(spec, spec.frozen_template())
+    _, coords, _ = expand_design(spec, spec.frozen_template())
     V = vandermonde(coords, spec.qv, spec.dim)
     s = spec.node_starts
     A = np.column_stack([V[s[i]:s[i + 1]].sum(axis=0)
                          for i in range(spec.n_orbits)])
     return nnls_min_norm(A, spec._f - A @ np.full(spec.n_orbits, EPS_WEIGHT))
+
+
+# ----------------------------------------------------------------------
+# the damped LMA one trial at a time: one lma_step and one residual per
+# damping, and a fresh residual_and_jacobian per iteration (reference for
+# the stacked damping ladder of sbpquad.search.lma_solve); every name it
+# calls is the package's
+
+
+def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
+              max_iters: int = 100, nu_floor: float = 0.0) -> LmaState:
+    """Damped LMA from tau0 until ||g||_inf <= TOL or max_iters.
+
+    The damping nu starts at nu_init, shrinks by NU_DEC (not below
+    nu_floor) on residual decrease and grows by NU_INC on a rejected
+    step; infeasible proposals are rejected the same way.
+    """
+    tau = np.asarray(tau0, dtype=float).copy()
+    try:
+        g = residual(spec, tau)
+    except InfeasibleDesignError:
+        return LmaState(tau, nu_init, np.inf, 0, False, "infeasible start")
+    nu = nu_init
+    it = 0
+    while it < max_iters:
+        res_inf = float(np.abs(g).max())
+        if res_inf <= TOL:
+            return LmaState(tau, nu, res_inf, it, True)
+        _, J = residual_and_jacobian(spec, tau)
+        gnorm = float(np.linalg.norm(g))
+        accepted = False
+        for _ in range(MAX_REJECTS):
+            h = lma_step(g, J, spec.free_mask, nu)
+            tau_try = apply_update_with_positivity(spec, tau, h)
+            try:
+                g_try = residual(spec, tau_try)
+            except InfeasibleDesignError:
+                nu = min(nu * NU_INC, NU_MAX)
+                continue
+            if np.linalg.norm(g_try) < gnorm:
+                tau, g = tau_try, g_try
+                nu = max(nu * NU_DEC, nu_floor, 1e-300)
+                accepted = True
+                break
+            nu = min(nu * NU_INC, NU_MAX)
+            if nu >= NU_MAX:
+                break
+        it += 1
+        if not accepted:
+            return LmaState(tau, nu, float(np.abs(g).max()), it, False,
+                            "stalled")
+    res_inf = float(np.abs(g).max())
+    return LmaState(tau, nu, res_inf, it, res_inf <= TOL, "iteration cap")

@@ -368,6 +368,166 @@ def test_lma_solve_reports_infeasible_start():
     assert state.message == "infeasible start"
 
 
+# ----------------------------------------------------------------------
+# the stacked damping ladder against the one-trial-at-a-time reference
+
+#: the settings of the polish _try_finalize runs on a converged design
+POLISH = {"nu_init": 1e-8, "nu_floor": 1e-12, "max_iters": 40}
+
+
+def damping_ladder(nu):
+    """The dampings one LMA iteration tries, as its rejections raise nu."""
+    nus = [nu]
+    for _ in range(search.MAX_REJECTS - 1):
+        nus.append(min(nus[-1] * search.NU_INC, search.NU_MAX))
+    return np.array(nus)
+
+
+def floor_stall():
+    """A tri q3 design that LMA has left with the centroid weight parked
+    on the floor, a rounding below it, so every step that lowers it is
+    blocked."""
+    spec = SearchSpec(2, 3, ("S1", "S21"))
+    state = oracles.lma_solve(spec, random_design(spec,
+                                                  np.random.default_rng(1)))
+    assert state.message == "stalled"
+    w = state.tau[spec.weight_slice][0]
+    assert w <= EPS_WEIGHT and w == pytest.approx(EPS_WEIGHT, rel=1e-12)
+    return spec, state.tau
+
+
+def lma_cases():
+    """(name, spec, tau0): layouts short of unknowns that stall, a weight
+    on the floor and one below it (as a swarm design may hold), a start
+    next to an edge, and the floor stall."""
+    cases = []
+    for kinds in [("S21",), ("Sedge", "S1")]:
+        spec = SearchSpec(2, 4, kinds)
+        for seed in range(4):
+            cases.append((f"{'-'.join(kinds)}-seed{seed}", spec,
+                          random_design(spec, np.random.default_rng(seed))))
+    spec = SearchSpec(2, 4, ("S1", "S21", "S21", "S111"))
+    for seed in (1, 2):
+        tau = random_design(spec, np.random.default_rng(seed))
+        floor, below, edge = tau.copy(), tau.copy(), tau.copy()
+        floor[spec.n_params + 1] = EPS_WEIGHT
+        below[spec.n_params + 1] = 1e-9
+        edge[1] = 0.499            # second S21 orbit 0.002 from an edge
+        cases += [(f"floor-seed{seed}", spec, floor),
+                  (f"below-floor-seed{seed}", spec, below),
+                  (f"edge-seed{seed}", spec, edge)]
+    cases.append(("floor-stall", *floor_stall()))
+    return cases
+
+
+def traced_reference(monkeypatch, spec, tau0, **kw):
+    """The reference LMA's state and which of its rejection branches it
+    reached: an infeasible trial, the break at NU_MAX, or MAX_REJECTS
+    rejected trials in its last iteration."""
+    events = []
+
+    def residual(spec, tau):
+        try:
+            g = search.residual(spec, tau)
+        except InfeasibleDesignError:
+            events.append("infeasible")
+            raise
+        events.append("trial")
+        return g
+
+    def residual_and_jacobian(spec, tau):
+        events.append("iteration")
+        return search.residual_and_jacobian(spec, tau)
+
+    monkeypatch.setattr(oracles, "residual", residual)
+    monkeypatch.setattr(oracles, "residual_and_jacobian",
+                        residual_and_jacobian)
+    state = oracles.lma_solve(spec, tau0, **kw)
+    monkeypatch.undo()
+    trials = events[len(events) - events[::-1].index("iteration"):]
+    branches = set()
+    if "infeasible" in events:
+        branches.add("infeasible")
+    if state.message == "stalled":
+        if state.nu == search.NU_MAX and trials[-1] == "trial" \
+                and len(trials) < search.MAX_REJECTS:
+            branches.add("nu-max break")
+        if len(trials) == search.MAX_REJECTS and state.nu < search.NU_MAX:
+            branches.add("rejects exhausted")
+    return state, branches
+
+
+def assert_same_state(got, ref, name=""):
+    assert np.array_equal(got.tau, ref.tau), name
+    assert (got.nu, got.res_inf, got.iterations, got.converged,
+            got.message) == (ref.nu, ref.res_inf, ref.iterations,
+                             ref.converged, ref.message), name
+
+
+def test_lma_solve_matches_one_trial_at_a_time(monkeypatch):
+    """Scoring each damping ladder in one stacked evaluation leaves every
+    field of the LMA state as the loop that scored one trial at a time
+    left it, through every rejection branch."""
+    reached = set()
+    for name, spec, tau0 in lma_cases():
+        for kw in ({}, POLISH):
+            ref, branches = traced_reference(monkeypatch, spec, tau0, **kw)
+            assert_same_state(lma_solve(spec, tau0, **kw), ref, name)
+            reached |= branches
+    assert reached == {"infeasible", "nu-max break", "rejects exhausted"}
+
+
+@pytest.mark.parametrize("name", ["tri-lgl-q3", "tri-free", "tet-frozen"])
+@pytest.mark.parametrize("nu", [1e3, 1e-8])
+def test_stacked_damping_steps_match_one_step_per_damping(name, nu):
+    spec = (volume_search_specs("tri", 3, "lgl")[0] if name == "tri-lgl-q3"
+            else scoring_specs()[name])
+    if name != "tri-free":
+        assert not spec.free_mask.all()    # frozen facet parameters
+    tau = random_design(spec, np.random.default_rng(4))
+    g, J = residual_and_jacobian(spec, tau)
+    nus = damping_ladder(nu)
+    steps = lma_step(g, J, spec.free_mask, nus)
+    assert steps.shape == (search.MAX_REJECTS, spec.n_tau)
+    for nu_k, h in zip(nus, steps):
+        assert np.array_equal(h, lma_step(g, J, spec.free_mask, nu_k))
+    assert np.array_equal(lma_step(g, J, spec.free_mask, nus[:1])[0],
+                          steps[0])
+
+
+@pytest.mark.parametrize("floor", [True, False])
+def test_a_stalled_iteration_makes_two_solves(monkeypatch, floor):
+    """An iteration that rejects its whole damping ladder makes at most
+    two pinv and two _moments calls (the first trial, then the rest of
+    the ladder), where one call per trial made 22 or more of each; trials
+    a weight on the floor blocks are not scored at all."""
+    if floor:
+        spec, tau = floor_stall()
+    else:
+        spec = SearchSpec(2, 4, ("S21",))
+        tau = lma_solve(spec, random_design(spec,
+                                            np.random.default_rng(0))).tau
+    calls = {"_moments": 0, "pinv": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(search, "_moments", counted(search._moments))
+    monkeypatch.setattr(np.linalg, "pinv", counted(np.linalg.pinv))
+    state = lma_solve(spec, tau, max_iters=1)
+    assert (state.iterations, state.message) == (1, "stalled")
+    # one _moments call scores the start
+    assert calls["pinv"] <= 2 and calls["_moments"] <= 1 + 2
+    if floor:
+        assert calls == {"_moments": 1, "pinv": 2}
+    calls.update(_moments=0, pinv=0)
+    assert_same_state(state, oracles.lma_solve(spec, tau, max_iters=1))
+    assert calls["pinv"] >= 22 and calls["_moments"] >= 1 + 22
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_solve_coupled_deterministic(seed):
     spec = SearchSpec(2, 2, ("Svert", "SmidEdge", "S1"))

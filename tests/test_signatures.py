@@ -317,6 +317,16 @@ def test_find_rule_logs_facet_stage(tet_result):
     assert tet_result.attempts[2]["kinds"] == ["SmidEdge"]
 
 
+def test_attempt_records_carry_the_work_of_each_solve(tet_result):
+    # both solves converge in round zero, by 11 LMA iterations and no
+    # swarm step; the floor-screened records ran no solve
+    work = [(a["rounds"], a["lma_iterations"], a["pso_iterations"])
+            for a in tet_result.attempts]
+    assert work == [(None, None, None)] * 2 + [(0, 11, 0)] * 2
+    again = find_rule("tet", 2, "gen", seed=0)
+    assert again.attempts == tet_result.attempts
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_facet_screen_keeps_face_rule(monkeypatch, p):
     """Underdetermined layouts that fail round zero fail the swarm rounds
