@@ -152,7 +152,10 @@ def _cmd_find(args) -> int:
         for stage in ("facet", "volume"):
             tried = [a for a in solves if a["stage"] == stage]
             screened = sum(a["screen"] is not None for a in tried)
-            parts.append(f"{len(tried)} {stage} ({screened} screened)")
+            floor = sum(a["reason"] == "floor" for a in tried)
+            ended = f", {floor} ended at the floor" if floor else ""
+            parts.append(f"{len(tried)} {stage} ({screened} screened"
+                         f"{ended})")
         print(f"search {result.status} after {' and '.join(parts)} "
               f"attempt(s), {result.elapsed:.1f}s", file=sys.stderr)
         return EXIT_SEARCH

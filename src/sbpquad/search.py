@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 #: random_design and the LMA steps keep weights at or above this floor;
-#: pso_step resets only weights <= 0 to it, so swarm weights may be below
+#: pso_step resets only weights <= 0 to it, so swarm weights may be below.
+#: A sweep ends at the first swarm round whose LMA polish stalls with a
+#: weight on the floor (solve_coupled)
 EPS_WEIGHT = 1e-4
 #: a design solves its moments once ||g||_inf <= TOL
 TOL = 5e-14
@@ -463,7 +465,8 @@ def lma_step(g: np.ndarray, J: np.ndarray, free_mask: np.ndarray,
 def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
                                  h: np.ndarray) -> np.ndarray:
     """tau + eta*h with eta shrunk so no weight crosses the floor eps =
-    EPS_WEIGHT.
+    EPS_WEIGHT; for a stack of steps h (n, n_tau), one row per step, each
+    with its own eta.
 
     eta = min over entries that would land below eps of (eps - w_i)/h_i,
     which parks the worst offender exactly at the floor.  Keeping all
@@ -478,13 +481,17 @@ def apply_update_with_positivity(spec: SearchSpec, tau: np.ndarray,
     """
     ws = spec.weight_slice
     w = tau[ws]
-    hw = h[ws]
-    trial = w + hw
-    viol = trial < EPS_WEIGHT
-    eta = 1.0
-    if viol.any():
-        eta = min(1.0, max(0.0, float(np.min((EPS_WEIGHT - w[viol])
-                                             / hw[viol]))))
+    hw = h[..., ws]
+    viol = w + hw < EPS_WEIGHT
+    if not viol.any():              # eta = 1 on every row
+        return tau + h
+    ratio = np.divide(EPS_WEIGHT - w, hw, out=np.full(hw.shape, np.inf),
+                      where=viol)
+    eta = ratio.min(axis=-1, keepdims=True)
+    # clamp to [0, 1] as min(1, max(0, eta)) does: a ratio of -0.0 (a
+    # weight parked on the floor) or NaN gives +0.0
+    eta = np.where(eta > 0.0, eta, 0.0)
+    eta = np.where(eta < 1.0, eta, 1.0)
     return tau + eta * h
 
 
@@ -507,17 +514,17 @@ def _damped_trials(spec: SearchSpec, tau: np.ndarray, g: np.ndarray,
     The trials' dampings are nu and its products by NU_INC capped at
     NU_MAX, MAX_REJECTS in all, as the rejection loop raises nu.  The
     first trial is solved and scored alone; the rest, which only a
-    rejected first trial asks for, in one stacked lma_step and one
-    _moments call.  A trial equal to tau (a weight below the floor
-    blocks its step, or the step is below rounding) gets g unscored, so
-    it cannot pass ||g_try|| < ||g||.
+    rejected first trial asks for, in one stacked lma_step, positivity
+    guard and _moments call.  A trial equal to tau (a weight below the
+    floor blocks its step, or the step is below rounding) gets g
+    unscored, so it cannot pass ||g_try|| < ||g||.
     """
     ladder = [nu]
     for _ in range(MAX_REJECTS - 1):
         ladder.append(min(ladder[-1] * NU_INC, NU_MAX))
     for nus in (ladder[:1], ladder[1:]):
-        taus = np.array([apply_update_with_positivity(spec, tau, h)
-                         for h in lma_step(g, J, spec.free_mask, nus)])
+        taus = apply_update_with_positivity(
+            spec, tau, lma_step(g, J, spec.free_mask, nus))
         _, coords, w, feasible = spec.expand_stack(taus)
         moved = feasible & (taus != tau).any(axis=1)
         if moved.any():
@@ -710,6 +717,14 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
     swarm's global best with LMA and feeds the result back as a particle.
     The swarm's global best never gets worse, so an unconverged search
     reports it (with max_rounds 0, no swarm: round zero's LMA endpoint).
+
+    The sweep ends early, with message "floor", after the first swarm
+    round whose polish fails with a weight parked on the floor
+    EPS_WEIGHT; on a layout whose solutions need vanishing weights the
+    later rounds only repeat that stall.  Round zero does not end the
+    sweep: its solve may stall on the floor and round one still
+    converge.  A sweep that runs out of rounds reports "no
+    convergence".
     """
     lma_total = 0
     pso_total = 0
@@ -722,11 +737,12 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
         if rule is not None:
             return SearchResult(rule, True, final.res_inf, 0, lma_total,
                                 pso_total, best_tau=final.tau)
-    if max_rounds == 0:
+    if max_rounds <= 0:
         return SearchResult(None, False, state.res_inf, 0, lma_total,
                             pso_total, "no convergence", best_tau=state.tau)
 
     swarm = init_swarm(spec, rng, seeds=(state.tau, tau0))
+    message = "no convergence"
     for rnd in range(1, max_rounds + 1):
         for _ in range(pso_iters):
             pso_step(spec, swarm, rng)
@@ -745,8 +761,12 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
         swarm.positions[worst] = state.tau
         swarm.velocities[worst] = 0.0
         _record_best(swarm, worst, state.tau[None], obj)
+        # the guard parks a stalled weight within rounding of the floor
+        if (not state.converged and state.tau[spec.weight_slice].min()
+                <= EPS_WEIGHT * (1.0 + 1e-9)):
+            message = "floor"
+            break
     best = swarm.gbest_obj
     res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
-    return SearchResult(None, False, res, max_rounds, lma_total,
-                        pso_total, "no convergence",
-                        best_tau=swarm.gbest_pos.copy())
+    return SearchResult(None, False, res, rnd, lma_total, pso_total,
+                        message, best_tau=swarm.gbest_pos.copy())

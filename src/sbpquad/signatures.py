@@ -270,7 +270,8 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     """Rule of the first converged solve over specs, or None.
 
     Each layout gets `sweeps` restart seeds, children of
-    SeedSequence(seed) taken in order, before the next layout is tried;
+    SeedSequence(seed) taken in order, before the next layout is tried,
+    so how many rounds one sweep runs changes no other sweep's seed;
     solve_args go to every solve_coupled call.  A layout with fewer free
     unknowns than invariant moments solves them only in a special
     consistent case, which round zero finds: it gets round zero only
@@ -280,8 +281,11 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     a solve (screen "floor", one record with sweep None) and its seeds
     are spent unused.  Every solve is logged to the find_rule call in
     progress with the work it did (rounds, lma_iterations and
-    pso_iterations; None on a floor-screened record), and none starts
-    once its budget has run out (_BudgetSpent).
+    pso_iterations) and, when it failed, the reason its sweep stopped
+    ("floor" when a swarm round stalled on the weight floor, "no
+    convergence" when it ran out of rounds); all four are None on a
+    floor-screened record, and the reason is None on a converged one.
+    No solve starts once the budget has run out (_BudgetSpent).
     """
     run = _RUN.get() or _Run()
     ss = np.random.SeedSequence(seed)
@@ -299,8 +303,8 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
                               > math.sqrt(spec.n_moments) * TOL):
             run.attempts.append(dict(layout, sweep=None, converged=False,
                                      residual=float(np.abs(g).max()),
-                                     screen="floor", rounds=None,
-                                     lma_iterations=None,
+                                     screen="floor", reason=None,
+                                     rounds=None, lma_iterations=None,
                                      pso_iterations=None))
             continue
         for sweep, child in enumerate(children):
@@ -309,7 +313,9 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
             run.attempts.append(dict(layout, sweep=sweep,
                                      converged=res.converged,
                                      residual=res.residual_inf,
-                                     screen=screen, rounds=res.rounds,
+                                     screen=screen,
+                                     reason=res.message or None,
+                                     rounds=res.rounds,
                                      lma_iterations=res.lma_iterations,
                                      pso_iterations=res.pso_iterations))
             if res.converged:
@@ -322,9 +328,10 @@ def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
 
     Prefers layouts whose nodes sit at triangle vertices and edges so the
     induced tet volume rule is as small as possible.  Each layout gets 3
-    restart seeds and a shorter solve (4 rounds of 25 swarm steps) than
-    the volume stage's (round zero only when short of unknowns), until
-    one converges or the budget of the find_rule call runs out.
+    restart seeds and a shorter solve (at most 4 rounds of 25 swarm
+    steps) than the volume stage's (round zero only when short of
+    unknowns), until one converges or the budget of the find_rule call
+    runs out.
     """
     q = 2 * p
     specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))

@@ -17,7 +17,11 @@ reference.  Non-negative least squares, finally, is solved by trying
 every support, where the package runs an active-set method.  The
 damped LMA at the very end makes one solve and one residual per damping
 trial, as the package did before it scored each damping ladder in one
-stacked evaluation.
+stacked evaluation; its positivity guard after it takes one step at a
+time, as the package's did before it guarded a whole ladder in one
+array pass.  The coupled solve at the end runs every swarm round, as
+the package did before a sweep ended at the first round whose polish
+stalls on the weight floor.
 """
 
 import itertools
@@ -32,9 +36,13 @@ from sbpquad import basis
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
 from sbpquad.search import (EPS_WEIGHT, MAX_REJECTS, NU_DEC, NU_INC, NU_MAX,
-                            TOL, InfeasibleDesignError, LmaState, SearchSpec,
-                            apply_update_with_positivity, lma_step,
-                            residual, residual_and_jacobian)
+                            TOL, InfeasibleDesignError, LmaState,
+                            SearchResult, SearchSpec, _record_best,
+                            _try_finalize, apply_update_with_positivity,
+                            init_swarm, lma_solve as package_lma_solve,
+                            lma_step, pso_step, random_design, residual,
+                            residual_and_jacobian,
+                            swarm_objective as package_swarm_objective)
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
 
@@ -793,3 +801,77 @@ def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
                             "stalled")
     res_inf = float(np.abs(g).max())
     return LmaState(tau, nu, res_inf, it, res_inf <= TOL, "iteration cap")
+
+
+def positivity_update(spec: SearchSpec, tau: np.ndarray,
+                      h: np.ndarray) -> np.ndarray:
+    """tau + eta*h with eta shrunk so no weight crosses the floor eps =
+    EPS_WEIGHT, for one step h."""
+    ws = spec.weight_slice
+    w = tau[ws]
+    hw = h[ws]
+    trial = w + hw
+    viol = trial < EPS_WEIGHT
+    eta = 1.0
+    if viol.any():
+        eta = min(1.0, max(0.0, float(np.min((EPS_WEIGHT - w[viol])
+                                             / hw[viol]))))
+    return tau + eta * h
+
+
+# ----------------------------------------------------------------------
+# the coupled solve through every swarm round (reference for the floor
+# stop of sbpquad.search.solve_coupled); every name it calls is the
+# package's, lma_solve and swarm_objective under a package_ prefix
+
+
+def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
+                  max_rounds: int = 10, pso_iters: int = 40) -> SearchResult:
+    """Coupled LMA/PSO search for one orbit layout.
+
+    Deterministic for a given (spec, rng state, max_rounds, pso_iters).
+    Round zero is a plain LMA solve from a random design; afterwards each
+    of up to max_rounds rounds runs pso_iters swarm steps, polishes the
+    swarm's global best with LMA and feeds the result back as a particle.
+    The swarm's global best never gets worse, so an unconverged search
+    reports it (with max_rounds 0, no swarm: round zero's LMA endpoint).
+    """
+    lma_total = 0
+    pso_total = 0
+
+    tau0 = random_design(spec, rng)
+    state = package_lma_solve(spec, tau0)
+    lma_total += state.iterations
+    if state.converged:
+        rule, final = _try_finalize(spec, state)
+        if rule is not None:
+            return SearchResult(rule, True, final.res_inf, 0, lma_total,
+                                pso_total, best_tau=final.tau)
+    if max_rounds == 0:
+        return SearchResult(None, False, state.res_inf, 0, lma_total,
+                            pso_total, "no convergence", best_tau=state.tau)
+
+    swarm = init_swarm(spec, rng, seeds=(state.tau, tau0))
+    for rnd in range(1, max_rounds + 1):
+        for _ in range(pso_iters):
+            pso_step(spec, swarm, rng)
+        pso_total += pso_iters
+        state = package_lma_solve(spec, swarm.gbest_pos.copy())
+        lma_total += state.iterations
+        if state.converged:
+            rule, final = _try_finalize(spec, state)
+            if rule is not None:
+                return SearchResult(rule, True, final.res_inf, rnd,
+                                    lma_total, pso_total,
+                                    best_tau=final.tau)
+        # feed the LMA endpoint back into the swarm
+        obj = package_swarm_objective(spec, state.tau[None])
+        worst = np.argmax(swarm.pbest_obj, keepdims=True)
+        swarm.positions[worst] = state.tau
+        swarm.velocities[worst] = 0.0
+        _record_best(swarm, worst, state.tau[None], obj)
+    best = swarm.gbest_obj
+    res = math.sqrt(2.0 * best) if np.isfinite(best) else np.inf
+    return SearchResult(None, False, res, max_rounds, lma_total,
+                        pso_total, "no convergence",
+                        best_tau=swarm.gbest_pos.copy())

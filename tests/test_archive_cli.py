@@ -418,6 +418,18 @@ def test_cli_find_reports_screened_attempts(monkeypatch, capsys):
             "(0 screened) attempt(s)") in capsys.readouterr().err
 
 
+def test_cli_find_counts_sweeps_ended_at_the_floor(monkeypatch, capsys):
+    # tri LGL q6's first layout: its first sweep ends at the floor
+    first = sbpquad.signatures.interior_candidates
+    monkeypatch.setattr(sbpquad.signatures, "interior_candidates",
+                        lambda *args: first(*args)[:1])
+    assert run_cli(["find", "--domain", "tri", "--qv", "6",
+                    "--sweeps", "1"]) == cli.EXIT_SEARCH
+    assert ("search exhausted after 0 facet (0 screened) and 1 volume "
+            "(0 screened, 1 ended at the floor) attempt(s)"
+            ) in capsys.readouterr().err
+
+
 def test_cli_find_rejects_facet_family_of_other_domain(capsys):
     for domain, family in (("tet", "lg"), ("tet", "lgl"), ("tri", "gen")):
         assert run_cli(["find", "--domain", domain, "--qv", "2",

@@ -495,6 +495,52 @@ def test_stacked_damping_steps_match_one_step_per_damping(name, nu):
                           steps[0])
 
 
+def guard_kind(spec, tau, h, out):
+    """'full', 'blocked' or 'partial' as the guard took all of step h,
+    none of it, or a part; 'blocked' only counts when a weight sits
+    below the floor or on it and h lowers it."""
+    if np.array_equal(out, tau + h):
+        return "full"
+    w, hw = tau[spec.weight_slice], h[spec.weight_slice]
+    if np.array_equal(out, tau) and ((w <= EPS_WEIGHT) & (hw < 0.0)).any():
+        return "blocked"
+    return "partial"
+
+
+def test_stacked_positivity_guard_matches_one_step_at_a_time():
+    """Guarding a damping ladder in one array pass leaves every row as
+    the guard applied to that step alone does, bit for bit and signed
+    zeros included: steps taken whole, steps a weight below the floor
+    blocks, and steps shrunk to park a weight on the floor."""
+    ladders = []
+    for _, spec, tau in lma_cases():
+        g, J = residual_and_jacobian(spec, tau)
+        for nu in (1e3, 1e-8):
+            ladders.append((spec, tau, lma_step(g, J, spec.free_mask,
+                                                damping_ladder(nu))))
+    # a weight exactly on the floor that every step lowers: each ratio is
+    # -0.0, and the guard must take +0.0 from it, which turns the -0.0
+    # parameter into +0.0 where np.clip would keep -0.0
+    spec = SearchSpec(2, 2, ("S21", "S1"))
+    tau = np.array([-0.0, EPS_WEIGHT, 0.4])
+    ladders.append((spec, tau, np.array([[0.0, -s, 0.1]
+                                         for s in (1e-3, 1.0, 1e3)])))
+    kinds = set()
+    for spec, tau, steps in ladders:
+        got = apply_update_with_positivity(spec, tau, steps)
+        want = np.array([oracles.positivity_update(spec, tau, h)
+                         for h in steps])
+        assert got.shape == steps.shape
+        assert got.tobytes() == want.tobytes()
+        assert apply_update_with_positivity(spec, tau, steps[0]).tobytes() \
+            == want[0].tobytes()
+        kinds |= {guard_kind(spec, tau, h, out)
+                  for h, out in zip(steps, want)}
+    assert kinds == {"full", "blocked", "partial"}
+    # the hand-built ladder came last: its -0.0 parameter came out +0.0
+    assert not np.signbit(got[:, 0]).any()
+
+
 @pytest.mark.parametrize("floor", [True, False])
 def test_a_stalled_iteration_makes_two_solves(monkeypatch, floor):
     """An iteration that rejects its whole damping ladder makes at most
@@ -682,6 +728,48 @@ def test_round_zero_solve_builds_no_swarm(monkeypatch):
     assert not res.converged
     assert (res.rounds, res.pso_iterations) == (0, 0)
     assert res.residual_inf > 1e-3
+
+
+# ----------------------------------------------------------------------
+# the sweep's stop at the weight floor against the all-rounds reference
+
+
+def first_sweep(domain, qv, family):
+    """The first volume layout of a request and the generator of its
+    first sweep, as find_rule at seed 0 draws it."""
+    child = np.random.SeedSequence(0).spawn(5)[0]
+    return (volume_search_specs(domain, qv, family)[0],
+            lambda: np.random.default_rng(child))
+
+
+def at_floor(spec, tau):
+    return tau[spec.weight_slice].min() <= EPS_WEIGHT * (1.0 + 1e-9)
+
+
+def test_sweep_ends_at_first_round_stalled_on_floor():
+    """tri LGL q6's first sweep stalls with a weight on the floor in
+    swarm round 1 and ends there; run through all 10 rounds it fails
+    too."""
+    spec, rng = first_sweep("tri", 6, "lgl")
+    res = solve_coupled(spec, rng())
+    assert (res.converged, res.rounds, res.message) == (False, 1, "floor")
+    assert res.rule is None and res.pso_iterations == 40
+    assert at_floor(spec, res.best_tau)
+    full = oracles.solve_coupled(spec, rng())
+    assert (full.converged, full.rounds, full.message) \
+        == (False, 10, "no convergence")
+    assert full.residual_inf <= res.residual_inf
+
+
+def test_round_zero_floor_stall_keeps_the_sweep():
+    """tri LG q7's winning sweep stalls on the floor in round zero and
+    converges in swarm round 1, every field as the all-rounds solve."""
+    spec, rng = first_sweep("tri", 7, "lg")
+    state = lma_solve(spec, random_design(spec, rng()))
+    assert not state.converged and at_floor(spec, state.tau)
+    res = solve_coupled(spec, rng())
+    assert res.converged and res.rounds == 1
+    assert_same_result(res, oracles.solve_coupled(spec, rng()))
 
 
 # ----------------------------------------------------------------------

@@ -396,6 +396,41 @@ def test_floor_screen_keeps_every_rule(monkeypatch, tri_lgl_results,
         assert not any(a["converged"] for a in solves)
 
 
+def test_attempt_records_say_why_each_sweep_stopped(tri_lgl_results,
+                                                   tet_result):
+    """tri LGL q6's first sweep ends at the floor in swarm round 1 and
+    its second converges in round zero; converged and floor-screened
+    records carry no reason."""
+    log = [(a["sweep"], a["converged"], a["reason"], a["rounds"])
+           for a in tri_lgl_results[6].attempts]
+    assert log == [(0, False, "floor", 1), (1, True, None, 0)]
+    assert [a["reason"] for a in tet_result.attempts] == [None] * 4
+
+
+def test_failed_round_zero_solve_ran_out_of_rounds(monkeypatch):
+    # one S21 orbit has 2 unknowns for the 4 invariant moments of the
+    # degree-4 face rule: round zero only, and it fails
+    monkeypatch.setattr(sbpquad.signatures, "_tri_facet_candidates",
+                        lambda q: [("S21",)])
+    res = find_rule("tet", 4, "gen")
+    assert res.status == "exhausted"
+    assert [(a["screen"], a["reason"], a["rounds"])
+            for a in res.attempts if "error" not in a] \
+        == [("count", "no convergence", 0)] * 3
+
+
+def test_all_rounds_solve_keeps_tri_lgl_q6(monkeypatch, tri_lgl_results):
+    """With every sweep run through all its rounds, tri LGL q6 finds the
+    same rule: the sweep the floor stop ends early fails either way."""
+    monkeypatch.setattr(sbpquad.signatures, "solve_coupled",
+                        oracles.solve_coupled)
+    full = find_rule("tri", 6, "lgl", seed=0)
+    assert rule_bytes(full) == rule_bytes(tri_lgl_results[6])
+    assert [(a["sweep"], a["converged"], a["reason"], a["rounds"])
+            for a in full.attempts] == [(0, False, "no convergence", 10),
+                                        (1, True, None, 0)]
+
+
 @pytest.mark.parametrize("domain, qv, family, skipped", [
     ("tri", 2, "lgl", [("volume", ("Svert", "SmidEdge"))]),
     ("tet", 2, "gen", [("facet", ("S1",)), ("facet", ("Svert",))])])
