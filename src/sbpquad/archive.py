@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .operators import SBPConstructionError, SBPOperator, build_operator
-from .search import (QuadratureRule, RuleValidationError, _interval_nodeset,
-                     lg_rule, lgl_rule, validate_rule)
+from .search import (DOMAINS, QuadratureRule, RuleValidationError,
+                     _interval_nodeset, lg_rule, lgl_rule, validate_rule)
 from .signatures import FACET_FAMILIES
 from .simplex import (GroupSignature, NodeSetError, SymmetryOrbit,
                       assemble_nodes, orbit_kinds, orbit_structure)
@@ -42,7 +42,6 @@ _OP_FORMAT = "sbp-operator"
 _OP_ARRAYS = {"H": "norm", "E": "boundary operator", "Q": "stiffness",
               "D": "derivative"}
 
-_DIM = {"interval": 1, "tri": 2, "tet": 3}
 _INTERVAL_RULES = {"lgl": lgl_rule, "lg": lg_rule}
 
 
@@ -133,9 +132,9 @@ def rule_from_dict(data: dict) -> QuadratureRule:
     """
     _check_header(data, _RULE_FORMAT, "a rule")
     domain = data.get("domain")
-    if not isinstance(domain, str) or domain not in _DIM:
+    if domain not in DOMAINS:
         raise ArchiveError(f"unknown domain {domain!r}")
-    dim = _DIM[domain]
+    dim = DOMAINS.index(domain) + 1
     qv = data.get("qv")
     if type(qv) is not int or qv < 0:
         raise ArchiveError(f"qv is not a nonnegative integer: {qv!r}")

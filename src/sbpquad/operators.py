@@ -5,8 +5,10 @@ fixed facet rule, the boundary operators E_i are diagonal: each facet
 contributes (outward normal component) x (facet-rule weight scaled to
 the facet measure) at the matching volume node, with contributions
 accumulating at shared vertex/edge nodes.  Q_i = S_i + E_i/2 with S_i
-antisymmetric solved in the least-squares sense from the degree-p
-exactness conditions, and D_i = H^{-1} Q_i.
+the minimum-norm antisymmetric solution of the degree-p exactness
+conditions S_i V_p = H dV_p/dx_i - E_i V_p / 2 (Hicken, Del Rey Fernandez
+& Zingg 2016), built in closed form on an orthonormal basis of
+range(V_p), and D_i = H^{-1} Q_i.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "verify_operator",
 ]
 
-_ACC_TOL = 1e-11       # residual allowed in the S least-squares solve
+_ACC_TOL = 1e-11       # max|S_i V_p - rhs_i| allowed, times max(1, max H)
 _MATCH_TOL = 1e-9      # facet-rule node to volume node distance allowed
 
 
@@ -121,33 +123,22 @@ def build_E(rule: QuadratureRule):
     return E, facets
 
 
-def _solve_antisymmetric(Vp: np.ndarray, rhs: list[np.ndarray]):
-    """Minimum-norm antisymmetric S_i with S_i Vp ~= rhs_i for all i.
+def _solve_antisymmetric(Vp: np.ndarray, rhs: np.ndarray):
+    """Minimum-norm antisymmetric S_i with S_i Vp ~= rhs_i, in closed form.
 
-    Unknowns are the strictly-lower-triangular entries; every direction
-    shares the same coefficient matrix, so the systems are solved
-    together.
+    With U an orthonormal basis of range(Vp) and C_i = rhs_i Vp^+ U, the
+    conditions fix S_i U = C_i, and the minimum-norm S_i vanishes on
+    range(Vp)^perp x range(Vp)^perp: S_i = X_i - X_i^T with
+    X_i = (C_i - U U^T C_i / 2) U^T.  rhs stacks the d directions.
     """
-    n, nb = Vp.shape
-    pairs = np.array([(j, k) for j in range(n) for k in range(j)],
-                     dtype=int)
-    ncols = pairs.shape[0]
-    M = np.zeros((n, nb, ncols))
-    cols = np.arange(ncols)
-    M[pairs[:, 0], :, cols] = Vp[pairs[:, 1]]
-    M[pairs[:, 1], :, cols] = -Vp[pairs[:, 0]]
-    M = M.reshape(n * nb, ncols)
-    B = np.column_stack([r.reshape(n * nb) for r in rhs])
-    sol, _, _, _ = np.linalg.lstsq(M, B, rcond=None)
-    out = []
-    defects = []
-    for i in range(len(rhs)):
-        S = np.zeros((n, n))
-        S[pairs[:, 0], pairs[:, 1]] = sol[:, i]
-        S[pairs[:, 1], pairs[:, 0]] = -sol[:, i]
-        defects.append(float(np.abs(S @ Vp - rhs[i]).max()))
-        out.append(S)
-    return out, max(defects)
+    U, s, Wt = np.linalg.svd(Vp, full_matrices=False)
+    # drop modes below lstsq's default cutoff: a rank-deficient Vp then
+    # leaves a finite defect for the gate, not a division by zero
+    r = int((s > s[0] * max(Vp.shape) * np.finfo(float).eps).sum())
+    U, C = U[:, :r], rhs @ (Wt[:r].T / s[:r])
+    X = (C - 0.5 * U @ (U.T @ C)) @ U.T
+    S = X - X.transpose(0, 2, 1)
+    return list(S), float(np.abs(S @ Vp - rhs).max())
 
 
 def build_operator(rule: QuadratureRule, p: int | None = None
@@ -172,8 +163,7 @@ def build_operator(rule: QuadratureRule, p: int | None = None
     H = rule.nodes.weights.copy()
     Vp = vandermonde(x, p, d, check=False)
     Vx = grad_vandermonde(x, p, d, check=False)
-    rhs = [H[:, None] * Vx[i] - 0.5 * E[i][:, None] * Vp
-           for i in range(d)]
+    rhs = H[:, None] * np.array(Vx) - 0.5 * np.array(E)[:, :, None] * Vp
     S, defect = _solve_antisymmetric(Vp, rhs)
     scale = max(float(np.abs(H).max()), 1.0)
     if defect > _ACC_TOL * scale:

@@ -69,7 +69,8 @@ MAX_REJECTS = 30
 #: random designs keep their free orbit nodes this far from the boundary
 MARGIN = 0.025
 
-_DOMAIN_BY_DIM = {1: "interval", 2: "tri", 3: "tet"}
+#: the reference simplex of dimension d is domain DOMAINS[d - 1]
+DOMAINS = ("interval", "tri", "tet")
 
 
 class InfeasibleDesignError(ValueError):
@@ -289,7 +290,7 @@ class SearchSpec:
         sig = GroupSignature(self.dim, tuple(orbits),
                              self.qv).canonically_ordered()
         nodes = assemble_nodes(sig)
-        rule = QuadratureRule(_DOMAIN_BY_DIM[self.dim], self.qv, nodes,
+        rule = QuadratureRule(DOMAINS[self.dim - 1], self.qv, nodes,
                               signature=sig, facet_rule=self.facet_rule,
                               facet_kind=self.facet_kind, sbp_p=self.sbp_p,
                               provenance=provenance or {})

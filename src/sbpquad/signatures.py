@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .search import (TOL, QuadratureRule, SearchSpec, floor_residual,
-                     lg_rule, lgl_rule, solve_coupled)
+from .search import (DOMAINS, TOL, QuadratureRule, SearchSpec,
+                     floor_residual, lg_rule, lgl_rule, solve_coupled)
 from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 class FacetSearchError(RuntimeError):
     """No facet rule reachable within the facet-stage search budget."""
 
-_DIM_BY_DOMAIN = {"tri": 2, "tet": 3}
 
 #: facet families each domain's search accepts, the default first: 1-D
 #: LGL or LG rules on triangle edges, a searched triangle rule ("gen") on
@@ -210,7 +209,7 @@ def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
     rejects raises ValueError.
     """
     check_request(domain, qv, facet_kind)
-    d = _DIM_BY_DOMAIN[domain]
+    d = DOMAINS.index(domain) + 1
     layout, frule, p = [], None, None
     if facet_kind is not None:
         p = (qv + 1) // 2

@@ -21,7 +21,10 @@ stacked evaluation; its positivity guard after it takes one step at a
 time, as the package's did before it guarded a whole ladder in one
 array pass.  The coupled solve at the end runs every swarm round, as
 the package did before a sweep ended at the first round whose polish
-stalls on the weight floor.
+stalls on the weight floor.  The antisymmetric part of each SBP operator,
+last, is solved as one dense least-squares system over its
+strictly-lower-triangular entries, as the package solved it before it
+built the minimum-norm solution in closed form.
 """
 
 import itertools
@@ -875,3 +878,38 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
     return SearchResult(None, False, res, max_rounds, lma_total,
                         pso_total, "no convergence",
                         best_tau=swarm.gbest_pos.copy())
+
+
+# ----------------------------------------------------------------------
+# the antisymmetric S_i as one dense least-squares system over the
+# strictly-lower-triangular entries (reference for the closed form of
+# sbpquad.operators._solve_antisymmetric)
+
+
+def _solve_antisymmetric(Vp: np.ndarray, rhs: list[np.ndarray]):
+    """Minimum-norm antisymmetric S_i with S_i Vp ~= rhs_i for all i.
+
+    Unknowns are the strictly-lower-triangular entries; every direction
+    shares the same coefficient matrix, so the systems are solved
+    together.
+    """
+    n, nb = Vp.shape
+    pairs = np.array([(j, k) for j in range(n) for k in range(j)],
+                     dtype=int)
+    ncols = pairs.shape[0]
+    M = np.zeros((n, nb, ncols))
+    cols = np.arange(ncols)
+    M[pairs[:, 0], :, cols] = Vp[pairs[:, 1]]
+    M[pairs[:, 1], :, cols] = -Vp[pairs[:, 0]]
+    M = M.reshape(n * nb, ncols)
+    B = np.column_stack([r.reshape(n * nb) for r in rhs])
+    sol, _, _, _ = np.linalg.lstsq(M, B, rcond=None)
+    out = []
+    defects = []
+    for i in range(len(rhs)):
+        S = np.zeros((n, n))
+        S[pairs[:, 0], pairs[:, 1]] = sol[:, i]
+        S[pairs[:, 1], pairs[:, 0]] = -sol[:, i]
+        defects.append(float(np.abs(S @ Vp - rhs[i]).max()))
+        out.append(S)
+    return out, max(defects)

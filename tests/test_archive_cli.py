@@ -158,9 +158,10 @@ def test_load_rule_wrong_schema(rule_file, tmp_path):
 
 def test_load_rule_unknown_domain(rule_file):
     data = json.loads(rule_file.read_text())
-    data["domain"] = "hexagon"
-    with pytest.raises(ArchiveError, match="domain"):
-        rule_from_dict(data)
+    for domain in ("hexagon", "Tri", None, 2, ["tri"], {"tri": 2}):
+        data["domain"] = domain
+        with pytest.raises(ArchiveError, match="unknown domain"):
+            rule_from_dict(data)
 
 
 def test_load_rule_tampered_weight(rule_file, tmp_path):

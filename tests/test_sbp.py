@@ -5,8 +5,10 @@ import copy
 import numpy as np
 import pytest
 
-from sbpquad.basis import monomial_integral, vandermonde
+from sbpquad.archive import operator_from_dict, operator_to_dict
+from sbpquad.basis import grad_vandermonde, monomial_integral, vandermonde
 from sbpquad.operators import (
+    _ACC_TOL,
     FacetOperator,
     SBPConstructionError,
     build_E,
@@ -158,6 +160,51 @@ def test_S_exactly_antisymmetric(all_operators, key):
     op = all_operators[key]
     for S in op.S:
         assert np.array_equal(S, -S.T)
+
+
+def _oracle_S(rule, p):
+    """S_i and defect of the dense least-squares oracle on rule at p."""
+    E, _ = build_E(rule)
+    x, H, d = rule.nodes.coords, rule.nodes.weights, rule.dim
+    Vp = vandermonde(x, p, d)
+    Vx = grad_vandermonde(x, p, d)
+    rhs = [H[:, None] * Vx[i] - 0.5 * E[i][:, None] * Vp for i in range(d)]
+    return oracles._solve_antisymmetric(Vp, rhs)
+
+
+@pytest.mark.parametrize("key", OPERATOR_KEYS)
+def test_S_matches_least_squares_oracle(all_operators, key):
+    op = all_operators[key]
+    S_ref, _ = _oracle_S(op.rule, op.p)
+    for S, ref in zip(op.S, S_ref):
+        tol = 1e-13 * max(1.0, float(np.abs(ref).max()))
+        assert np.abs(S - ref).max() <= tol
+
+
+@pytest.mark.parametrize("key", OPERATOR_KEYS)
+def test_operator_archive_of_least_squares_S_loads(all_operators, key):
+    """An archive whose Q and D come from the least-squares S still loads
+    against the closed-form rebuild."""
+    op = all_operators[key]
+    S_ref, _ = _oracle_S(op.rule, op.p)
+    data = operator_to_dict(op)
+    Q = [S + 0.5 * np.diag(E) for S, E in zip(S_ref, op.E)]
+    data["Q"] = [q.tolist() for q in Q]
+    data["D"] = [(q / op.H[:, None]).tolist() for q in Q]
+    operator_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["tri-lgl-q3", "tri-lg-q2", "tet-q2"])
+def test_build_operator_rejects_unsatisfiable_conditions(all_rules, key):
+    """A perturbed norm breaks the accuracy conditions: the closed form
+    and the least-squares oracle both leave a defect above the gate."""
+    rule = copy.deepcopy(all_rules[key])
+    rule.nodes.weights[np.argmax(rule.nodes.weights)] *= 1.0 + 1e-6
+    p = rule.sbp_p
+    _, defect = _oracle_S(rule, p)
+    assert defect > _ACC_TOL * max(1.0, rule.nodes.weights.max())
+    with pytest.raises(SBPConstructionError, match="unsatisfiable"):
+        build_operator(rule, p)
 
 
 @pytest.mark.parametrize("key", OPERATOR_KEYS)
