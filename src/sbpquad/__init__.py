@@ -13,8 +13,8 @@ from .advection import (AdvectionProblem, ConvergenceResult, build_problem,
                         exact_solution, l2_error, max_stable_dt,
                         run_convergence)
 from .archive import (load_operator, load_rule, save_operator, save_rule)
-from .basis import (grad_vandermonde, monomial_integral, n_basis,
-                    simplex_gauss_rule, vandermonde)
+from .basis import (grad_vandermonde, n_basis, simplex_gauss_rule,
+                    vandermonde)
 from .operators import (SBPOperator, SBPReport, build_operator,
                         verify_operator)
 from .search import (QuadratureRule, lg_rule, lgl_rule, solve_coupled,
@@ -29,8 +29,7 @@ __all__ = [
     "certify_stable", "certify_timestep", "energy", "exact_solution",
     "l2_error", "max_stable_dt", "run_convergence",
     "load_operator", "load_rule", "save_operator", "save_rule",
-    "grad_vandermonde", "monomial_integral", "n_basis",
-    "simplex_gauss_rule", "vandermonde",
+    "grad_vandermonde", "n_basis", "simplex_gauss_rule", "vandermonde",
     "SBPOperator", "SBPReport", "build_operator", "verify_operator",
     "QuadratureRule", "lg_rule", "lgl_rule",
     "solve_coupled", "validate_rule",

@@ -44,7 +44,7 @@ import numpy as np
 
 from .basis import simplex_gauss_rule, vandermonde
 from .operators import SBPOperator
-from .simplex import reference_simplex
+from .simplex import match_points, reference_simplex
 
 __all__ = [
     "MeshError",
@@ -238,12 +238,8 @@ def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
     vi = np.stack([fop.vol_idx for fop in op.facets])      # (d+1, n_f)
     theirs = vi[f2]                                        # (T, d+1, n_f)
     there = phys[t2[..., None], theirs] + shift[:, :, None, :] / m
-    dist = np.linalg.norm(phys[:T, vi][..., None, :]
-                          - there[..., None, :, :], axis=-1)
-    match = np.argmin(dist, axis=-1)                       # (T, d+1, n_f)
-    srt = np.sort(match, axis=-1)
-    if (dist.min(axis=-1).max() > 1e-9
-            or np.any(srt[..., 1:] == srt[..., :-1])):
+    match, ok = match_points(phys[:T, vi], there, 1e-9)    # (T, d+1, n_f)
+    if not ok.all():
         raise MeshError("facet nodes of the cell's simplices do not "
                         "collocate with their partners'")
     # each facet's partner cell, flat and wrapped: (m^d, T, d+1)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .operators import SBPConstructionError, SBPOperator, build_operator
 from .search import (DOMAINS, QuadratureRule, RuleValidationError,
-                     _interval_nodeset, lg_rule, lgl_rule, validate_rule)
-from .signatures import FACET_FAMILIES
+                     _interval_nodeset, validate_rule)
+from .signatures import EDGE_RULES, FACET_FAMILIES
 from .simplex import (GroupSignature, NodeSetError, SymmetryOrbit,
                       assemble_nodes, orbit_kinds, orbit_structure)
 
@@ -41,8 +41,6 @@ _OP_FORMAT = "sbp-operator"
 #: arrays an operator archive stores, checked against the rebuild on load
 _OP_ARRAYS = {"H": "norm", "E": "boundary operator", "Q": "stiffness",
               "D": "derivative"}
-
-_INTERVAL_RULES = {"lgl": lgl_rule, "lg": lg_rule}
 
 
 class ArchiveError(ValueError):
@@ -177,9 +175,9 @@ def rule_from_dict(data: dict) -> QuadratureRule:
 def _is_interval_rule(rule: QuadratureRule, kind, n: int) -> bool:
     """Whether rule is the n-node rule of interval family kind: the same
     degree, and nodes and weights within 1e-12."""
-    if kind not in _INTERVAL_RULES or n < (2 if kind == "lgl" else 1):
+    if kind not in EDGE_RULES or n < EDGE_RULES[kind][1]:
         return False
-    ref = _INTERVAL_RULES[kind](n)
+    ref = EDGE_RULES[kind][0](n)
     x, w = rule.nodes.coords, rule.nodes.weights
     return (rule.qv == ref.qv and x.shape == ref.nodes.coords.shape
             and np.abs(np.concatenate([x - ref.nodes.coords,
@@ -212,7 +210,7 @@ def _check_facets(rule: QuadratureRule) -> None:
         raise ArchiveError(f"sbp_p {p} needs qv >= {2 * p - 1} and a facet "
                            f"degree >= {2 * p}, not {rule.qv} and {frule.qv}")
     if rule.dim == 2 and not _is_interval_rule(
-            frule, kind, p + 2 if kind == "lgl" else p + 1):
+            frule, kind, p + EDGE_RULES[kind][1]):
         raise ArchiveError(f"facet rule is not the {kind} rule of "
                            f"sbp_p {p}")
 

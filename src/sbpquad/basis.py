@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "vandermonde",
     "grad_vandermonde",
     "integral_vector",
-    "monomial_integral",
     "simplex_gauss_rule",
 ]
 
@@ -199,42 +197,6 @@ def integral_vector(q: int, d: int) -> np.ndarray:
     f = np.zeros(n_basis(q, d))
     f[0] = math.sqrt(reference_simplex(d).measure)
     return f
-
-
-# ----------------------------------------------------------------------
-# exact monomial moments (rational arithmetic, any degree)
-
-
-def _bary_moment(powers: tuple[int, ...], d: int) -> Fraction:
-    """Exact integral of prod lam_i^{a_i} over the reference d-simplex."""
-    measure = Fraction(2 ** d, math.factorial(d))
-    num = Fraction(math.factorial(d))
-    for a in powers:
-        num *= math.factorial(a)
-    return measure * num / math.factorial(d + sum(powers))
-
-
-def monomial_integral(powers, d: int) -> float:
-    """Exact integral of x^a (y^b (z^c)) over the reference d-simplex.
-
-    Uses x_i = 2 lam_{i+1} - 1 and exact rational barycentric moments, so
-    the value is correct to the final rounding even at high degree.
-    """
-    powers = tuple(int(p) for p in powers)
-    if len(powers) != d:
-        raise ValueError("need one exponent per coordinate")
-    total = Fraction(0)
-    # expand prod_i (2 lam_{i+1} - 1)^{a_i} with the multinomial theorem
-    ranges = [range(a + 1) for a in powers]
-    for ks in itertools.product(*ranges):
-        coeff = Fraction(1)
-        for a, k in zip(powers, ks):
-            coeff *= math.comb(a, k) * Fraction(2) ** k * (-1) ** (a - k)
-        lam_pows = [0] * (d + 1)
-        for i, k in enumerate(ks):
-            lam_pows[i + 1] = k
-        total += coeff * _bary_moment(tuple(lam_pows), d)
-    return float(total)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import (grad_vandermonde, n_basis, simplex_gauss_rule,
                     vandermonde)
 from .search import QuadratureRule
-from .simplex import facet_restriction, reference_simplex
+from .simplex import facet_restriction, match_points, reference_simplex
 
 __all__ = [
     "SBPConstructionError",
@@ -90,24 +90,16 @@ def match_facet_nodes(rule: QuadratureRule, facet_id: int
     frule = rule.facet_rule
     if frule is None:
         raise SBPConstructionError("rule carries no facet rule")
-    fx = frule.nodes.coords
-    scale = facet.measure / reference_simplex(rule.dim - 1).measure
-    vol_idx = np.empty(frule.n_nodes, dtype=int)
-    used = set()
-    for q in range(frule.n_nodes):
-        dist = np.linalg.norm(local - fx[q], axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] > _MATCH_TOL or j in used:
-            raise SBPConstructionError(
-                f"facet {facet_id}: facet-rule node {q} has no matching "
-                f"volume node (nearest at distance {dist[j]:.2e})")
-        used.add(j)
-        vol_idx[q] = idx[j]
-    if len(used) != idx.size:
+    if idx.size != frule.n_nodes:
         raise SBPConstructionError(
-            f"facet {facet_id}: {idx.size - len(used)} stray volume "
-            f"node(s) not in the facet rule")
-    return FacetOperator(facet_id, vol_idx,
+            f"facet {facet_id} holds {idx.size} volume node(s), not the "
+            f"facet rule's {frule.n_nodes}")
+    k, ok = match_points(frule.nodes.coords, local, _MATCH_TOL)
+    if not ok:
+        raise SBPConstructionError(
+            f"facet {facet_id}: volume nodes miss the facet-rule nodes")
+    scale = facet.measure / reference_simplex(rule.dim - 1).measure
+    return FacetOperator(facet_id, idx[k],
                          frule.nodes.weights * scale, facet.normal.copy())
 
 
@@ -156,11 +148,12 @@ def build_operator(rule: QuadratureRule, p: int | None = None
             rule.facet_rule.qv < 2 * p:
         raise SBPConstructionError(
             f"facet degree {rule.facet_rule.qv} < 2p = {2 * p}")
-    if rule.nodes.weights.min() <= 0:
-        raise SBPConstructionError("nonpositive norm entry")
+    w = rule.nodes.weights
+    if not (np.isfinite(w).all() and w.min() > 0):
+        raise SBPConstructionError("norm entry not finite and positive")
     E, facets = build_E(rule)
     x = rule.nodes.coords
-    H = rule.nodes.weights.copy()
+    H = w.copy()
     Vp = vandermonde(x, p, d, check=False)
     Vx = grad_vandermonde(x, p, d, check=False)
     rhs = H[:, None] * np.array(Vx) - 0.5 * np.array(E)[:, :, None] * Vp

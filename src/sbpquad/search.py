@@ -162,18 +162,15 @@ def lgl_rule(n: int) -> QuadratureRule:
     """Legendre-Gauss-Lobatto rule with n nodes on [-1, 1], degree 2n-3."""
     if n < 2:
         raise ValueError("LGL needs at least 2 nodes")
-    if n == 2:
-        x = np.array([-1.0, 1.0])
-    else:
-        pn1 = np.polynomial.legendre.Legendre.basis(n - 1)
-        interior = np.sort(np.real(pn1.deriv().roots()))
-        x = np.concatenate([[-1.0], interior, [1.0]])
+    pn1 = np.polynomial.legendre.Legendre.basis(n - 1)
+    interior = np.sort(np.real(pn1.deriv().roots()))
+    x = np.concatenate([[-1.0], interior, [1.0]])
     leg = np.polynomial.legendre.legval(
         x, [0.0] * (n - 1) + [1.0])
     w = 2.0 / (n * (n - 1) * leg ** 2)
     x, w = _symmetrize_1d(x, w)
     x[0], x[-1] = -1.0, 1.0
-    rule = QuadratureRule("interval", 2 * n - 3 if n > 2 else 1,
+    rule = QuadratureRule("interval", 2 * n - 3,
                           _interval_nodeset(x, w), facet_kind="lgl",
                           provenance={"method": "lgl", "n": n})
     return rule

@@ -32,6 +32,7 @@ from .simplex import _KIND_RANK, orbit_kinds, orbit_size, orbit_structure
 
 __all__ = [
     "FACET_FAMILIES",
+    "EDGE_RULES",
     "invariant_moment_count",
     "interior_candidates",
     "facet_layout",
@@ -53,6 +54,9 @@ class FacetSearchError(RuntimeError):
 #: LGL or LG rules on triangle edges, a searched triangle rule ("gen") on
 #: tet faces
 FACET_FAMILIES = {"tri": ("lgl", "lg"), "tet": ("gen",)}
+#: triangle-edge families: the 1-D rule constructor and its fewest nodes;
+#: a degree-p operator takes rule(p + fewest)
+EDGE_RULES = {"lgl": (lgl_rule, 2), "lg": (lg_rule, 1)}
 _FIRST_FAMILY = object()   # find_rule default: FACET_FAMILIES[domain][0]
 
 # triangle orbit -> tet facet orbit when a triangle rule is pushed onto
@@ -174,11 +178,10 @@ def facet_quadrature(kind: str, p: int, d: int, seed: int = 0
     vertex/edge nodes so the induced tet volume rule stays small.
     """
     if d == 2:
-        if kind == "lgl":
-            return lgl_rule(p + 2)
-        if kind == "lg":
-            return lg_rule(p + 1)
-        raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
+        if kind not in EDGE_RULES:
+            raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
+        rule, fewest = EDGE_RULES[kind]
+        return rule(p + fewest)
     if d == 3:
         return find_facet_rule(p, seed=seed)
     raise ValueError("facet rules exist for d in {2, 3}")

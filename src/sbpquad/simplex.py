@@ -44,6 +44,7 @@ __all__ = [
     "GroupSignature",
     "NodeSet",
     "pairwise_distances",
+    "match_points",
     "expand_orbit",
     "assemble_nodes",
     "min_node_spacing",
@@ -370,23 +371,28 @@ def facet_restriction(nodes: NodeSet, facet_id: int):
     return idx, sub @ reference_simplex(nodes.dim - 1).vertices
 
 
+def match_points(a: np.ndarray, b: np.ndarray, tol: float):
+    """Pair each point of a with its nearest point of b.
+
+    a (..., n, k) and b (..., m, k) broadcast over their leading axes.
+    Returns (idx, ok): idx (..., n) indexes b, and ok (...) holds where
+    every point of a lies within euclidean distance tol of its match and
+    no two points of a share one.
+    """
+    dist = np.linalg.norm(a[..., :, None, :] - b[..., None, :, :], axis=-1)
+    idx = np.argmin(dist, axis=-1)
+    srt = np.sort(idx, axis=-1)
+    return idx, ((dist.min(axis=-1) <= tol).all(axis=-1)
+                 & (srt[..., 1:] != srt[..., :-1]).all(axis=-1))
+
+
 def node_set_is_symmetric(nodes: NodeSet) -> bool:
     """Whether the weighted node set is invariant under vertex permutations."""
-    m = nodes.dim + 1
-    key = {}
-    for i in range(len(nodes)):
-        key[tuple(np.round(nodes.bary[i], 9))] = i
-    for sigma in itertools.permutations(range(m)):
-        for i in range(len(nodes)):
-            img = nodes.bary[i, list(sigma)]
-            j = key.get(tuple(np.round(img, 9)))
-            if j is None:
-                # fall back to a slow search before declaring failure
-                dist = np.abs(nodes.bary - img).sum(axis=1)
-                j = int(np.argmin(dist))
-                if dist[j] > _SYMMETRY_TOL:
-                    return False
-            if abs(nodes.weights[i] - nodes.weights[j]) > _SYMMETRY_TOL * (
-                    1.0 + abs(nodes.weights[i])):
-                return False
+    w = nodes.weights
+    for sigma in itertools.permutations(range(nodes.dim + 1)):
+        j, ok = match_points(nodes.bary[:, list(sigma)], nodes.bary,
+                             _SYMMETRY_TOL)
+        if not ok or np.any(np.abs(w - w[j])
+                            > _SYMMETRY_TOL * (1.0 + np.abs(w))):
+            return False
     return True

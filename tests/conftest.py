@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ def tri_lg_results():
 @pytest.fixture(scope="session")
 def tet_result():
     return find_rule("tet", 2, facet_kind="gen", seed=0)
+
+
+@pytest.fixture(scope="session")
+def interior_lgl_rule():
+    """The interior-only degree-2 triangle rule (one S21 orbit) labelled
+    as a p = 1 rule of the LGL family: no volume node on any edge."""
+    rule = find_rule("tri", 2, facet_kind=None, seed=0).rule
+    return dataclasses.replace(rule, facet_kind="lgl", sbp_p=1,
+                               facet_rule=lgl_rule(3))
 
 
 @pytest.fixture(scope="session")

@@ -1,30 +1,35 @@
 """Independent reference values for the test suite.
 
-Everything here is computed by a different route than the package uses:
-monomial integrals by direct nested antidifferentiation in exact
-rational arithmetic, Jacobi polynomials through scipy's unnormalized
-evaluations plus the explicit norm formula.  The per-dimension basis
-evaluator, reference simplex and collapsed Gauss rule are the ones the
-package used before each became d-generic, the two orbit-layout
-enumerators are the ones it used before both search stages shared one,
-and the swarm objective at the end scores one design per call as the
-package did before it scored whole swarms, the periodic mesh at the
-end is built per element, as the package built it before it built the
-mesh from one cell, and the energy ratios after it are computed at every
-Bloch wavenumber, as the package computed them before it certified one
-wavenumber of each conjugate pair; all are kept verbatim as the exact
-reference.  Non-negative least squares, finally, is solved by trying
-every support, where the package runs an active-set method.  The
+Everything here is computed by a different route than the package uses,
+or stands in for code the package no longer has.  Monomial integrals
+come from direct nested antidifferentiation in exact rational
+arithmetic; the package itself needs no monomial moments, so these are
+the suite's only exact moments.  Jacobi polynomials come through scipy's
+unnormalized evaluations plus the explicit norm formula.  The
+per-dimension basis evaluator, reference simplex and collapsed Gauss
+rule are the ones the package used before each became d-generic, the two
+orbit-layout enumerators are the ones it used before both search stages
+shared one, and the swarm objective at the end scores one design per
+call as the package did before it scored whole swarms, the periodic mesh
+at the end is built per element, as the package built it before it built
+the mesh from one cell, and the energy ratios after it are computed at
+every Bloch wavenumber, as the package computed them before it certified
+one wavenumber of each conjugate pair; all are kept verbatim as the
+exact reference.  Non-negative least squares, finally, is solved by
+trying every support, where the package runs an active-set method.  The
 damped LMA at the very end makes one solve and one residual per damping
 trial, as the package did before it scored each damping ladder in one
 stacked evaluation; its positivity guard after it takes one step at a
-time, as the package's did before it guarded a whole ladder in one
-array pass.  The coupled solve at the end runs every swarm round, as
-the package did before a sweep ended at the first round whose polish
-stalls on the weight floor.  The antisymmetric part of each SBP operator,
-last, is solved as one dense least-squares system over its
+time, as the package's did before it guarded a whole ladder in one array
+pass.  The coupled solve at the end runs every swarm round, as the
+package did before a sweep ended at the first round whose polish stalls
+on the weight floor.  The antisymmetric part of each SBP operator, next,
+is solved as one dense least-squares system over its
 strictly-lower-triangular entries, as the package solved it before it
-built the minimum-norm solution in closed form.
+built the minimum-norm solution in closed form.  The symmetry check and
+the facet matcher at the very end pair points by rounded keys and by a
+per-node loop, as the package did before all its point matching went
+through one nearest-point routine.
 """
 
 import itertools
@@ -38,16 +43,20 @@ import scipy.special
 from sbpquad import basis
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
+from sbpquad.operators import (_MATCH_TOL, FacetOperator,
+                               SBPConstructionError)
 from sbpquad.search import (EPS_WEIGHT, MAX_REJECTS, NU_DEC, NU_INC, NU_MAX,
                             TOL, InfeasibleDesignError, LmaState,
-                            SearchResult, SearchSpec, _record_best,
+                            QuadratureRule, SearchResult, SearchSpec,
+                            _record_best,
                             _try_finalize, apply_update_with_positivity,
                             init_swarm, lma_solve as package_lma_solve,
                             lma_step, pso_step, random_design, residual,
                             residual_and_jacobian,
                             swarm_objective as package_swarm_objective)
 from sbpquad.signatures import invariant_moment_count
-from sbpquad.simplex import CLOSURE_TOL, Facet, ReferenceSimplex
+from sbpquad.simplex import (_SYMMETRY_TOL, CLOSURE_TOL, Facet, NodeSet,
+                             ReferenceSimplex, facet_restriction)
 
 
 def _even_moment(m: int) -> Fraction:
@@ -86,6 +95,13 @@ def monomial_integral_tet(a: int, b: int, c: int) -> Fraction:
             total += coef * y_then_z(b + i, c + k - i)
     total -= y_then_z(b, c)      # the (-1)^{a+1} constant part
     return sign * total / (a + 1)
+
+
+def monomial_integral(powers, d: int) -> float:
+    """x^a (y^b (z^c)) over the reference d-simplex, rounded once."""
+    exact = (monomial_integral_interval, monomial_integral_tri,
+             monomial_integral_tet)[d - 1]
+    return float(exact(*(int(a) for a in powers)))
 
 
 def jacobi_normalized(n: int, alpha: float, beta: float,
@@ -913,3 +929,66 @@ def _solve_antisymmetric(Vp: np.ndarray, rhs: list[np.ndarray]):
         defects.append(float(np.abs(S @ Vp - rhs[i]).max()))
         out.append(S)
     return out, max(defects)
+
+
+# ----------------------------------------------------------------------
+# point matching by rounded keys and by a per-node loop (reference for
+# sbpquad.simplex.node_set_is_symmetric and sbpquad.operators.
+# match_facet_nodes, which both pair points with match_points)
+
+
+def node_set_is_symmetric(nodes: NodeSet) -> bool:
+    """Whether the weighted node set is invariant under vertex permutations."""
+    m = nodes.dim + 1
+    key = {}
+    for i in range(len(nodes)):
+        key[tuple(np.round(nodes.bary[i], 9))] = i
+    for sigma in itertools.permutations(range(m)):
+        for i in range(len(nodes)):
+            img = nodes.bary[i, list(sigma)]
+            j = key.get(tuple(np.round(img, 9)))
+            if j is None:
+                # fall back to a slow search before declaring failure
+                dist = np.abs(nodes.bary - img).sum(axis=1)
+                j = int(np.argmin(dist))
+                if dist[j] > _SYMMETRY_TOL:
+                    return False
+            if abs(nodes.weights[i] - nodes.weights[j]) > _SYMMETRY_TOL * (
+                    1.0 + abs(nodes.weights[i])):
+                return False
+    return True
+
+
+def match_facet_nodes(rule: QuadratureRule, facet_id: int
+                      ) -> FacetOperator:
+    """Pair the facet rule's nodes with the volume nodes on one facet."""
+    facet = reference_simplex(rule.dim).facets[facet_id]
+    idx, local = facet_restriction(rule.nodes, facet_id)
+    if rule.dim == 1:
+        if idx.size != 1:
+            raise SBPConstructionError(
+                "interval rule lacks a boundary node (need LGL-type)")
+        return FacetOperator(facet_id, idx, np.array([1.0]),
+                             facet.normal.copy())
+    frule = rule.facet_rule
+    if frule is None:
+        raise SBPConstructionError("rule carries no facet rule")
+    fx = frule.nodes.coords
+    scale = facet.measure / reference_simplex(rule.dim - 1).measure
+    vol_idx = np.empty(frule.n_nodes, dtype=int)
+    used = set()
+    for q in range(frule.n_nodes):
+        dist = np.linalg.norm(local - fx[q], axis=1)
+        j = int(np.argmin(dist))
+        if dist[j] > _MATCH_TOL or j in used:
+            raise SBPConstructionError(
+                f"facet {facet_id}: facet-rule node {q} has no matching "
+                f"volume node (nearest at distance {dist[j]:.2e})")
+        used.add(j)
+        vol_idx[q] = idx[j]
+    if len(used) != idx.size:
+        raise SBPConstructionError(
+            f"facet {facet_id}: {idx.size - len(used)} stray volume "
+            f"node(s) not in the facet rule")
+    return FacetOperator(facet_id, vol_idx,
+                         frule.nodes.weights * scale, facet.normal.copy())

@@ -34,7 +34,7 @@ from sbpquad.advection import (
     step_matrix,
 )
 from sbpquad.archive import canonical_json, rule_to_dict
-from sbpquad.basis import mode_indices, monomial_integral
+from sbpquad.basis import mode_indices
 from sbpquad.operators import build_operator, verify_operator
 from sbpquad.search import (
     random_design,
@@ -45,6 +45,7 @@ from sbpquad.search import (
 from sbpquad.signatures import find_rule, volume_search_specs
 
 from conftest import TRI_LG_DEGREES, TRI_LGL_DEGREES, VELOCITY_2D
+from oracles import monomial_integral
 
 RULE_KEYS = (
     [f"tri-lgl-q{q}" for q in TRI_LGL_DEGREES]

@@ -487,6 +487,14 @@ def test_cli_sbp_rejects_excessive_degree(rule_file, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+def test_cli_sbp_rejects_facet_without_volume_nodes(interior_lgl_rule,
+                                                   tmp_path, capsys):
+    path = tmp_path / "interior.json"
+    save_rule(interior_lgl_rule, path)
+    assert run_cli(["sbp", str(path)]) == cli.EXIT_VERIFY
+    assert "FAIL" in capsys.readouterr().err
+
+
 def test_cli_converge_runs(rule_file, tmp_path, capsys):
     out = tmp_path / "conv.json"
     code = run_cli(["converge", str(rule_file), "--meshes", "2,4",

@@ -1,4 +1,4 @@
-"""Orthonormal simplex bases: values, gradients, and exact moments."""
+"""Orthonormal simplex bases: values, gradients, and Gauss product rules."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from sbpquad.basis import (
     grad_vandermonde,
     integral_vector,
     mode_indices,
-    monomial_integral,
     n_basis,
     simplex_gauss_rule,
     vandermonde,
@@ -320,41 +319,6 @@ def test_orbit_expansion_is_symmetric(d, kind, data):
 
 
 # ----------------------------------------------------------------------
-# exact monomial moments
-
-
-@pytest.mark.parametrize("a", range(0, 13))
-def test_monomial_integral_interval(a):
-    assert monomial_integral((a,), 1) == pytest.approx(
-        float(oracles.monomial_integral_interval(a)), rel=1e-15, abs=1e-15)
-
-
-@pytest.mark.parametrize("a, b", [(a, b) for a in range(7) for b in range(7)])
-def test_monomial_integral_triangle(a, b):
-    assert monomial_integral((a, b), 2) == pytest.approx(
-        float(oracles.monomial_integral_tri(a, b)), rel=1e-14, abs=1e-16)
-
-
-@pytest.mark.parametrize("a, b, c", [(0, 0, 0), (1, 0, 0), (0, 2, 0),
-                                     (1, 1, 1), (2, 3, 1), (4, 0, 2),
-                                     (3, 3, 3), (6, 1, 0), (2, 2, 5)])
-def test_monomial_integral_tetrahedron(a, b, c):
-    assert monomial_integral((a, b, c), 3) == pytest.approx(
-        float(oracles.monomial_integral_tet(a, b, c)), rel=1e-14, abs=1e-16)
-
-
-def test_monomial_integral_volume():
-    assert monomial_integral((0,), 1) == pytest.approx(2.0)
-    assert monomial_integral((0, 0), 2) == pytest.approx(2.0)
-    assert monomial_integral((0, 0, 0), 3) == pytest.approx(4.0 / 3.0)
-
-
-def test_monomial_integral_wrong_arity():
-    with pytest.raises(ValueError):
-        monomial_integral((1, 2), 3)
-
-
-# ----------------------------------------------------------------------
 # collapsed-coordinate Gauss product rules
 
 
@@ -375,7 +339,7 @@ def test_simplex_gauss_rule_exactness(degree, d):
     pts, w = simplex_gauss_rule(degree, d)
     for powers in mode_indices(degree, d):
         num = w @ np.prod(pts ** np.array(powers), axis=1)
-        ref = monomial_integral(powers, d)
+        ref = oracles.monomial_integral(powers, d)
         assert num == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 

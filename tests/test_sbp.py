@@ -5,8 +5,9 @@ import copy
 import numpy as np
 import pytest
 
+import sbpquad.operators as operators
 from sbpquad.archive import operator_from_dict, operator_to_dict
-from sbpquad.basis import grad_vandermonde, monomial_integral, vandermonde
+from sbpquad.basis import grad_vandermonde, vandermonde
 from sbpquad.operators import (
     _ACC_TOL,
     FacetOperator,
@@ -101,6 +102,40 @@ def test_match_facet_nodes_detects_missing_node(tri_lgl_results):
     rule.nodes.bary[boundary] = [0.3, 0.3, 0.4]
     with pytest.raises(SBPConstructionError):
         build_E(rule)
+
+
+def test_match_facet_nodes_detects_moved_node(tri_lgl_results):
+    rule = copy.deepcopy(tri_lgl_results[3].rule)
+    # slide one node along facet 0: the count holds, the match fails
+    i = np.flatnonzero(rule.nodes.facet_mask(0))[0]
+    rule.nodes.bary[i, 1:] += [1e-3, -1e-3]
+    with pytest.raises(SBPConstructionError, match="miss"):
+        match_facet_nodes(rule, 0)
+
+
+def test_facet_without_volume_nodes_is_rejected(interior_lgl_rule):
+    assert interior_lgl_rule.nodes.bary.min() > 0.1
+    with pytest.raises(SBPConstructionError, match="holds 0 volume node"):
+        build_operator(interior_lgl_rule)
+
+
+@pytest.mark.parametrize("key", OPERATOR_KEYS)
+def test_facet_matching_agrees_with_loop_oracle(all_operators, key,
+                                                monkeypatch):
+    """match_points pairs the facet nodes as the per-node loop did, so an
+    operator built through either matcher is the same bit for bit."""
+    op = all_operators[key]
+    for fop in op.facets:
+        ref = oracles.match_facet_nodes(op.rule, fop.facet_id)
+        assert np.array_equal(fop.vol_idx, ref.vol_idx)
+        assert np.array_equal(fop.weights, ref.weights)
+    monkeypatch.setattr(operators, "match_facet_nodes",
+                        oracles.match_facet_nodes)
+    ref = build_operator(op.rule, op.p)
+    for name in ("E", "Q", "D"):
+        for mine, theirs in zip(getattr(op, name), getattr(ref, name),
+                                strict=True):
+            assert np.array_equal(mine, theirs), name
 
 
 def test_interval_boundary_facets():
@@ -258,7 +293,7 @@ def test_quadrature_level_integration_by_parts(all_operators, key):
                 continue
             dv_pow = list(pv)
             dv_pow[i] -= 1
-            exact = pv[i] * monomial_integral(
+            exact = pv[i] * oracles.monomial_integral(
                 tuple(np.add(pu, dv_pow)), d)
             assert u @ op.Q[i] @ v == pytest.approx(exact, abs=1e-11)
 
@@ -299,6 +334,15 @@ def test_build_operator_rejects_weak_facet_rule(tri_lgl_results):
 def test_build_operator_rejects_nonpositive_weights(tri_lgl_results):
     rule = copy.deepcopy(tri_lgl_results[2].rule)
     rule.nodes.weights[0] = -rule.nodes.weights[0]
+    with pytest.raises(SBPConstructionError, match="norm"):
+        build_operator(rule)
+
+
+@pytest.mark.parametrize("key", ["tri-lgl-q3", "tet-q2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_operator_rejects_nonfinite_weights(all_rules, key, bad):
+    rule = copy.deepcopy(all_rules[key])
+    rule.nodes.weights[np.argmax(rule.nodes.weights)] = bad
     with pytest.raises(SBPConstructionError, match="norm"):
         build_operator(rule)
 

@@ -1,5 +1,6 @@
 """Reference elements, orbits, and node-set assembly."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from sbpquad.simplex import (DegenerateOrbitError, GroupSignature,
                              NodeSetError, SymmetryOrbit, assemble_nodes,
-                             expand_orbit, facet_restriction,
+                             expand_orbit, facet_restriction, match_points,
                              min_node_spacing, node_set_is_symmetric,
                              orbit_kinds, orbit_size, orbit_structure,
                              reference_simplex)
@@ -201,6 +202,63 @@ def test_node_set_symmetry_detects_asymmetry():
     nodes.bary[0, 0] += 1e-4
     nodes.bary[0, 1] -= 1e-4
     assert not node_set_is_symmetric(nodes)
+    assert not oracles.node_set_is_symmetric(nodes)
+
+
+def test_node_set_symmetry_agrees_with_rounded_key_oracle(all_rules):
+    """One nearest-point match per vertex permutation gives the verdict
+    the rounded-key search gave, on every fixture rule and facet rule,
+    and on each with one weight perturbed."""
+    for key, rule in all_rules.items():
+        for nodes in (rule.nodes,) + ((rule.facet_rule.nodes,)
+                                      if rule.facet_rule else ()):
+            assert node_set_is_symmetric(nodes), key
+            assert oracles.node_set_is_symmetric(nodes), key
+            if len(nodes) > 1 and nodes.dim > 1:
+                nodes = copy.deepcopy(nodes)
+                nodes.weights[0] *= 1.0 + 1e-6
+                assert not node_set_is_symmetric(nodes), key
+                assert not oracles.node_set_is_symmetric(nodes), key
+
+
+# ----------------------------------------------------------------------
+# point matching
+
+
+def test_match_points_tolerance_is_inclusive():
+    a, b = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0], [0.0, 0.5]])
+    idx, ok = match_points(a, b, 0.5)
+    assert idx.tolist() == [1] and ok
+    assert not match_points(a, b, np.nextafter(0.5, 0.0))[1]
+
+
+def test_match_points_rejects_a_shared_match():
+    a = np.array([[0.0, 0.0], [0.1, 0.0]])
+    b = np.array([[0.0, 0.0], [5.0, 5.0]])
+    idx, ok = match_points(a, b, 10.0)
+    assert idx.tolist() == [0, 0] and not ok
+
+
+def test_match_points_broadcasts_leading_axes():
+    rng = np.random.default_rng(3)
+    b = rng.random((4, 2))
+    perms = np.array([rng.permutation(4) for _ in range(3)])
+    a = b[perms]                                   # (3, 4, 2)
+    a[1, 2] += 0.5                                 # batch 1 loses a match
+    idx, ok = match_points(a, b, 1e-12)
+    assert idx.shape == (3, 4) and ok.tolist() == [True, False, True]
+    assert np.array_equal(idx[[0, 2]], perms[[0, 2]])
+    for t in range(3):
+        single = match_points(a[t], b, 1e-12)
+        assert np.array_equal(idx[t], single[0]) and ok[t] == single[1]
+
+
+def test_match_points_unequal_sizes():
+    b = np.array([[0.0], [1.0], [2.0]])
+    idx, ok = match_points(b[[2, 0]], b, 1e-12)
+    assert idx.tolist() == [2, 0] and ok      # every point of a matched
+    idx, ok = match_points(b, b[:2], 1.0)
+    assert not ok                             # three points, two targets
 
 
 def test_canonical_order_sorts_facet_orbits_first():
