@@ -298,12 +298,19 @@ class SearchSpec:
 def random_design(spec: SearchSpec, rng: np.random.Generator) -> np.ndarray:
     """Random feasible design: interior orbit parameters uniform in the
     feasible box shrunk by MARGIN away from the boundary, weights uniform
-    in (0, 2|Omega|/n_nodes] and at least EPS_WEIGHT."""
+    in (0, 2|Omega|/n_nodes] and at least EPS_WEIGHT.  Each orbit keeps
+    the first of 200 draws that passes, or the last.  A facet orbit
+    (Sedge, Sface21, Sface111) has a coordinate fixed at 0, which no draw
+    passes, so it takes its 200th draw without the loop."""
     tau = spec.frozen_template()
     for i, st in enumerate(spec._structs):
         if i in spec.frozen or st.n_params == 0:
             continue
         sl = spec.param_slices[i]
+        fixed = st.base[~st.coeff.any(axis=2)]
+        if ((fixed < MARGIN) | (fixed > 1.0 - MARGIN)).any():
+            tau[sl] = rng.random((200, st.n_params))[-1]
+            continue
         ok = False
         for _ in range(200):
             theta = rng.random(st.n_params)

@@ -276,18 +276,20 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
     so how many rounds one sweep runs changes no other sweep's seed;
     solve_args go to every solve_coupled call.  A layout with fewer free
     unknowns than invariant moments solves them only in a special
-    consistent case, which round zero finds: it gets round zero only
-    (screen "count").  A layout whose unknowns are all weights is not
-    left to stall at the weight floor: when floor_residual shows that no
-    weights on the floor reach ||g||_inf <= TOL, it is screened without
-    a solve (screen "floor", one record with sweep None) and its seeds
-    are spent unused.  Every solve is logged to the find_rule call in
-    progress with the work it did (rounds, lma_iterations and
-    pso_iterations) and, when it failed, the reason its sweep stopped
-    ("floor" when a swarm round stalled on the weight floor, "no
-    convergence" when it ran out of rounds); all four are None on a
-    floor-screened record, and the reason is None on a converged one.
-    No solve starts once the budget has run out (_BudgetSpent).
+    consistent case, which round zero finds: it gets one round-zero
+    solve, from its first sweep's seed, and its other seeds are spent
+    unused (screen "count", one record with sweep 0).  A layout whose
+    unknowns are all weights is not left to stall at the weight floor:
+    when floor_residual shows that no weights on the floor reach
+    ||g||_inf <= TOL, it is screened without a solve (screen "floor",
+    one record with sweep None) and its seeds are spent unused.  Every
+    solve is logged to the find_rule call in progress with the work it
+    did (rounds, lma_iterations and pso_iterations) and, when it failed,
+    the reason its sweep stopped ("floor" when a swarm round stalled on
+    the weight floor, "no convergence" when it ran out of rounds); all
+    four are None on a floor-screened record, and the reason is None on
+    a converged one.  No solve starts once the budget has run out
+    (_BudgetSpent).
     """
     run = _RUN.get() or _Run()
     ss = np.random.SeedSequence(seed)
@@ -298,7 +300,7 @@ def _solve_layouts(stage: str, specs, sweeps: int, seed: int,
         args = dict(solve_args, max_rounds=0) if screen else solve_args
         layout = {"stage": stage, "kinds": list(spec.kinds),
                   "unknowns": unknowns, "moments": moments}
-        children = ss.spawn(sweeps)
+        children = ss.spawn(sweeps)[:1 if screen else sweeps]
         run.check_budget()
         g = floor_residual(spec)
         if g is not None and (np.linalg.norm(g)
@@ -331,9 +333,10 @@ def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
     Prefers layouts whose nodes sit at triangle vertices and edges so the
     induced tet volume rule is as small as possible.  Each layout gets 3
     restart seeds and a shorter solve (at most 4 rounds of 25 swarm
-    steps) than the volume stage's (round zero only when short of
-    unknowns), until one converges or the budget of the find_rule call
-    runs out.
+    steps) than the volume stage's, until one converges or the budget of
+    the find_rule call runs out.  A layout short of unknowns gets one
+    round-zero solve instead of 3 sweeps: for p = 1-3 at seeds 0-3 and
+    p = 4 at seed 0, no such layout converged on a later sweep.
     """
     q = 2 * p
     specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))

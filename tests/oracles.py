@@ -29,7 +29,12 @@ strictly-lower-triangular entries, as the package solved it before it
 built the minimum-norm solution in closed form.  The symmetry check and
 the facet matcher at the very end pair points by rounded keys and by a
 per-node loop, as the package did before all its point matching went
-through one nearest-point routine.
+through one nearest-point routine.  The random design, last, runs its
+200-draw rejection loop on every orbit with free parameters, as the
+package did before a facet orbit took its last draw without the loop.
+The layout loop after it gives a layout short of unknowns a round-zero
+solve on every sweep, as the package did before it gave such a layout
+one solve.
 """
 
 import itertools
@@ -40,23 +45,25 @@ from math import comb, gamma, sqrt
 import numpy as np
 import scipy.special
 
-from sbpquad import basis
+from sbpquad import basis, signatures
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
 from sbpquad.operators import (_MATCH_TOL, FacetOperator,
                                SBPConstructionError)
-from sbpquad.search import (EPS_WEIGHT, MAX_REJECTS, NU_DEC, NU_INC, NU_MAX,
-                            TOL, InfeasibleDesignError, LmaState,
+from sbpquad.search import (EPS_WEIGHT, MARGIN, MAX_REJECTS, NU_DEC,
+                            NU_INC, NU_MAX, TOL, InfeasibleDesignError,
+                            LmaState,
                             QuadratureRule, SearchResult, SearchSpec,
                             _record_best,
                             _try_finalize, apply_update_with_positivity,
                             init_swarm, lma_solve as package_lma_solve,
-                            lma_step, pso_step, random_design, residual,
+                            lma_step, pso_step, residual,
                             residual_and_jacobian,
                             swarm_objective as package_swarm_objective)
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import (_SYMMETRY_TOL, CLOSURE_TOL, Facet, NodeSet,
-                             ReferenceSimplex, facet_restriction)
+                             ReferenceSimplex, facet_restriction,
+                             pairwise_distances)
 
 
 def _even_moment(m: int) -> Fraction:
@@ -992,3 +999,83 @@ def match_facet_nodes(rule: QuadratureRule, facet_id: int
             f"node(s) not in the facet rule")
     return FacetOperator(facet_id, vol_idx,
                          frule.nodes.weights * scale, facet.normal.copy())
+
+
+# ----------------------------------------------------------------------
+# the random design with every orbit's rejection loop (reference for
+# sbpquad.search.random_design); the coupled solve above draws from it
+
+
+def random_design(spec: SearchSpec, rng: np.random.Generator) -> np.ndarray:
+    """Random feasible design: interior orbit parameters uniform in the
+    feasible box shrunk by MARGIN away from the boundary, weights uniform
+    in (0, 2|Omega|/n_nodes] and at least EPS_WEIGHT."""
+    tau = spec.frozen_template()
+    for i, st in enumerate(spec._structs):
+        if i in spec.frozen or st.n_params == 0:
+            continue
+        sl = spec.param_slices[i]
+        ok = False
+        for _ in range(200):
+            theta = rng.random(st.n_params)
+            bary = st.base + st.coeff @ theta
+            if bary.min() < MARGIN or bary.max() > 1.0 - MARGIN:
+                continue
+            if pairwise_distances(bary).min() < 1e-3:
+                continue
+            tau[sl] = theta
+            ok = True
+            break
+        if not ok:
+            tau[sl] = theta  # last draw; solver will sort it out
+    wmax = 2.0 * spec._elem.measure / spec.n_nodes
+    tau[spec.weight_slice] = np.maximum(
+        rng.random(spec.n_orbits) * wmax, EPS_WEIGHT)
+    return tau
+
+
+# ----------------------------------------------------------------------
+# the layout loop with a round-zero solve on every sweep of a layout short
+# of unknowns (reference for sbpquad.signatures._solve_layouts); every
+# name it calls is the package's
+
+
+def solve_layouts(stage: str, specs, sweeps: int, seed: int, **solve_args):
+    """Rule of the first converged solve over specs, or None; each layout
+    gets `sweeps` restart seeds, and a layout short of unknowns gets
+    round zero only on each of them (screen "count")."""
+    run = signatures._RUN.get() or signatures._Run()
+    ss = np.random.SeedSequence(seed)
+    for spec in specs:
+        unknowns = int(spec.free_mask.sum())
+        moments = invariant_moment_count(spec.qv, spec.dim)
+        screen = "count" if unknowns < moments else None
+        args = dict(solve_args, max_rounds=0) if screen else solve_args
+        layout = {"stage": stage, "kinds": list(spec.kinds),
+                  "unknowns": unknowns, "moments": moments}
+        children = ss.spawn(sweeps)
+        run.check_budget()
+        g = signatures.floor_residual(spec)
+        if g is not None and (np.linalg.norm(g)
+                              > math.sqrt(spec.n_moments) * TOL):
+            run.attempts.append(dict(layout, sweep=None, converged=False,
+                                     residual=float(np.abs(g).max()),
+                                     screen="floor", reason=None,
+                                     rounds=None, lma_iterations=None,
+                                     pso_iterations=None))
+            continue
+        for sweep, child in enumerate(children):
+            run.check_budget()
+            res = signatures.solve_coupled(spec, np.random.default_rng(child),
+                                           **args)
+            run.attempts.append(dict(layout, sweep=sweep,
+                                     converged=res.converged,
+                                     residual=res.residual_inf,
+                                     screen=screen,
+                                     reason=res.message or None,
+                                     rounds=res.rounds,
+                                     lma_iterations=res.lma_iterations,
+                                     pso_iterations=res.pso_iterations))
+            if res.converged:
+                return res.rule
+    return None

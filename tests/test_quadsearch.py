@@ -242,6 +242,21 @@ def test_random_design_feasible(seed):
     assert np.all(w >= EPS_WEIGHT)
 
 
+@pytest.mark.parametrize("d, kinds", [
+    (2, ("Sedge",)), (2, ("Svert", "Sedge", "S1")), (2, ("S1", "S21", "S111")),
+    (3, ("Sedge", "S31")), (3, ("Sface21", "S22")), (3, ("Sface111", "S211"))])
+def test_random_design_matches_rejection_loop(d, kinds):
+    """A facet orbit's parameters are the last of 200 draws, as the
+    rejection loop ends on them; the generator ends where the loop's
+    does, so every later draw is the same too."""
+    spec = SearchSpec(d, 4, kinds)
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(random_design(spec, rng),
+                              oracles.random_design(spec, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_expand_rejects_exterior_designs():
     spec = SearchSpec(2, 2, ("S21",))
     tau = np.array([0.7, 0.1])  # bary (0.7, 0.7, -0.4)

@@ -295,7 +295,7 @@ def test_find_rule_budget_exhausted():
 
 
 def test_find_rule_budget_caps_facet_stage():
-    # the degree-4 tet needs a degree-4 face rule first, 52 solves long;
+    # the degree-4 tet needs a degree-4 face rule first, 16 solves long;
     # a spent budget stops the search before the first of them
     res = find_rule("tet", 4, "gen", budget_s=0.0)
     assert res.status == "budget"
@@ -332,7 +332,7 @@ def test_facet_screen_keeps_face_rule(monkeypatch, p):
     """Underdetermined layouts that fail round zero fail the swarm rounds
     too, and the layouts the floor screen skips fail every sweep of the
     full solve, so the screens leave the face rule bit-identical to the
-    one found with the full solve on every layout."""
+    one found with the full solve on every sweep of every layout."""
     full = sbpquad.signatures.solve_coupled
     calls = []
 
@@ -354,6 +354,8 @@ def test_facet_screen_keeps_face_rule(monkeypatch, p):
                             spec, rng, **{**kw, "max_rounds": 4}))
     monkeypatch.setattr(sbpquad.signatures, "floor_residual",
                         lambda spec: None)
+    monkeypatch.setattr(sbpquad.signatures, "_solve_layouts",
+                        oracles.solve_layouts)
     unscreened = find_facet_rule(p)
     assert np.array_equal(screened.nodes.coords, unscreened.nodes.coords)
     assert np.array_equal(screened.nodes.weights, unscreened.nodes.weights)
@@ -378,12 +380,15 @@ def rule_bytes(result):
 def test_floor_screen_keeps_every_rule(monkeypatch, tri_lgl_results,
                                        tri_lg_results, tet_result, domain,
                                        qv, family):
-    """With the floor screen off, every pinned request finds the same
-    rule, and each layout the screen skips fails all of its sweeps."""
+    """With the floor screen off and every sweep solved, every pinned
+    request finds the same rule, and each layout the screen skips fails
+    all of its sweeps."""
     screened = {"lgl": tri_lgl_results, "lg": tri_lg_results,
                 "gen": {2: tet_result}}[family][qv]
     monkeypatch.setattr(sbpquad.signatures, "floor_residual",
                         lambda spec: None)
+    monkeypatch.setattr(sbpquad.signatures, "_solve_layouts",
+                        oracles.solve_layouts)
     full = find_rule(domain, qv, family, seed=0)
     assert rule_bytes(full) == rule_bytes(screened)
     for skipped in screened.attempts:
@@ -409,14 +414,68 @@ def test_attempt_records_say_why_each_sweep_stopped(tri_lgl_results,
 
 def test_failed_round_zero_solve_ran_out_of_rounds(monkeypatch):
     # one S21 orbit has 2 unknowns for the 4 invariant moments of the
-    # degree-4 face rule: round zero only, and it fails
+    # degree-4 face rule: one round-zero solve, and it fails
     monkeypatch.setattr(sbpquad.signatures, "_tri_facet_candidates",
                         lambda q: [("S21",)])
     res = find_rule("tet", 4, "gen")
     assert res.status == "exhausted"
     assert [(a["screen"], a["reason"], a["rounds"])
             for a in res.attempts if "error" not in a] \
-        == [("count", "no convergence", 0)] * 3
+        == [("count", "no convergence", 0)]
+
+
+def facet_search(p):
+    """find_facet_rule(p) and the attempt log of its facet stage."""
+    run = sbpquad.signatures._Run()
+    token = sbpquad.signatures._RUN.set(run)
+    try:
+        return find_facet_rule(p), run.attempts
+    finally:
+        sbpquad.signatures._RUN.reset(token)
+
+
+@pytest.mark.parametrize("kind, q", [
+    ("tet", 3), ("tet", 4), ("facet", 2), ("facet", 3)])
+def test_count_screen_keeps_every_rule(monkeypatch, kind, q):
+    """With a round-zero solve on every sweep of a layout short of
+    unknowns, tet q3 and q4 and the degree-4 and degree-6 face rules are
+    the same, and every sweep after a count-screened layout's first
+    fails: its one solve loses no rule."""
+    def search():
+        if kind == "facet":
+            return facet_search(q)
+        res = find_rule(kind, q, "gen", seed=0)
+        return res.rule, res.attempts
+
+    rule, log = search()
+    monkeypatch.setattr(sbpquad.signatures, "_solve_layouts",
+                        oracles.solve_layouts)
+    full_rule, full_log = search()
+    assert canonical_json(rule_to_dict(full_rule)) \
+        == canonical_json(rule_to_dict(rule))
+    assert all(a["sweep"] == 0 for a in log if a["screen"] == "count")
+    extra = [a for a in full_log if a["screen"] == "count" and a["sweep"]]
+    assert len(extra) == 2 * sum(a["screen"] == "count" for a in log)
+    assert extra and not any(a["converged"] for a in extra)
+
+
+def test_tet_q4_attempt_log():
+    """tet q4's facet stage, layout by layout: weight-only layouts are
+    floor-screened, layouts short of unknowns get one round-zero solve,
+    two determined layouts end all 3 sweeps at the floor and the third
+    converges; the volume stage converges on its first solve."""
+    res = find_rule("tet", 4, "gen", seed=0)
+    assert res.status == "ok" and res.rule.n_nodes == 26
+    log = [(a["stage"], a["screen"], a["sweep"], a["converged"],
+            a["reason"]) for a in res.attempts]
+    floor = ("facet", "floor", None, False, None)
+    count = ("facet", "count", 0, False, "no convergence")
+    assert log == ([floor] * 6 + [count] * 2 + [floor] + [count] * 6
+                   + [("facet", None, sweep, False, "floor")
+                      for sweep in (0, 1, 2)] * 2
+                   + [("facet", None, 0, True, None),
+                      ("volume", None, 0, True, None)])
+    assert res.attempts[-2]["kinds"] == ["SmidEdge", "S1", "S21"]
 
 
 def test_all_rounds_solve_keeps_tri_lgl_q6(monkeypatch, tri_lgl_results):
