@@ -12,10 +12,12 @@ x has the collapsed coordinates
     2^{d(d-1)/4} prod_l P~_{i_l}^{(2 s_l + l, 0)}(a_l) (1 - a_l)^{s_l},
     s_l = i_0 + ... + i_{l-1},
 
-with P~ the orthonormal Jacobi polynomials.  Each level's table comes
-from one normalized three-term recurrence run over all alpha of that
-level at once, so values and derivatives are stable well past total
-degree 40.  Gradients use the product rule, d/dx_m = D_m + sum_{l<m}
+with P~ the orthonormal Jacobi polynomials.  One normalized three-term
+recurrence per call computes the values of every level at once, a row
+per (level, alpha) taking that level's a_l; a gradient call adds the
+derivative rows, P~'_i = sqrt(i (i + alpha + 1)) P~_{i-1}^{(alpha+1, 1)},
+to the same recurrence.  Values and derivatives stay stable well past
+total degree 40.  Gradients use the product rule, d/dx_m = D_m + sum_{l<m}
 (1 + a_l)/2 D_l with D_l = d/da_l times da_l/dx_l.  That factor divides
 by prod_{m>l} (1 - a_m)/2, so D_l carries each later (1 - a_m) power
 lowered by one and stays finite at vertices and edges.
@@ -63,12 +65,12 @@ def mode_indices(q: int, d: int) -> list[tuple[int, ...]]:
 # normalized Jacobi polynomials
 
 
-@lru_cache(maxsize=256)
-def _recurrence(alphas: tuple[float, ...], beta: float, n: int):
-    """Per-alpha coefficients: P~_0, the terms and norm of P~_1, and the
-    a_i, b_i of P~_{i+1} = ((x - b_i) P~_i - a_{i-1} P~_{i-1}) / a_i."""
+def _recurrence(rows, n: int) -> np.ndarray:
+    """Per (alpha, beta) row: P~_0, the terms and norm of P~_1, and the
+    a_i, b_i of P~_{i+1} = ((x - b_i) P~_i - a_{i-1} P~_{i-1}) / a_i for
+    i < max(n, 1), stacked as shape (4 + 2 max(n, 1), len(rows), 1)."""
     cols = []
-    for alpha in alphas:
+    for alpha, beta in rows:
         gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1)
                   * math.exp(math.lgamma(alpha + 1) + math.lgamma(beta + 1)
                              - math.lgamma(alpha + beta + 1)))
@@ -87,34 +89,22 @@ def _recurrence(alphas: tuple[float, ...], beta: float, n: int):
                      (alpha - beta) / 2, math.sqrt(gamma1)] + a + b)
     table = np.array(cols).T[..., None]
     table.flags.writeable = False
-    m = len(a)
-    return table[0], table[1], table[2], table[3], table[4:4 + m], table[-m:]
+    return table
 
 
-def _jacobi_table(x: np.ndarray, alphas: tuple[float, ...], beta: float,
-                  n: int) -> np.ndarray:
-    """P~_0..P~_n at the points x (1-D) for every alpha at once, shape
-    (n+1, len(alphas), len(x))."""
-    p0, c1, c0, s1, a, b = _recurrence(alphas, beta, n)
-    vals = np.empty((n + 1, len(alphas), len(x)))
+def _jacobi_table(x: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """P~_0..P~_n of every row at once, shape (n+1,) + x.shape: row r
+    takes the points x[r] and the coefficients coeffs[:, r]."""
+    p0, c1, c0, s1 = coeffs[:4]
+    m = len(coeffs) // 2 - 2
+    a, b = coeffs[4:4 + m], coeffs[4 + m:]
+    vals = np.empty((n + 1,) + x.shape)
     vals[0] = p0
     if n:
         vals[1] = (c1 * x / 2 + c0) / s1
     for i in range(1, n):
         vals[i + 1] = ((x - b[i]) * vals[i] - a[i - 1] * vals[i - 1]) / a[i]
     return vals
-
-
-def _jacobi_derivative_table(x: np.ndarray, alphas: tuple[float, ...],
-                             beta: float, n: int) -> np.ndarray:
-    """Derivatives of P~_0..P~_n, laid out as in :func:`_jacobi_table`."""
-    out = np.zeros((n + 1, len(alphas), len(x)))
-    if n:
-        k = np.arange(1, n + 1)[:, None, None]
-        al = np.array(alphas)[:, None]
-        out[1:] = np.sqrt(k * (k + al + beta + 1)) * _jacobi_table(
-            x, tuple(alpha + 1 for alpha in alphas), beta + 1, n - 1)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -125,25 +115,37 @@ _SING_TOL = 1e-13
 
 @lru_cache(maxsize=None)
 def _plan(q: int, d: int):
-    """Per level l: the mode indices i_l, the powers s_l and the level's
-    Jacobi alphas 2 s + l for s = 0..max s_l; and the scale 2^{d(d-1)/4}."""
+    """Table rows: the n value rows (2 s + l, 0), s = 0..max s_l, level
+    by level, then a derivative row (alpha + 1, 1) for each.  Returns per
+    level (i_l, the value row of (l, s_l), s_l, max(i_l - 1, 0) and its
+    derivative row, sqrt(i_l (i_l + 2 s_l + l + 1)), max(s_l - 1, 0));
+    each row's level; the rows' _recurrence to degree q; n; 2^{d(d-1)/4}.
+    """
     i = np.array(mode_indices(q, d)).reshape(-1, d).T
     s = np.cumsum(i, axis=0) - i
-    i.flags.writeable = s.flags.writeable = False
-    levels = tuple((i[l], s[l], tuple(2.0 * k + l for k in range(top + 1)))
-                   for l, top in enumerate(s.max(axis=1)))
-    return levels, 2.0 ** (d * (d - 1) / 4)
+    tops = s.max(axis=1)
+    rows = [(2.0 * k + l, 0.0) for l, top in enumerate(tops)
+            for k in range(top + 1)]
+    n = len(rows)
+    row = np.concatenate([[0], np.cumsum(tops + 1)[:-1]])[:, None] + s
+    dscale = np.sqrt(i * (i + (2.0 * s + np.arange(d)[:, None]) + 1))
+    levels = tuple(zip(i, row, s, np.maximum(i - 1, 0), row + n,
+                       dscale[..., None], np.maximum(s - 1, 0)))
+    row_level = np.tile(np.repeat(np.arange(d), tops + 1), 2)
+    for arr in (row_level, *itertools.chain(*levels)):
+        arr.flags.writeable = False
+    coeffs = _recurrence(rows + [(al + 1, be + 1) for al, be in rows], q)
+    return levels, row_level, coeffs, n, 2.0 ** (d * (d - 1) / 4)
 
 
-def _levels(coords, q: int, d: int | None, check: bool):
-    """Per level: a_l, i_l, s_l, the alphas and the powers (1 - a_l)^0..^max
-    s_l (by repeated multiplication); and the scale."""
+def _collapse(coords, q: int, d: int | None, check: bool):
+    """Collapsed coordinates a, shape (d, n), and the powers W[l, k] =
+    (1 - a_l)^k, k = 0..q, shape (d, q + 1, n), by repeated products."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if d is None:
         d = coords.shape[1]
     if check and reference_simplex(d).barycentric(coords).min() < -1e-12:
         raise ValueError("nodes outside the closure of the reference element")
-    plan, scale = _plan(q, d)
     x = coords[:, :d].T
     a = x.copy()
     for l in range(d - 1):
@@ -151,12 +153,11 @@ def _levels(coords, q: int, d: int | None, check: bool):
         ok = np.abs(den) > _SING_TOL
         a[l] = np.where(ok, 2.0 * (1.0 + x[l]) / np.where(ok, den, 1.0) - 1.0,
                         -1.0)
-    levels = []
-    for al, (i, s, alphas) in zip(a, plan):
-        W = np.ones((len(alphas), len(al)))
-        W[1:] = 1.0 - al
-        levels.append((al, i, s, alphas, np.cumprod(W, axis=0)))
-    return levels, scale
+    W = np.empty((q + 1, d, len(coords)))
+    W[0], b = 1.0, 1.0 - a
+    for k in range(q):
+        np.multiply(W[k], b, out=W[k + 1])
+    return a, W.swapaxes(0, 1)
 
 
 def vandermonde(coords: np.ndarray, q: int, d: int | None = None,
@@ -166,29 +167,32 @@ def vandermonde(coords: np.ndarray, q: int, d: int | None = None,
     Column j holds mode j of the graded orthonormal basis evaluated at
     every node.
     """
-    levels, V = _levels(coords, q, d, check)
-    for a, i, s, alphas, W in levels:
-        V = V * _jacobi_table(a, alphas, 0.0, q)[i, s] * W[s]
+    a, W = _collapse(coords, q, d, check)
+    levels, row_level, coeffs, n, V = _plan(q, len(a))   # V = the scale
+    table = _jacobi_table(a[row_level[:n]], coeffs[:, :n], q)
+    for (i, r, s, *_), Wl in zip(levels, W):
+        V = V * table[i, r] * Wl[s]
     return np.ascontiguousarray(V.T)
 
 
 def grad_vandermonde(coords: np.ndarray, q: int, d: int | None = None,
                      check: bool = True) -> list[np.ndarray]:
     """Per-direction derivative Vandermonde matrices [d/dx_k V]."""
-    levels, scale = _levels(coords, q, d, check)
+    a, W = _collapse(coords, q, d, check)
+    levels, row_level, coeffs, _, scale = _plan(q, len(a))
+    table = _jacobi_table(a[row_level], coeffs, q)
     F, G, Fm = [], [], []
-    for a, i, s, alphas, W in levels:
-        P = _jacobi_table(a, alphas, 0.0, q)[i, s]
-        dP = _jacobi_derivative_table(a, alphas, 0.0, q)[i, s]
-        w, wm = W[s], W[np.maximum(s - 1, 0)]
+    for (i, r, s, di, dr, c, sm), Wl in zip(levels, W):
+        P, dP = table[i, r], c * table[di, dr]
+        w, wm = Wl[s], Wl[sm]
         F.append(P * w)
         G.append(dP * w - s[:, None] * P * wm)   # d/da of P (1 - a)^s
         Fm.append(2.0 * P * wm)   # P (1 - a)^s over (1 - a)/2
     grads, chain = [], 0.0
-    for m, (a, *_) in enumerate(levels):
+    for m in range(len(a)):
         D = math.prod(F[:m] + [G[m]] + Fm[m + 1:], start=scale)
         grads.append(np.ascontiguousarray((D + chain).T))
-        chain = chain + 0.5 * (1.0 + a) * D
+        chain = chain + 0.5 * (1.0 + a[m]) * D
     return grads
 
 

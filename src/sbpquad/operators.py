@@ -190,6 +190,8 @@ class SBPReport:
     n_nodes: int
     min_weight: float
     accuracy_defect: float       # max |D_i V_p - Vx_i|
+    accuracy_node: int           # the node (row) where it peaks
+    accuracy_node_weight: float  # that node's norm weight
     sbp_defect: float            # max |Q_i + Q_i^T - E_i|
     sbp_defect_rel: float        # relative to max |Q_i|
     e_accuracy_defect: float     # E_i vs boundary integrals, degree-p pairs
@@ -211,6 +213,8 @@ class SBPReport:
             f"nodes                       : {self.n_nodes}",
             f"min norm weight             : {self.min_weight:.6e}",
             f"accuracy defect |D V - Vx|  : {self.accuracy_defect:.3e}",
+            f"  at node, its weight       : {self.accuracy_node}, "
+            f"{self.accuracy_node_weight:.6e}",
             f"SBP defect |Q+Q'-E| (rel)   : {self.sbp_defect_rel:.3e}",
             f"E boundary-integral defect  : {self.e_accuracy_defect:.3e}",
             f"E trace defect |sum E_i|    : {self.e_trace_defect:.3e}",
@@ -227,7 +231,9 @@ def verify_operator(op: SBPOperator) -> SBPReport:
     x = rule.nodes.coords
     Vp = vandermonde(x, op.p, d, check=False)
     Vx = grad_vandermonde(x, op.p, d, check=False)
-    acc = max(float(np.abs(op.D[i] @ Vp - Vx[i]).max()) for i in range(d))
+    acc = np.max([np.abs(op.D[i] @ Vp - Vx[i]).max(axis=1)
+                  for i in range(d)], axis=0)
+    node = int(np.argmax(acc))
     qmax = max(float(np.abs(op.Q[i]).max()) for i in range(d))
     sbp = max(float(np.abs(op.Q[i] + op.Q[i].T - np.diag(op.E[i])).max())
               for i in range(d))
@@ -248,7 +254,9 @@ def verify_operator(op: SBPOperator) -> SBPReport:
     return SBPReport(
         p=op.p, n_nodes=op.n_nodes,
         min_weight=float(op.H.min()),
-        accuracy_defect=acc,
+        accuracy_defect=float(acc[node]),
+        accuracy_node=node,
+        accuracy_node_weight=float(op.H[node]),
         sbp_defect=sbp,
         sbp_defect_rel=sbp / qmax if qmax > 0 else sbp,
         e_accuracy_defect=e_acc,

@@ -205,11 +205,13 @@ def check_request(domain: str, qv: int, facet_kind: str | None,
 
 def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
                         seed: int = 0):
-    """Candidate SearchSpecs for one rule request, cheapest first.
+    """Iterator over the candidate SearchSpecs of one rule request,
+    cheapest first, each built when the iteration reaches it.
 
-    facet_kind None requests an interior-only rule (no facet layout, no
-    frozen parameters, not SBP-compatible); a request check_request
-    rejects raises ValueError.
+    The request check and the facet stage run at the call: a request
+    check_request rejects raises ValueError, a failed facet search
+    FacetSearchError.  facet_kind None requests an interior-only rule
+    (no facet layout, no frozen parameters, not SBP-compatible).
     """
     check_request(domain, qv, facet_kind)
     d = DOMAINS.index(domain) + 1
@@ -220,10 +222,10 @@ def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
         layout = facet_layout(frule, d)
     fkinds = tuple(k for k, _ in layout)
     frozen = {i: params for i, (_, params) in enumerate(layout)}
-    return [SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen),
+    return (SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen),
                        facet_rule=frule, facet_kind=facet_kind, sbp_p=p)
             for combo in interior_candidates(d, qv, len(layout))
-            if fkinds + tuple(combo)]
+            if fkinds + tuple(combo))
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +372,11 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
     token = _RUN.set(run)
     try:
         specs = volume_search_specs(domain, qv, facet_kind, seed=seed)
-        if not specs:
+        first = next(specs, None)
+        if first is None:
             raise ValueError("no candidate layouts")
-        rule = _solve_layouts("volume", specs, sweeps, seed)
+        rule = _solve_layouts("volume", itertools.chain([first], specs),
+                              sweeps, seed)
     except FacetSearchError as exc:
         run.attempts.append({"stage": "facet", "converged": False,
                              "error": str(exc)})

@@ -189,8 +189,8 @@ def test_sbp_operator_identities(all_operators, key):
 def jacobian_specs():
     specs = []
     for qv in (2, 4, 6, 8):
-        specs.append(volume_search_specs("tri", qv, "lgl")[0])
-    specs.append(volume_search_specs("tet", 2, "gen")[0])
+        specs.append(next(volume_search_specs("tri", qv, "lgl")))
+    specs.append(next(volume_search_specs("tet", 2, "gen")))
     return specs
 
 

@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sbpquad
+from sbpquad import basis
 from sbpquad.basis import (
-    _jacobi_derivative_table,
     _jacobi_table,
+    _recurrence,
     grad_vandermonde,
     integral_vector,
     mode_indices,
@@ -70,13 +71,20 @@ def test_mode_indices_bad_dimension():
 
 def jacobi(x, alpha, beta, n):
     """P~_0..P~_n at the 1-D points x, shape (n+1, len(x))."""
-    return _jacobi_table(np.asarray(x, dtype=float), (float(alpha),),
-                         float(beta), n)[:, 0]
+    coeffs = _recurrence(((float(alpha), float(beta)),), n)
+    return _jacobi_table(np.asarray(x, dtype=float)[None], coeffs, n)[:, 0]
 
 
 def jacobi_derivative(x, alpha, beta, n):
-    return _jacobi_derivative_table(np.asarray(x, dtype=float),
-                                    (float(alpha),), float(beta), n)[:, 0]
+    """d/dx P~_k = sqrt(k (k + alpha + beta + 1)) P~_{k-1} of the
+    (alpha + 1, beta + 1) family, which grad_vandermonde takes from the
+    same table as the values."""
+    out = np.zeros((n + 1, len(x)))
+    if n:
+        shifted = jacobi(x, alpha + 1, beta + 1, n - 1)
+        for k in range(1, n + 1):
+            out[k] = math.sqrt(k * (k + alpha + beta + 1)) * shifted[k - 1]
+    return out
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0),
@@ -243,12 +251,20 @@ def test_grad_vandermonde_exact_on_boundary(q, d):
 
 
 def _assert_matches_reference(pts, q, d):
-    assert np.array_equal(vandermonde(pts, q, d, check=False),
-                          oracles.vandermonde(pts, q, d, check=False))
+    """Values equal to the bit to both references; gradients equal to
+    the bit to the per-level evaluator (one recurrence per level, and a
+    second for derivatives) and within rounding of the per-dimension
+    one."""
+    V = vandermonde(pts, q, d, check=False)
+    assert np.array_equal(V, oracles.vandermonde(pts, q, d, check=False))
+    assert np.array_equal(V, oracles.level_vandermonde(pts, q, d,
+                                                       check=False))
     ref = oracles.grad_vandermonde(pts, q, d, check=False)
-    for g, r in zip(grad_vandermonde(pts, q, d, check=False), ref,
-                    strict=True):
+    level = oracles.level_grad_vandermonde(pts, q, d, check=False)
+    for g, r, e in zip(grad_vandermonde(pts, q, d, check=False), ref,
+                       level, strict=True):
         assert np.abs(g - r).max() <= 1e-15 * max(1.0, np.abs(r).max())
+        assert np.array_equal(g, e)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -264,6 +280,23 @@ def test_evaluator_matches_reference_at_special_points(d):
     for q in range(13):
         _assert_matches_reference(pts, q, d)
         assert mode_indices(q, d) == oracles.mode_indices(q, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_recurrence_per_evaluation(monkeypatch, d):
+    """Values and gradients each run every level's rows in one call;
+    the gradient's adds one derivative row per value row."""
+    rows = []
+
+    def counted(x, coeffs, n):
+        rows.append(len(x))
+        return _jacobi_table(x, coeffs, n)
+
+    monkeypatch.setattr(basis, "_jacobi_table", counted)
+    pts = reference_simplex(d).vertices
+    vandermonde(pts, 4, d)
+    grad_vandermonde(pts, 4, d)
+    assert rows == [rows[0], 2 * rows[0]]
 
 
 def _closed_simplex_points(d):

@@ -268,6 +268,22 @@ def test_verification_report_passes(all_operators, key):
     assert "passed" in text and "nodes" in text
 
 
+def test_report_names_the_accuracy_peak(all_operators):
+    """The report's node is the row where the D defect peaks."""
+    op = all_operators["tri-lgl-q3"]
+    x = op.rule.nodes.coords
+    Vp = vandermonde(x, op.p, 2)
+    Vx = grad_vandermonde(x, op.p, 2)
+    defect = [np.abs(op.D[i] @ Vp - Vx[i]) for i in range(2)]
+    rows = [max(defect[0][k].max(), defect[1][k].max())
+            for k in range(op.n_nodes)]
+    report = verify_operator(op)
+    assert report.accuracy_node == int(np.argmax(rows))
+    assert report.accuracy_defect == max(e.max() for e in defect)
+    assert report.accuracy_node_weight == op.H[report.accuracy_node]
+    assert "at node" in report.summary()
+
+
 @pytest.mark.parametrize("key", ["tri-lgl-q2", "tri-lgl-q4", "tet-q2"])
 def test_quadrature_level_integration_by_parts(all_operators, key):
     """u^T Q_i v approximates the volume integral of u d_i v.

@@ -10,7 +10,7 @@ import pytest
 
 import sbpquad.signatures
 from sbpquad.archive import canonical_json, rule_from_dict, rule_to_dict
-from sbpquad.search import lg_rule, lgl_rule
+from sbpquad.search import SearchSpec, lg_rule, lgl_rule
 from sbpquad.signatures import (
     FACET_FAMILIES,
     FacetSearchError,
@@ -218,8 +218,7 @@ def test_facet_candidates_offer_determined_layouts(q):
 
 
 def test_volume_specs_tri_lgl_structure():
-    specs = volume_search_specs("tri", 2, "lgl")
-    first = specs[0]
+    first = next(volume_search_specs("tri", 2, "lgl"))
     assert first.kinds[:2] == ("Svert", "SmidEdge")
     assert first.sbp_p == 1
     assert first.facet_kind == "lgl"
@@ -228,8 +227,7 @@ def test_volume_specs_tri_lgl_structure():
 
 
 def test_volume_specs_edge_parameter_frozen():
-    specs = volume_search_specs("tri", 3, "lgl")
-    spec = specs[0]
+    spec = next(volume_search_specs("tri", 3, "lgl"))
     assert spec.kinds[0] == "Svert"
     assert spec.kinds[1] == "Sedge"
     (alpha,) = spec.frozen[1]
@@ -245,6 +243,34 @@ def test_volume_specs_interior_only():
         assert not spec.frozen
 
 
+def test_volume_specs_check_the_request_when_called():
+    """A bad request raises at the call, before any spec is asked for."""
+    with pytest.raises(ValueError):
+        volume_search_specs("tri", -1, "lgl")
+
+
+@pytest.mark.parametrize("domain, qv, family", [("tri", 3, "lgl"),
+                                                ("tet", 2, "gen")])
+def test_volume_specs_built_only_when_reached(monkeypatch, domain, qv,
+                                              family):
+    """find_rule builds a volume SearchSpec only for a layout it tries:
+    one per distinct volume layout in the attempt log."""
+    built = []
+
+    class CountedSpec(SearchSpec):
+        def __post_init__(self):
+            super().__post_init__()
+            if self.facet_kind is not None:   # not a facet-stage layout
+                built.append(self.kinds)
+
+    monkeypatch.setattr(sbpquad.signatures, "SearchSpec", CountedSpec)
+    res = find_rule(domain, qv, family)
+    assert res.status == "ok"
+    tried = {tuple(a["kinds"]) for a in res.attempts
+             if a["stage"] == "volume"}
+    assert len(built) == len(tried) == len(set(built))
+
+
 def only_interior(combo):
     """interior_candidates stand-in that offers one interior combo."""
     return lambda d, qv, n_facet_orbits: [combo]
@@ -254,7 +280,7 @@ def test_volume_specs_explicit_interior(monkeypatch):
     """A spec lists the frozen facet kinds, then the interior combo."""
     monkeypatch.setattr(sbpquad.signatures, "interior_candidates",
                         only_interior(("S1",)))
-    specs = volume_search_specs("tri", 2, "lgl")
+    specs = list(volume_search_specs("tri", 2, "lgl"))
     assert len(specs) == 1
     assert specs[0].kinds == ("Svert", "SmidEdge", "S1")
 
