@@ -36,7 +36,6 @@ __all__ = [
     "lg_rule",
     "SearchSpec",
     "random_design",
-    "residual",
     "residual_and_jacobian",
     "nnls",
     "floor_residual",
@@ -66,6 +65,8 @@ INERTIA, COGNITIVE, SOCIAL = 0.6, 1.5, 1.5
 #: cap, and the rejected steps one iteration may try
 NU_DEC, NU_INC, NU_MAX = 0.2, 5.0, 1e18
 MAX_REJECTS = 30
+#: the damping an LMA solve starts from, and its iteration cap
+NU_INIT, LMA_ITERS = 1e3, 100
 #: random designs keep their free orbit nodes this far from the boundary
 MARGIN = 0.025
 
@@ -345,13 +346,6 @@ def _moments(spec: SearchSpec, coords: np.ndarray, w: np.ndarray):
     return V, (w[..., None, :] @ V)[..., 0, :] - spec._f
 
 
-def residual(spec: SearchSpec, tau: np.ndarray) -> np.ndarray:
-    """Moment residual g = V^T w - f; raises InfeasibleDesignError when
-    the design leaves the element."""
-    _, coords, w = spec.expand(tau)
-    return _moments(spec, coords, w)[1]
-
-
 def residual_and_jacobian(spec: SearchSpec, tau: np.ndarray):
     """Residual and its Jacobian w.r.t. the full tau layout.
 
@@ -544,13 +538,13 @@ def _damped_trials(spec: SearchSpec, tau: np.ndarray, g: np.ndarray,
                 yield tau_try, g_try, (coords[k], w[k], V)
 
 
-def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
-              max_iters: int = 100, nu_floor: float = 0.0) -> LmaState:
-    """Damped LMA from tau0 until ||g||_inf <= TOL or max_iters.
+def lma_solve(spec: SearchSpec, tau0: np.ndarray) -> LmaState:
+    """Damped LMA from tau0 until ||g||_inf <= TOL or LMA_ITERS
+    iterations.
 
-    The damping nu starts at nu_init, shrinks by NU_DEC (not below
-    nu_floor) on residual decrease and grows by NU_INC on a rejected
-    step; infeasible proposals are rejected the same way.  Once the
+    The damping nu starts at NU_INIT, shrinks by NU_DEC on residual
+    decrease and grows by NU_INC on a rejected step; infeasible
+    proposals are rejected the same way.  Once the
     first trial of an iteration is rejected, the rest of its damping
     ladder is solved and scored in one stacked evaluation
     (_damped_trials), and the loop walks those outcomes in order.  A
@@ -563,11 +557,11 @@ def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
     try:
         _, coords, w = spec.expand(tau)
     except InfeasibleDesignError:
-        return LmaState(tau, nu_init, np.inf, 0, False, "infeasible start")
+        return LmaState(tau, NU_INIT, np.inf, 0, False, "infeasible start")
     V, g = _moments(spec, coords, w)
-    nu = nu_init
+    nu = NU_INIT
     it = 0
-    while it < max_iters:
+    while it < LMA_ITERS:
         res_inf = float(np.abs(g).max())
         if res_inf <= TOL:
             return LmaState(tau, nu, res_inf, it, True)
@@ -580,7 +574,7 @@ def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
                 continue
             if np.linalg.norm(g_try) < gnorm:
                 tau, g, (coords, w, V) = tau_try, g_try, basis
-                nu = max(nu * NU_DEC, nu_floor, 1e-300)
+                nu = max(nu * NU_DEC, 1e-300)
                 accepted = True
                 break
             nu = min(nu * NU_INC, NU_MAX)
@@ -698,18 +692,14 @@ class SearchResult:
     best_tau: np.ndarray | None = None
 
 
-def _try_finalize(spec: SearchSpec, state: LmaState):
-    """(rule or None, final LMA state) after a polish of a converged
-    state with small damping."""
-    polished = lma_solve(spec, state.tau, nu_init=1e-8, max_iters=40,
-                         nu_floor=1e-12)
-    final = polished if polished.res_inf <= state.res_inf else state
+def _converged_rule(spec: SearchSpec, state: LmaState):
+    """The validated rule of a converged LMA state, or None when it fails
+    validation."""
     try:
-        rule = spec.build_rule(final.tau, {"qv": spec.qv,
-                                           "residual_inf": final.res_inf})
+        return spec.build_rule(state.tau, {"qv": spec.qv,
+                                           "residual_inf": state.res_inf})
     except (NodeSetError, RuleValidationError):
-        return None, final
-    return rule, final
+        return None
 
 
 def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
@@ -722,6 +712,9 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
     swarm's global best with LMA and feeds the result back as a particle.
     The swarm's global best never gets worse, so an unconverged search
     reports it (with max_rounds 0, no swarm: round zero's LMA endpoint).
+    A converged LMA state is the result as it stands, once its rule
+    passes validation; a rule that fails validation leaves the sweep to
+    its next round.
 
     The sweep ends early, with message "floor", after the first swarm
     round whose polish fails with a weight parked on the floor
@@ -738,10 +731,10 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
     state = lma_solve(spec, tau0)
     lma_total += state.iterations
     if state.converged:
-        rule, final = _try_finalize(spec, state)
+        rule = _converged_rule(spec, state)
         if rule is not None:
-            return SearchResult(rule, True, final.res_inf, 0, lma_total,
-                                pso_total, best_tau=final.tau)
+            return SearchResult(rule, True, state.res_inf, 0, lma_total,
+                                pso_total, best_tau=state.tau)
     if max_rounds <= 0:
         return SearchResult(None, False, state.res_inf, 0, lma_total,
                             pso_total, "no convergence", best_tau=state.tau)
@@ -755,11 +748,11 @@ def solve_coupled(spec: SearchSpec, rng: np.random.Generator,
         state = lma_solve(spec, swarm.gbest_pos.copy())
         lma_total += state.iterations
         if state.converged:
-            rule, final = _try_finalize(spec, state)
+            rule = _converged_rule(spec, state)
             if rule is not None:
-                return SearchResult(rule, True, final.res_inf, rnd,
+                return SearchResult(rule, True, state.res_inf, rnd,
                                     lma_total, pso_total,
-                                    best_tau=final.tau)
+                                    best_tau=state.tau)
         # feed the LMA endpoint back into the swarm
         obj = swarm_objective(spec, state.tau[None])
         worst = np.argmax(swarm.pbest_obj, keepdims=True)

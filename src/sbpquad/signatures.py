@@ -362,21 +362,21 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
     an interior-only rule.  The attempt log holds the facet stage's
     solves, stage "facet", before the volume stage's, stage "volume".
     Deterministic for fixed arguments; budget_s caps the wall time of
-    both stages.  A request check_request rejects raises ValueError
-    before any search.
+    both stages (None: no cap).  A request check_request rejects, or a
+    budget_s that is NaN or negative, raises ValueError before any
+    search.
     """
     if facet_kind is _FIRST_FAMILY and domain in FACET_FAMILIES:
         facet_kind = FACET_FAMILIES[domain][0]
     check_request(domain, qv, facet_kind, sweeps)
+    if budget_s is not None and not budget_s >= 0.0:
+        raise ValueError(f"budget_s must be None or at least 0, "
+                         f"not {budget_s!r}")
     run = _Run(budget_s)
     token = _RUN.set(run)
     try:
-        specs = volume_search_specs(domain, qv, facet_kind, seed=seed)
-        first = next(specs, None)
-        if first is None:
-            raise ValueError("no candidate layouts")
-        rule = _solve_layouts("volume", itertools.chain([first], specs),
-                              sweeps, seed)
+        rule = _solve_layouts("volume", volume_search_specs(
+            domain, qv, facet_kind, seed=seed), sweeps, seed)
     except FacetSearchError as exc:
         run.attempts.append({"stage": "facet", "converged": False,
                              "error": str(exc)})

@@ -252,10 +252,6 @@ class GroupSignature:
     orbits: tuple[SymmetryOrbit, ...]
     qv: int = 0
 
-    @property
-    def n_nodes(self) -> int:
-        return sum(orbit_size(o.kind, self.dim) for o in self.orbits)
-
     def sort_key(self, i: int):
         o = self.orbits[i]
         return (_KIND_RANK[(self.dim, o.kind)], o.params)

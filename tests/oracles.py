@@ -22,14 +22,18 @@ value and derivative rows.  Non-negative least squares, finally, is solved by
 trying every support, where the package runs an active-set method.  The
 damped LMA at the very end makes one solve and one residual per damping
 trial, as the package did before it scored each damping ladder in one
-stacked evaluation; its positivity guard after it takes one step at a
-time, as the package's did before it guarded a whole ladder in one array
-pass.  The coupled solve at the end runs every swarm round, as the
-package did before a sweep ended at the first round whose polish stalls
-on the weight floor.  The antisymmetric part of each SBP operator, next,
-is solved as one dense least-squares system over its
-strictly-lower-triangular entries, as the package solved it before it
-built the minimum-norm solution in closed form.  The symmetry check and
+stacked evaluation, and scores each trial through the one-design
+residual the package kept until only this reference called it; its
+positivity guard after it takes one step at a time, as the package's did
+before it guarded a whole ladder in one array pass.  The coupled solve at
+the end runs every swarm round, as the package did before a sweep ended
+at the first round whose polish stalls on the weight floor, and polishes
+every converged state with a second LMA solve of small damping, as the
+package did before it built a converged state's rule as it stands.  The
+antisymmetric part of each SBP operator, next, is solved as one dense
+least-squares system over its strictly-lower-triangular entries, as the
+package solved it before it built the minimum-norm solution in closed
+form.  The symmetry check and
 the facet matcher at the very end pair points by rounded keys and by a
 per-node loop, as the package did before all its point matching went
 through one nearest-point routine.  The random design, last, runs its
@@ -49,7 +53,7 @@ from math import comb, gamma, sqrt
 import numpy as np
 import scipy.special
 
-from sbpquad import basis, signatures
+from sbpquad import basis, search, signatures
 from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
                                certification_horizon, step_matrix)
 from sbpquad.operators import (_MATCH_TOL, FacetOperator,
@@ -57,15 +61,17 @@ from sbpquad.operators import (_MATCH_TOL, FacetOperator,
 from sbpquad.search import (EPS_WEIGHT, MARGIN, MAX_REJECTS, NU_DEC,
                             NU_INC, NU_MAX, TOL, InfeasibleDesignError,
                             LmaState,
-                            QuadratureRule, SearchResult, SearchSpec,
+                            QuadratureRule, RuleValidationError,
+                            SearchResult, SearchSpec,
                             _record_best,
-                            _try_finalize, apply_update_with_positivity,
+                            apply_update_with_positivity,
                             init_swarm, lma_solve as package_lma_solve,
-                            lma_step, pso_step, residual,
+                            lma_step, pso_step,
                             residual_and_jacobian,
                             swarm_objective as package_swarm_objective)
 from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import (_SYMMETRY_TOL, CLOSURE_TOL, Facet, NodeSet,
+                             NodeSetError,
                              ReferenceSimplex, facet_restriction,
                              pairwise_distances)
 
@@ -914,7 +920,15 @@ def floor_residual_norm(spec) -> float:
 # the damped LMA one trial at a time: one lma_step and one residual per
 # damping, and a fresh residual_and_jacobian per iteration (reference for
 # the stacked damping ladder of sbpquad.search.lma_solve); every name it
-# calls is the package's
+# calls but residual is the package's, and residual scores a design
+# through the package's _moments
+
+
+def residual(spec: SearchSpec, tau: np.ndarray) -> np.ndarray:
+    """Moment residual g = V^T w - f; raises InfeasibleDesignError when
+    the design leaves the element."""
+    _, coords, w = spec.expand(tau)
+    return search._moments(spec, coords, w)[1]
 
 
 def lma_solve(spec: SearchSpec, tau0: np.ndarray, nu_init: float = 1e3,
@@ -980,9 +994,25 @@ def positivity_update(spec: SearchSpec, tau: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# the coupled solve through every swarm round (reference for the floor
-# stop of sbpquad.search.solve_coupled); every name it calls is the
+# the coupled solve through every swarm round, with a polish of every
+# converged state (reference for the floor stop of
+# sbpquad.search.solve_coupled, and for its rule built straight from a
+# converged state); every name it calls but _try_finalize is the
 # package's, lma_solve and swarm_objective under a package_ prefix
+
+
+def _try_finalize(spec: SearchSpec, state: LmaState):
+    """(rule or None, final LMA state) after a polish of a converged
+    state with small damping."""
+    polished = lma_solve(spec, state.tau, nu_init=1e-8, max_iters=40,
+                         nu_floor=1e-12)
+    final = polished if polished.res_inf <= state.res_inf else state
+    try:
+        rule = spec.build_rule(final.tau, {"qv": spec.qv,
+                                           "residual_inf": final.res_inf})
+    except (NodeSetError, RuleValidationError):
+        return None, final
+    return rule, final
 
 
 def solve_coupled(spec: SearchSpec, rng: np.random.Generator,

@@ -38,14 +38,13 @@ from sbpquad.basis import mode_indices
 from sbpquad.operators import build_operator, verify_operator
 from sbpquad.search import (
     random_design,
-    residual,
     residual_and_jacobian,
     validate_rule,
 )
 from sbpquad.signatures import find_rule, volume_search_specs
 
 from conftest import TRI_LG_DEGREES, TRI_LGL_DEGREES, VELOCITY_2D
-from oracles import monomial_integral
+from oracles import monomial_integral, residual
 
 RULE_KEYS = (
     [f"tri-lgl-q{q}" for q in TRI_LGL_DEGREES]

@@ -29,7 +29,6 @@ from sbpquad.search import (
     lma_step,
     nnls,
     random_design,
-    residual,
     residual_and_jacobian,
     solve_coupled,
     swarm_objective,
@@ -265,19 +264,20 @@ def test_expand_rejects_exterior_designs():
     with pytest.raises(InfeasibleDesignError):
         spec.expand(tau)
     with pytest.raises(InfeasibleDesignError):
-        residual(spec, tau)
+        oracles.residual(spec, tau)
 
 
 def fd_jacobian(spec, tau, h=1e-7):
     """Central-difference Jacobian over the free design entries."""
-    g0 = residual(spec, tau)
+    g0 = oracles.residual(spec, tau)
     J = np.zeros((g0.size, spec.n_tau))
     for j in np.flatnonzero(spec.free_mask):
         tp = tau.copy()
         tm = tau.copy()
         tp[j] += h
         tm[j] -= h
-        J[:, j] = (residual(spec, tp) - residual(spec, tm)) / (2.0 * h)
+        J[:, j] = (oracles.residual(spec, tp)
+                   - oracles.residual(spec, tm)) / (2.0 * h)
     return J
 
 
@@ -288,7 +288,7 @@ def test_jacobian_matches_finite_difference(spec, seed):
     rng = np.random.default_rng(seed)
     tau = random_design(spec, rng)
     g, J = residual_and_jacobian(spec, tau)
-    assert np.allclose(g, residual(spec, tau), atol=0.0)
+    assert np.allclose(g, oracles.residual(spec, tau), atol=0.0)
     fd = fd_jacobian(spec, tau)
     free = spec.free_mask
     scale = max(1.0, np.abs(J[:, free]).max())
@@ -388,8 +388,10 @@ def test_lma_solve_reports_infeasible_start():
 # ----------------------------------------------------------------------
 # the stacked damping ladder against the one-trial-at-a-time reference
 
-#: the settings of the polish _try_finalize runs on a converged design
-POLISH = {"nu_init": 1e-8, "nu_floor": 1e-12, "max_iters": 40}
+#: (NU_INIT, LMA_ITERS) pairs lma_solve is checked at: the package's
+#: own, and the small starting damping and short cap of the polish that
+#: converged designs once got
+LMA_SETTINGS = [(search.NU_INIT, search.LMA_ITERS), (1e-8, 40)]
 
 
 def damping_ladder(nu):
@@ -442,10 +444,11 @@ def traced_reference(monkeypatch, spec, tau0, **kw):
     reached: an infeasible trial, the break at NU_MAX, or MAX_REJECTS
     rejected trials in its last iteration."""
     events = []
+    scored = oracles.residual
 
     def residual(spec, tau):
         try:
-            g = search.residual(spec, tau)
+            g = scored(spec, tau)
         except InfeasibleDesignError:
             events.append("infeasible")
             raise
@@ -487,9 +490,15 @@ def test_lma_solve_matches_one_trial_at_a_time(monkeypatch):
     left it, through every rejection branch."""
     reached = set()
     for name, spec, tau0 in lma_cases():
-        for kw in ({}, POLISH):
-            ref, branches = traced_reference(monkeypatch, spec, tau0, **kw)
-            assert_same_state(lma_solve(spec, tau0, **kw), ref, name)
+        for nu_init, max_iters in LMA_SETTINGS:
+            ref, branches = traced_reference(monkeypatch, spec, tau0,
+                                             nu_init=nu_init,
+                                             max_iters=max_iters,
+                                             nu_floor=0.0)
+            monkeypatch.setattr(search, "NU_INIT", nu_init)
+            monkeypatch.setattr(search, "LMA_ITERS", max_iters)
+            assert_same_state(lma_solve(spec, tau0), ref, name)
+            monkeypatch.undo()
             reached |= branches
     assert reached == {"infeasible", "nu-max break", "rejects exhausted"}
 
@@ -580,14 +589,17 @@ def test_a_stalled_iteration_makes_two_solves(monkeypatch, floor):
 
     monkeypatch.setattr(search, "_moments", counted(search._moments))
     monkeypatch.setattr(np.linalg, "pinv", counted(np.linalg.pinv))
-    state = lma_solve(spec, tau, max_iters=1)
+    monkeypatch.setattr(search, "LMA_ITERS", 1)
+    state = lma_solve(spec, tau)
     assert (state.iterations, state.message) == (1, "stalled")
     # one _moments call scores the start
     assert calls["pinv"] <= 2 and calls["_moments"] <= 1 + 2
     if floor:
         assert calls == {"_moments": 1, "pinv": 2}
     calls.update(_moments=0, pinv=0)
-    assert_same_state(state, oracles.lma_solve(spec, tau, max_iters=1))
+    assert_same_state(state, oracles.lma_solve(spec, tau,
+                                               nu_init=search.NU_INIT,
+                                               max_iters=1, nu_floor=0.0))
     assert calls["pinv"] >= 22 and calls["_moments"] >= 1 + 22
 
 
@@ -724,15 +736,9 @@ def test_solve_coupled_matches_rowwise_scoring(monkeypatch, spec_fn, seed):
 def test_round_zero_solve_matches_full_solve():
     """The mid-edge layout converges in round zero, so a solve that stops
     after round zero returns every field the full facet solve does."""
-    child = np.random.SeedSequence(0).spawn(1)[0]
-
-    def solve(**rounds):
-        return solve_coupled(SearchSpec(2, 2, ("SmidEdge",)),
-                             np.random.default_rng(child), **rounds)
-
-    short = solve(max_rounds=0)
+    short = midedge_solve(max_rounds=0)
     assert short.converged and short.rounds == 0
-    assert_same_result(short, solve(max_rounds=4, pso_iters=25))
+    assert_same_result(short, midedge_solve(max_rounds=4, pso_iters=25))
 
 
 def test_round_zero_solve_builds_no_swarm(monkeypatch):
@@ -745,6 +751,55 @@ def test_round_zero_solve_builds_no_swarm(monkeypatch):
     assert not res.converged
     assert (res.rounds, res.pso_iterations) == (0, 0)
     assert res.residual_inf > 1e-3
+
+
+def midedge_solve(solve=solve_coupled, **rounds):
+    """The mid-edge layout's solve from the first facet sweep's seed,
+    which converges in round zero."""
+    child = np.random.SeedSequence(0).spawn(1)[0]
+    return solve(SearchSpec(2, 2, ("SmidEdge",)),
+                 np.random.default_rng(child), **rounds)
+
+
+def test_converged_solve_makes_one_lma_solve(monkeypatch):
+    """A converged state becomes the rule as it stands: no second LMA
+    solve polishes it."""
+    calls = []
+
+    def counted(spec, tau0):
+        calls.append(tau0)
+        return lma_solve(spec, tau0)
+
+    monkeypatch.setattr(search, "lma_solve", counted)
+    res = midedge_solve()
+    assert res.converged and res.rounds == 0
+    assert len(calls) == 1
+
+
+def test_rule_failing_validation_keeps_the_sweep(monkeypatch):
+    """A converged state whose rule fails validation does not end the
+    sweep: a later round converges and returns a validated rule, every
+    field as the reference that polished each converged state."""
+    build_rule = SearchSpec.build_rule
+
+    def rejected_once():
+        failed = []
+
+        def build(spec, tau, provenance=None):
+            if not failed:
+                failed.append(tau)
+                raise RuleValidationError("rejected for the test")
+            return build_rule(spec, tau, provenance)
+        return build
+
+    results = []
+    for solve in (solve_coupled, oracles.solve_coupled):
+        monkeypatch.setattr(SearchSpec, "build_rule", rejected_once())
+        results.append(midedge_solve(solve, max_rounds=4, pso_iters=25))
+    res, ref = results
+    assert res.converged and res.rounds >= 1
+    validate_rule(res.rule)
+    assert_same_result(res, ref)
 
 
 # ----------------------------------------------------------------------

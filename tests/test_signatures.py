@@ -96,6 +96,15 @@ def test_interior_candidates_dof_filter(d):
     assert all(combo_unknowns(c, d, 0) >= need for c in combos)
 
 
+@pytest.mark.parametrize("d, max_qv", [(2, 20), (3, 10)])
+def test_interior_candidates_hold_a_layout_without_facet_orbits(d, max_qv):
+    """Every degree the paper reaches has a non-empty interior layout with
+    enough unknowns on its own, so no rule request runs out of
+    candidates."""
+    for qv in range(max_qv + 1):
+        assert any(interior_candidates(d, qv, 0)), qv
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("qv", range(1, 11))
 def test_interior_candidates_match_reference(qv, d):
@@ -318,6 +327,19 @@ def test_find_rule_budget_exhausted():
     res = find_rule("tri", 4, "lgl", seed=0, budget_s=0.0)
     assert res.status == "budget"
     assert res.rule is None
+
+
+@pytest.mark.parametrize("budget_s", [float("nan"), -1.0])
+def test_find_rule_rejects_bad_budget(monkeypatch, budget_s):
+    """A NaN budget would never run out (every comparison with it is
+    false): it and a negative one are rejected before any search."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_rule started a search")
+
+    monkeypatch.setattr(sbpquad.signatures, "volume_search_specs",
+                        no_search)
+    with pytest.raises(ValueError, match="budget_s"):
+        find_rule("tet", 4, "gen", budget_s=budget_s)
 
 
 def test_find_rule_budget_caps_facet_stage():
