@@ -16,13 +16,14 @@ identity telescopes across interfaces to floating-point accuracy.
 As every cell is split alike, the operator is one cell stencil, built
 from the unit cell's simplices scaled by 1/m; rhs applies it to all
 cells in two matmuls and one gather, and is the only code that does.
-The operator is block-circulant over cells, so the stable-timestep
-certificate works on one small symbol per Bloch wavenumber theta,
-probed from rhs: the discrete Fourier transform over cells of rhs
-applied to cell 0's unit vectors.  A step dt is
-certified when, at every theta, the RK4 propagator over the horizon
-step N = ceil(T/dt) does not raise the energy of any initial datum (the
-worst case over all data, not one sine).  Only the energy at the
+The operator is block-circulant over cells, so it acts on a Bloch mode
+v exp(i theta.c), c a cell's lattice coordinates, as one small symbol
+per wavenumber theta, probed from rhs: the discrete Fourier transform
+over cells of rhs applied to cell 0's unit vectors.  The stable-timestep
+certificate works on these symbols.  A step dt is certified when, at
+every theta, the RK4 propagator over the horizon step N = ceil(T/dt)
+does not raise the energy of any initial datum (the worst case over all
+data, not one sine).  Only the energy at the
 horizon is bounded: intermediate steps may grow transiently, because
 RK4 is not strongly stable for these non-normal operators.  The
 operator is real, so the symbol at -theta is the conjugate of the one
@@ -32,6 +33,13 @@ checks just below and at the RK4 spectral limit of the symbols'
 eigenvalues, below 3 / rho (rho the symbols' spectral radius), and
 returns it as one record with what certifies it; every step the
 package takes rests on it (see run_convergence).
+
+A convergence study steps in Bloch space too.  Its sine datum is a sum
+of 2^d Bloch modes, conjugate in pairs, so run_convergence advances one
+mode of each pair through the N-step RK4 propagator of its symbol,
+probed from rhs as above: the propagator the certificate bounds, and the
+same N steps rk4_step takes on every cell (run_to_time, the stepper for
+arbitrary data), to rounding.
 """
 
 from __future__ import annotations
@@ -317,6 +325,10 @@ def integrate(prob: AdvectionProblem, u: np.ndarray, dt: float,
 def run_to_time(prob: AdvectionProblem, u: np.ndarray, t: float,
                 dt: float) -> np.ndarray:
     """Advance to exactly time t with uniform steps no longer than dt."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, not {dt}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be non-negative and finite, not {t}")
     n_steps = max(1, math.ceil(t / dt))
     return integrate(prob, u, t / n_steps, n_steps)
 
@@ -374,17 +386,23 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
     Mesh m steps at dt_m / (2 m), dt_m = 2 max_stable_dt on the 2-cell
     mesh.  That rests on the measured mesh independence of the certified
     dt * m (upwind, within 2 % over m = 2-8 on the triangle and 0.1 % on
-    the tet; see README) and on a factor-2 margin.
+    the tet; see README) and on a factor-2 margin.  The steps are taken
+    in Bloch space (_bloch_solution): the sine datum's modes are advanced
+    through the RK4 propagator of the rhs-probed symbols the certificate
+    bounds, which gives run_to_time's solution to rounding at the cost of
+    T n rhs calls a mesh, not 4 per step.  Raises ValueError for a t that
+    is not positive and finite and for fewer than two meshes.
     """
-    if any(a >= b for a, b in zip(meshes, meshes[1:])):
-        raise ValueError("mesh sizes must be strictly increasing")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, not {t}")
+    if len(meshes) < 2 or any(a >= b for a, b in zip(meshes, meshes[1:])):
+        raise ValueError("need two or more strictly increasing mesh sizes")
     dt_m = _CERT_CELLS * max_stable_dt(
         build_problem(op, _CERT_CELLS, c, flux=flux))
     errors = []
     for m in meshes:
         prob = build_problem(op, m, c, flux=flux, omega=omega)
-        u = run_to_time(prob, initial_condition(prob), t,
-                        _STEP_MARGIN * dt_m / m)
+        u = _bloch_solution(prob, t, _STEP_MARGIN * dt_m / m)
         errors.append(l2_error(prob, u, t))
     rates = [math.log(errors[i - 1] / errors[i])
              / math.log(meshes[i] / meshes[i - 1])
@@ -396,22 +414,21 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
 # Bloch symbols, stability certification
 
 
-def _unit_responses(prob: AdvectionProblem, n_cols: int) -> np.ndarray:
-    """(n_cols, K, n) rhs of the first n_cols unit vectors: columns of
-    the semi-discrete operator."""
+def _unit_responses(prob: AdvectionProblem, n_cols: int):
+    """rhs of the first n_cols unit vectors, one (K, n) array at a time:
+    columns of the semi-discrete operator."""
     e = np.zeros((prob.n_elements, prob.op.n_nodes))
-    cols = np.empty((n_cols, *e.shape))
     for j in range(n_cols):
         e.flat[j] = 1.0
-        cols[j] = rhs(prob, e)
+        yield rhs(prob, e)
         e.flat[j] = 0.0
-    return cols
 
 
 def assemble_dense(prob: AdvectionProblem) -> np.ndarray:
     """Dense matrix of the semi-discrete operator (small meshes), one
     column per unit vector."""
-    return _unit_responses(prob, prob.n_dof).reshape(prob.n_dof, -1).T
+    cols = np.stack(list(_unit_responses(prob, prob.n_dof)))
+    return cols.reshape(prob.n_dof, -1).T
 
 
 def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
@@ -427,9 +444,54 @@ def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
     """
     d, m = prob.dim, prob.m
     tn = prob.n_dof // m ** d
-    cols = _unit_responses(prob, tn).reshape(tn, *(m,) * d, tn)
+    cols = np.stack(list(_unit_responses(prob, tn))).reshape(
+        tn, *(m,) * d, tn)
     symbols = np.fft.fftn(cols, axes=range(1, d + 1))
     return np.moveaxis(symbols, 0, -1).reshape(m ** d, tn, tn)
+
+
+def _cell_phases(prob: AdvectionProblem, j: np.ndarray) -> np.ndarray:
+    """(len(j), m^d) exp(i theta.c) over the cells c, lexicographic, for
+    integer wavenumbers j of shape (S, d), theta = 2 pi j / m."""
+    m = prob.m
+    cells = np.indices((m,) * prob.dim).reshape(prob.dim, -1)
+    return np.exp(2j * np.pi / m * (j @ cells % m))
+
+
+def _probed_symbols(prob: AdvectionProblem, j: np.ndarray) -> np.ndarray:
+    """(len(j), T n, T n) the rows j of bloch_symbols, integer
+    wavenumbers j of shape (S, d): column b is the direct DFT over the
+    cells of rhs applied to unit vector b of cell 0."""
+    tn = prob.cell_own.shape[0]
+    phase = _cell_phases(prob, j).conj()
+    return np.stack([phase @ col.reshape(-1, tn)
+                     for col in _unit_responses(prob, tn)], axis=-1)
+
+
+def _bloch_solution(prob: AdvectionProblem, t: float, dt: float
+                    ) -> np.ndarray:
+    """run_to_time(prob, initial_condition(prob), t, dt), stepped per
+    Bloch mode.
+
+    prod_i sin(omega pi x_i) is the sum over s in {-1, 1}^d of
+    prod_i s_i / (2i)^d exp(i omega pi s.x): on cell c, x = c / m + x_0,
+    a Bloch mode of wavenumber j = omega s / 2 on cell 0's values
+    exp(i omega pi s.x_0).  Mode -s is the conjugate of mode s and the
+    operator is real, so only the modes with s_0 = 1 are advanced,
+    through the N-step RK4 propagator of their probed symbols, and u is
+    twice the real part of their sum.
+    """
+    d = prob.dim
+    s = np.array([(1, *r) for r in itertools.product((1, -1), repeat=d - 1)])
+    x0 = prob.phys[:len(prob.J)].reshape(-1, d)            # cell 0's nodes
+    v = (s.prod(axis=1)[:, None] / (2j) ** d
+         * np.exp(1j * prob.omega * np.pi * (s @ x0.T)))   # (S, T n)
+    j = prob.omega // 2 * s
+    n_steps = max(1, math.ceil(t / dt))
+    G = np.linalg.matrix_power(
+        step_matrix(_probed_symbols(prob, j), t / n_steps), n_steps)
+    v = (G @ v[..., None])[..., 0]
+    return 2.0 * (_cell_phases(prob, j).T @ v).real.reshape(prob.hw.shape)
 
 
 def step_matrix(L: np.ndarray, dt: float) -> np.ndarray:

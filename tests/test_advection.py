@@ -12,9 +12,11 @@ from sbpquad.advection import (
     _STEP_MARGIN,
     MeshError,
     _affine_maps,
+    _bloch_solution,
     _cell_partners,
     _cell_simplices,
     _conjugate_pairs,
+    _probed_symbols,
     _sat_metrics,
     assemble_dense,
     bloch_symbols,
@@ -400,6 +402,96 @@ def test_run_convergence_second_order(tri_lgl_results):
 def test_run_convergence_rejects_unordered_meshes(p1_problem, meshes):
     with pytest.raises(ValueError, match="increasing"):
         run_convergence(p1_problem.op, meshes, VELOCITY_2D)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.25, math.nan, math.inf])
+def test_run_convergence_rejects_bad_time(p1_problem, t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_convergence(p1_problem.op, (4, 8), VELOCITY_2D, t=t)
+
+
+@pytest.mark.parametrize("meshes", [(), (4,)])
+def test_run_convergence_needs_two_meshes(p1_problem, meshes):
+    with pytest.raises(ValueError, match="two or more"):
+        run_convergence(p1_problem.op, meshes, VELOCITY_2D)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_run_to_time_rejects_bad_step(p1_problem, dt):
+    u = initial_condition(p1_problem)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        run_to_time(p1_problem, u, 1.0, dt)
+
+
+@pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+def test_run_to_time_rejects_bad_time(p1_problem, t):
+    u = initial_condition(p1_problem)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        run_to_time(p1_problem, u, t, 0.01)
+
+
+@pytest.fixture(scope="module")
+def study_dt_m(all_operators):
+    """run_convergence's dt_m, by (operator name, flux)."""
+    cache = {}
+
+    def dt_m(name, flux):
+        if (name, flux) not in cache:
+            op = all_operators[name]
+            c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+            cache[name, flux] = 2 * max_stable_dt(
+                build_problem(op, 2, c, flux=flux))
+        return cache[name, flux]
+    return dt_m
+
+
+@pytest.mark.parametrize("omega", [2, 4])
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("name", ["tri-lgl-q1", "tri-lgl-q3", "tri-lgl-q5",
+                                  "tet-q2"])
+def test_bloch_solution_matches_mesh_stepper(all_operators, study_dt_m,
+                                             name, m, flux, omega):
+    """The study's Bloch-space solution is the mesh stepper's, also where
+    the wavenumbers of s and -s coincide (m = 2; omega = 4 at m = 4), to
+    1e-13 of the sine's amplitude 1: max|u0| is 0.65-1, except at
+    omega = 4 on m = 2, where the tri q1 and tet nodes sit on the sine's
+    zeros and u0 is rounding."""
+    op = all_operators[name]
+    c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+    prob = build_problem(op, m, c, flux=flux, omega=omega)
+    t, dt = 0.1, _STEP_MARGIN * study_dt_m(name, flux) / m
+    u0 = initial_condition(prob)
+    want = run_to_time(prob, u0, t, dt)
+    got = _bloch_solution(prob, t, dt)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_run_convergence_errors_match_mesh_stepper(all_operators, study_dt_m):
+    op = all_operators["tri-lgl-q3"]
+    result = run_convergence(op, (3, 5), VELOCITY_2D, t=0.1)
+    assert result.dt_m == study_dt_m("tri-lgl-q3", "upwind")
+    for m, err in zip(result.meshes, result.errors):
+        prob = build_problem(op, m, VELOCITY_2D)
+        u = run_to_time(prob, initial_condition(prob), 0.1,
+                        _STEP_MARGIN * result.dt_m / m)
+        assert err == pytest.approx(l2_error(prob, u, 0.1), rel=1e-12)
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("name", ["tri-lgl-q3", "tet-q2"])
+def test_probed_symbols_match_bloch_symbols(all_operators, name, m, flux):
+    """The direct DFT of the rhs probes is bloch_symbols' FFT, at every
+    wavenumber j and at its alias j - m."""
+    op = all_operators[name]
+    c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+    prob = build_problem(op, m, c, flux=flux)
+    want = bloch_symbols(prob)
+    j = np.indices((m,) * op.dim).reshape(op.dim, -1).T
+    for probe in (j, j - m):
+        got = _probed_symbols(prob, probe)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name, meshes", [
