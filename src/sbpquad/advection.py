@@ -18,12 +18,13 @@ from the unit cell's simplices scaled by 1/m; rhs applies it to all
 cells in two matmuls and one gather, and is the only code that does.
 The operator is block-circulant over cells, so it acts on a Bloch mode
 v exp(i theta.c), c a cell's lattice coordinates, as one small symbol
-per wavenumber theta, probed from rhs: the discrete Fourier transform
-over cells of rhs applied to cell 0's unit vectors.  The stable-timestep
-certificate works on these symbols.  A step dt is certified when, at
-every theta, the RK4 propagator over the horizon step N = ceil(T/dt)
-does not raise the energy of any initial datum (the worst case over all
-data, not one sine).  Only the energy at the
+per wavenumber theta (Gustafsson, Kreiss & Oliger 1995), probed from
+rhs: the stencil sum over the 3^d cells k around cell 0 of
+exp(-i theta.k) times rhs of cell 0's unit vectors on cell k.  The
+stable-timestep certificate works on these symbols.  A step dt is
+certified when, at every theta, the RK4 propagator over the horizon
+step N = ceil(T/dt) does not raise the energy of any initial datum (the
+worst case over all data, not one sine).  Only the energy at the
 horizon is bounded: intermediate steps may grow transiently, because
 RK4 is not strongly stable for these non-normal operators.  The
 operator is real, so the symbol at -theta is the conjugate of the one
@@ -36,10 +37,10 @@ package takes rests on it (see run_convergence).
 
 A convergence study steps in Bloch space too.  Its sine datum is a sum
 of 2^d Bloch modes, conjugate in pairs, so run_convergence advances one
-mode of each pair through the N-step RK4 propagator of its symbol,
-probed from rhs as above: the propagator the certificate bounds, and the
-same N steps rk4_step takes on every cell (run_to_time, the stepper for
-arbitrary data), to rounding.
+mode of each pair through the N-step RK4 propagator of its symbol, the
+same stencil sum at that mode's wavenumber: the propagator the
+certificate bounds, and the same N steps rk4_step takes on every cell
+(run_to_time, the stepper for arbitrary data), to rounding.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "exact_solution",
     "rhs",
     "rk4_step",
-    "integrate",
     "run_to_time",
     "energy",
     "l2_error",
@@ -315,13 +315,6 @@ def rk4_step(prob: AdvectionProblem, u: np.ndarray, dt: float
     return np.add(u, buf, out=buf)
 
 
-def integrate(prob: AdvectionProblem, u: np.ndarray, dt: float,
-              n_steps: int) -> np.ndarray:
-    for _ in range(n_steps):
-        u = rk4_step(prob, u, dt)
-    return u
-
-
 def run_to_time(prob: AdvectionProblem, u: np.ndarray, t: float,
                 dt: float) -> np.ndarray:
     """Advance to exactly time t with uniform steps no longer than dt."""
@@ -330,7 +323,9 @@ def run_to_time(prob: AdvectionProblem, u: np.ndarray, t: float,
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be non-negative and finite, not {t}")
     n_steps = max(1, math.ceil(t / dt))
-    return integrate(prob, u, t / n_steps, n_steps)
+    for _ in range(n_steps):
+        u = rk4_step(prob, u, t / n_steps)
+    return u
 
 
 def energy(prob: AdvectionProblem, u: np.ndarray) -> float:
@@ -387,11 +382,11 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
     mesh.  That rests on the measured mesh independence of the certified
     dt * m (upwind, within 2 % over m = 2-8 on the triangle and 0.1 % on
     the tet; see README) and on a factor-2 margin.  The steps are taken
-    in Bloch space (_bloch_solution): the sine datum's modes are advanced
-    through the RK4 propagator of the rhs-probed symbols the certificate
-    bounds, which gives run_to_time's solution to rounding at the cost of
-    T n rhs calls a mesh, not 4 per step.  Raises ValueError for a t that
-    is not positive and finite and for fewer than two meshes.
+    in Bloch space (_bloch_solution): the sine datum's modes go through
+    the RK4 propagator of their bloch_symbols, the one the certificate
+    bounds, giving run_to_time's solution to rounding at the cost of T n
+    rhs calls a mesh, not 4 per step.  Raises ValueError for a t that is
+    not positive and finite and for fewer than two meshes.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, not {t}")
@@ -431,41 +426,41 @@ def assemble_dense(prob: AdvectionProblem) -> np.ndarray:
     return cols.reshape(prob.n_dof, -1).T
 
 
-def bloch_symbols(prob: AdvectionProblem) -> np.ndarray:
-    """(m^d, T n, T n) Bloch symbols of the operator, T simplices a cell.
+def _phases(m: int, j: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """(S, K) exp(-2 pi i j.c / m), j (S, d) and cells c (K, d) integer,
+    from one table of m-th roots of unity whose entries r and m - r are
+    exact conjugates and entry m / 2 is -1: -j gets j's exact conjugates."""
+    roots = np.exp(2j * np.pi / m * np.arange(m))
+    roots[m // 2 + 1:] = roots[1:(m + 1) // 2][::-1].conj()
+    if m % 2 == 0:
+        roots[m // 2] = -1.0
+    return roots[-(j @ cells.T) % m]
 
-    Every cell of the lattice is split alike, so the operator is
-    block-circulant over cells: on a Bloch mode u_c = v exp(i theta.c),
-    cell c in lattice coordinates, it acts as the symbol Lhat(theta)
-    on v.  Column b of Lhat is the discrete Fourier transform over the
-    cells of rhs applied to unit vector b of cell 0; row j of the stack
-    has theta = 2 pi j / m, j running over the cells' lexicographic
-    order.
+
+def bloch_symbols(prob: AdvectionProblem, j: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """(S, T n, T n) Bloch symbols at the integer wavenumbers j, shape
+    (S, d), theta = 2 pi j / m; by default all m^d, lexicographic.
+
+    Every cell is split alike, so the operator is block-circulant over
+    cells: on a Bloch mode u_c = v exp(i theta.c) it acts as the symbol
+    Lhat(theta) on v.  Block B_k, rhs of cell 0's unit vectors read on
+    the cell at lattice offset k, is zero outside k in {-1, 0, 1}^d, and
+    Lhat is the stencil sum of exp(-i theta.k) B_k over those cells, each
+    taken once (on m = 2, offsets -1 and 1 are one cell, one phase).
     """
     d, m = prob.dim, prob.m
-    tn = prob.n_dof // m ** d
-    cols = np.stack(list(_unit_responses(prob, tn))).reshape(
-        tn, *(m,) * d, tn)
-    symbols = np.fft.fftn(cols, axes=range(1, d + 1))
-    return np.moveaxis(symbols, 0, -1).reshape(m ** d, tn, tn)
-
-
-def _cell_phases(prob: AdvectionProblem, j: np.ndarray) -> np.ndarray:
-    """(len(j), m^d) exp(i theta.c) over the cells c, lexicographic, for
-    integer wavenumbers j of shape (S, d), theta = 2 pi j / m."""
-    m = prob.m
-    cells = np.indices((m,) * prob.dim).reshape(prob.dim, -1)
-    return np.exp(2j * np.pi / m * (j @ cells % m))
-
-
-def _probed_symbols(prob: AdvectionProblem, j: np.ndarray) -> np.ndarray:
-    """(len(j), T n, T n) the rows j of bloch_symbols, integer
-    wavenumbers j of shape (S, d): column b is the direct DFT over the
-    cells of rhs applied to unit vector b of cell 0."""
+    j = np.indices((m,) * d).reshape(d, -1).T if j is None else np.asarray(j)
+    if j.dtype.kind not in "iu" or j.ndim != 2 or j.shape[1] != d:
+        raise ValueError(f"wavenumbers must be an integer array of shape "
+                         f"(S, {d}), not {j.dtype} {j.shape}")
+    cells = np.unique((np.indices((3,) * d).reshape(d, -1).T - 1) % m, axis=0)
+    stencil = np.ravel_multi_index(cells.T, (m,) * d)
     tn = prob.cell_own.shape[0]
-    phase = _cell_phases(prob, j).conj()
-    return np.stack([phase @ col.reshape(-1, tn)
-                     for col in _unit_responses(prob, tn)], axis=-1)
+    blocks = np.stack([col.reshape(-1, tn)[stencil]
+                       for col in _unit_responses(prob, tn)], axis=-1)
+    return (_phases(m, j, cells) @ blocks.reshape(len(cells), -1)
+            ).reshape(-1, tn, tn)
 
 
 def _bloch_solution(prob: AdvectionProblem, t: float, dt: float
@@ -478,10 +473,10 @@ def _bloch_solution(prob: AdvectionProblem, t: float, dt: float
     a Bloch mode of wavenumber j = omega s / 2 on cell 0's values
     exp(i omega pi s.x_0).  Mode -s is the conjugate of mode s and the
     operator is real, so only the modes with s_0 = 1 are advanced,
-    through the N-step RK4 propagator of their probed symbols, and u is
-    twice the real part of their sum.
+    through the N-step RK4 propagator of their symbols, and u is twice
+    the real part of their sum.
     """
-    d = prob.dim
+    d, m = prob.dim, prob.m
     s = np.array([(1, *r) for r in itertools.product((1, -1), repeat=d - 1)])
     x0 = prob.phys[:len(prob.J)].reshape(-1, d)            # cell 0's nodes
     v = (s.prod(axis=1)[:, None] / (2j) ** d
@@ -489,9 +484,10 @@ def _bloch_solution(prob: AdvectionProblem, t: float, dt: float
     j = prob.omega // 2 * s
     n_steps = max(1, math.ceil(t / dt))
     G = np.linalg.matrix_power(
-        step_matrix(_probed_symbols(prob, j), t / n_steps), n_steps)
+        step_matrix(bloch_symbols(prob, j), t / n_steps), n_steps)
     v = (G @ v[..., None])[..., 0]
-    return 2.0 * (_cell_phases(prob, j).T @ v).real.reshape(prob.hw.shape)
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    return 2.0 * (_phases(m, -j, cells).T @ v).real.reshape(prob.hw.shape)
 
 
 def step_matrix(L: np.ndarray, dt: float) -> np.ndarray:
@@ -603,7 +599,7 @@ class TimestepCertificate:
     """certify_timestep's record; ratios(dt) checks dt on its symbols."""
 
     prob: AdvectionProblem
-    symbols: np.ndarray        # bloch_symbols(prob)
+    symbols: np.ndarray        # bloch_symbols(prob): every wavenumber
     dt: float                  # largest certified step
     ratio: float               # worst-case energy ratio at dt
     ruled_out: float           # smallest step ruled out: failed, or 3 / rho

@@ -207,6 +207,7 @@ def integral_vector(q: int, d: int) -> np.ndarray:
 # collapsed-coordinate Gauss product rules (exact, strictly interior)
 
 
+@lru_cache(maxsize=None)
 def simplex_gauss_rule(degree: int, d: int):
     """Positive-weight interior rule exact to the given total degree.
 
@@ -216,7 +217,7 @@ def simplex_gauss_rule(degree: int, d: int):
     and x_{d-1} = a_{d-1}, with the weights scaled by 2^{-d(d-1)/2}; node
     count grows like ceil((degree+1)/2)^d.
 
-    Returns (coords (n, d), weights (n,)).
+    Returns (coords (n, d), weights (n,)), read-only: they are cached.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}")
@@ -227,8 +228,10 @@ def simplex_gauss_rule(degree: int, d: int):
              *(roots_jacobi(n1, float(l), 0.0) for l in range(1, d))]
     a = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     w = math.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"),
-                  start=2.0 ** (-d * (d - 1) / 2))
+                  start=2.0 ** (-d * (d - 1) / 2)).ravel()
     x = [math.prod((1.0 - am for am in a[l + 1:]),
                    start=2.0 ** (l + 1 - d) * (1.0 + a[l])) - 1.0
          for l in range(d - 1)]
-    return np.column_stack([xl.ravel() for xl in x + [a[-1]]]), w.ravel()
+    coords = np.column_stack([xl.ravel() for xl in x + [a[-1]]])
+    coords.flags.writeable = w.flags.writeable = False
+    return coords, w

@@ -12,8 +12,10 @@ orbit-layout enumerators are the ones it used before both search stages
 shared one, and the swarm objective at the end scores one design per
 call as the package did before it scored whole swarms, the periodic mesh
 at the end is built per element, as the package built it before it built
-the mesh from one cell, and the energy ratios after it are computed at
-every Bloch wavenumber, as the package computed them before it certified
+the mesh from one cell, the Bloch symbols after it come from an FFT over
+every cell, as the package built them before it summed cell 0's
+stencil, and the energy ratios after them are computed at every Bloch
+wavenumber, as the package computed them before it certified
 one wavenumber of each conjugate pair; all are kept verbatim as the
 exact reference.  The d-generic evaluator after the per-dimension one
 runs one recurrence per level and a second per level for derivatives,
@@ -54,7 +56,7 @@ import numpy as np
 import scipy.special
 
 from sbpquad import basis, search, signatures
-from sbpquad.advection import (MeshError, _cell_simplices, bloch_symbols,
+from sbpquad.advection import (MeshError, _cell_simplices, _unit_responses,
                                certification_horizon, step_matrix)
 from sbpquad.operators import (_MATCH_TOL, FacetOperator,
                                SBPConstructionError)
@@ -844,6 +846,30 @@ def periodic_mesh(op, m: int):
         partner[:, f] = (k2[:, f, None] * n
                          + np.take_along_axis(theirs, match, 1))
     return phys, partner.reshape(m ** d, -1)
+
+
+# ----------------------------------------------------------------------
+# Bloch symbols by an FFT over every cell (reference for
+# sbpquad.advection.bloch_symbols, which sums cell 0's stencil; verbatim)
+
+
+def bloch_symbols(prob) -> np.ndarray:
+    """(m^d, T n, T n) Bloch symbols of the operator, T simplices a cell.
+
+    Every cell of the lattice is split alike, so the operator is
+    block-circulant over cells: on a Bloch mode u_c = v exp(i theta.c),
+    cell c in lattice coordinates, it acts as the symbol Lhat(theta)
+    on v.  Column b of Lhat is the discrete Fourier transform over the
+    cells of rhs applied to unit vector b of cell 0; row j of the stack
+    has theta = 2 pi j / m, j running over the cells' lexicographic
+    order.
+    """
+    d, m = prob.dim, prob.m
+    tn = prob.n_dof // m ** d
+    cols = np.stack(list(_unit_responses(prob, tn))).reshape(
+        tn, *(m,) * d, tn)
+    symbols = np.fft.fftn(cols, axes=range(1, d + 1))
+    return np.moveaxis(symbols, 0, -1).reshape(m ** d, tn, tn)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from sbpquad.advection import (
     _cell_partners,
     _cell_simplices,
     _conjugate_pairs,
-    _probed_symbols,
     _sat_metrics,
     assemble_dense,
     bloch_symbols,
@@ -28,7 +27,6 @@ from sbpquad.advection import (
     energy_ratios,
     exact_solution,
     initial_condition,
-    integrate,
     l2_error,
     max_stable_dt,
     rhs,
@@ -270,7 +268,8 @@ def test_free_stream_preserved(name, request, half_certified):
     u = np.ones((prob.n_elements, prob.op.n_nodes))
     du = rhs(prob, u)
     assert np.abs(du).max() <= 1e-12
-    u = integrate(prob, u, half_certified[name], 100)
+    dt = half_certified[name]
+    u = run_to_time(prob, u, 100 * dt, dt)
     assert np.abs(u - 1.0).max() <= 1e-12
 
 
@@ -479,19 +478,54 @@ def test_run_convergence_errors_match_mesh_stepper(all_operators, study_dt_m):
 
 
 @pytest.mark.parametrize("flux", ["upwind", "central"])
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("name", ["tri-lgl-q3", "tet-q2"])
 def test_probed_symbols_match_bloch_symbols(all_operators, name, m, flux):
-    """The direct DFT of the rhs probes is bloch_symbols' FFT, at every
-    wavenumber j and at its alias j - m."""
+    """The stencil sum of the rhs probes is the FFT over every cell
+    (oracles.bloch_symbols) at every wavenumber j and at its aliases
+    j - m and j + m: on m = 2 offsets -1 and 1 are one cell, and from
+    m = 4 on cells lie outside the stencil.  The symbols at -j are
+    exactly the conjugates of those at j, also within one call."""
     op = all_operators[name]
     c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
     prob = build_problem(op, m, c, flux=flux)
-    want = bloch_symbols(prob)
+    want = oracles.bloch_symbols(prob)
     j = np.indices((m,) * op.dim).reshape(op.dim, -1).T
-    for probe in (j, j - m):
-        got = _probed_symbols(prob, probe)
+    for probe in (j, j - m, j + m, None):
+        got = bloch_symbols(prob, probe)
+        assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(bloch_symbols(prob, -j), got.conj())
+    minus_j = np.ravel_multi_index(tuple((-j % m).T), (m,) * op.dim)
+    assert np.array_equal(got[minus_j], got.conj())
+
+
+@pytest.mark.parametrize("j", [[1, 0], np.zeros((2, 3), int),
+                               np.zeros((1, 2, 1), int), [[0.0, 1.0]],
+                               [[True, False]], [["0", "1"]]])
+def test_bloch_symbols_reject_bad_wavenumbers(p1_problem, j):
+    with pytest.raises(ValueError, match="integer array of shape"):
+        bloch_symbols(p1_problem, j)
+
+
+def test_run_convergence_probes_each_problem_once(monkeypatch,
+                                                  all_operators):
+    """A study calls rhs T n times per problem it builds: the 2-cell
+    certificate's and one per mesh, each probed once."""
+    op = all_operators["tri-lgl-q3"]
+    calls = {"rhs": 0, "build_problem": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(advection, name,
+                            counted(name, getattr(advection, name)))
+    run_convergence(op, (3, 4), VELOCITY_2D, t=0.05)
+    assert calls["build_problem"] == 3
+    assert calls["rhs"] == 3 * len(_cell_simplices(2)) * op.n_nodes
 
 
 @pytest.mark.parametrize("name, meshes", [

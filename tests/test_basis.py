@@ -383,6 +383,9 @@ def test_simplex_gauss_rule_matches_per_dimension_reference(d):
         ref_pts, ref_w = oracles.simplex_gauss_rule(degree, d)
         assert np.array_equal(pts, ref_pts) and pts.shape == ref_pts.shape
         assert np.array_equal(w, ref_w)
+        # cached: one rule per (degree, d) that every caller shares
+        assert simplex_gauss_rule(degree, d)[0] is pts
+        assert not (pts.flags.writeable or w.flags.writeable)
 
 
 def test_simplex_gauss_rule_bad_dimension():
