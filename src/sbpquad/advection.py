@@ -7,46 +7,38 @@ m^d cells, each split alike: squares into two triangles, cubes into six
 tetrahedra (Kuhn split, conforming across cells).  The mesh is built
 from the unit cell alone: its simplices' facets are paired by the sum of
 their integer vertices modulo d, with the lattice offset between the
-two sides, and facet nodes are matched once, on cell 0.
-Facet coupling uses penalty terms on the shared facet quadrature;
-'upwind' dissipates energy, 'central' conserves it.  The boundary
-metric terms are formed from J * A^{-T} N so the discrete energy
-identity telescopes across interfaces to floating-point accuracy.
+two sides, and facet nodes are matched once, on cell 0.  Facet coupling
+uses penalty terms on the shared facet quadrature; 'upwind' dissipates
+energy, 'central' conserves it.  The boundary metric terms are formed
+from J * A^{-T} N so the discrete energy identity telescopes across
+interfaces to floating-point accuracy.
 
 As every cell is split alike, the operator is one cell stencil, built
 from the unit cell's simplices scaled by 1/m; rhs applies it to all
 cells in two matmuls and one gather, and is the only code that does.
 The operator is block-circulant over cells, so it acts on a Bloch mode
 v exp(i theta.c), c a cell's lattice coordinates, as one small symbol
-per wavenumber theta (Gustafsson, Kreiss & Oliger 1995), probed from
-rhs: the stencil sum over the 3^d cells k around cell 0 of
-exp(-i theta.k) times rhs of cell 0's unit vectors on cell k.  The
-stable-timestep certificate works on these symbols.  A step dt is
-certified when, at every theta, the RK4 propagator over the horizon
-step N = ceil(T/dt) does not raise the energy of any initial datum (the
-worst case over all data, not one sine).  Only the energy at the
-horizon is bounded: intermediate steps may grow transiently, because
-RK4 is not strongly stable for these non-normal operators.  The
-operator is real, so the symbol at -theta is the conjugate of the one
-at theta; one wavenumber of each conjugate pair is certified.
-certify_timestep bisects for the largest certified step, from energy
-checks just below and at the RK4 spectral limit of the symbols'
-eigenvalues, below 3 / rho (rho the symbols' spectral radius), and
-returns it as one record with what certifies it; every step the
-package takes rests on it (see run_convergence).
+per wavenumber theta (Gustafsson, Kreiss & Oliger 1995): the sum over
+the 3^d cells k around cell 0 of exp(-i theta.k) B_k, B_k rhs of cell
+0's unit vectors on cell k.  certify_timestep bisects on these symbols
+for the largest step whose RK4 propagator over the horizon raises no
+initial datum's energy at any theta; every step taken rests on it.
 
-A convergence study steps in Bloch space too.  Its sine datum is a sum
-of 2^d Bloch modes, conjugate in pairs, so run_convergence advances one
-mode of each pair through the N-step RK4 propagator of its symbol, the
-same stencil sum at that mode's wavenumber: the propagator the
-certificate bounds, and the same N steps rk4_step takes on every cell
-(run_to_time, the stepper for arbitrary data), to rounding.
+The operator scales as m, so one 3-cell problem's blocks give every
+mesh's symbols, (m / 3) sum_k exp(-2 pi i j.k / m) B_k.  A study's sine
+datum is 2^d Bloch modes, conjugate in pairs; run_convergence steps one
+of each pair on cell 0 through the N-step RK4 propagator of its symbol
+(run_to_time's N steps on every cell, to rounding) and sums the L2
+error over the modes in closed form.  Past one rhs probe on 3 cells, a
+mesh costs ceil(log2 N) products of 2^(d-1) symbols of order T n and an
+error sum over 2^d modes at cell 0's T n_f Gauss points.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,24 +209,30 @@ def _sat_metrics(op: SBPOperator, A: np.ndarray, J: np.ndarray,
     return Gvol, s / (J[:, None, None] * H_f)
 
 
-def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
-                  omega: int = 2) -> AdvectionProblem:
-    """Assemble the periodic SBP-SAT semi-discretization."""
+def _check_problem(d: int, m: int, c, flux: str, omega: int) -> np.ndarray:
+    """The velocity c as floats, once build_problem's inputs check out."""
     if flux not in ("upwind", "central"):
         raise ValueError(f"unknown flux {flux!r}")
-    if omega <= 0 or omega % 2 != 0:
+    if operator.index(omega) <= 0 or omega % 2 != 0:
         raise ValueError("omega must be positive and even for a periodic "
                          "exact solution on the unit domain")
-    if m < 2:
+    if operator.index(m) < 2:
         raise MeshError("periodic mesh needs m >= 2 cells per direction; "
                         "one cell's certificate sees only theta = 0 and "
                         "overstates the stable step of finer meshes")
-    d, n = op.dim, op.n_nodes
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
     if not np.any(c):
         raise ValueError("velocity must be nonzero")
+    return c
+
+
+def build_problem(op: SBPOperator, m: int, c, flux: str = "upwind",
+                  omega: int = 2) -> AdvectionProblem:
+    """Assemble the periodic SBP-SAT semi-discretization."""
+    c = _check_problem(op.dim, m, c, flux, omega)
+    d, n = op.dim, op.n_nodes
     cell = _cell_simplices(d)
     T = len(cell)
     A, J = _affine_maps(cell / m)
@@ -332,22 +330,23 @@ def energy(prob: AdvectionProblem, u: np.ndarray) -> float:
     return float(np.sum(prob.hw * u * u))
 
 
-def l2_error(prob: AdvectionProblem, u: np.ndarray, t: float) -> float:
-    """L2 distance to the exact solution via modal interpolation."""
-    op = prob.op
-    d = op.dim
-    p = op.p
+def _gauss_interpolation(op: SBPOperator):
+    """(interp, xf, wf): the Gauss rule exact to degree 3p + 1 and the map
+    of nodal values (..., n) to their degree-p H-projection at xf."""
+    d, p, W = op.dim, op.p, op.H
     V = vandermonde(op.rule.nodes.coords, p, d, check=False)
-    W = op.H
-    G = V.T @ (W[:, None] * V)
-    proj = np.linalg.solve(G, V.T * W[None, :])     # (nb, n)
-    coeffs = u @ proj.T                             # (K, nb)
+    proj = np.linalg.solve(V.T @ (W[:, None] * V), V.T * W[None, :])
     xf, wf = simplex_gauss_rule(3 * p + 1, d)
     Vf = vandermonde(xf, p, d, check=False)
-    uh = coeffs @ Vf.T                              # (K, nf)
+    return (lambda u: (u @ proj.T) @ Vf.T), xf, wf
+
+
+def l2_error(prob: AdvectionProblem, u: np.ndarray, t: float) -> float:
+    """L2 distance to the exact solution via modal interpolation."""
+    interp, xf, wf = _gauss_interpolation(prob.op)
     ue = exact_solution(_element_points(xf, prob.m), t, prob.c, prob.omega)
-    err2 = np.einsum("t,f,ctf->", prob.J, wf,
-                     ((uh - ue) ** 2).reshape(-1, len(prob.J), len(wf)))
+    err2 = np.einsum("t,f,ctf->", prob.J, wf, ((interp(u) - ue) ** 2)
+                     .reshape(-1, len(prob.J), len(wf)))
     return float(np.sqrt(err2))
 
 
@@ -381,24 +380,38 @@ def run_convergence(op: SBPOperator, meshes, c, t: float = 0.25,
     Mesh m steps at dt_m / (2 m), dt_m = 2 max_stable_dt on the 2-cell
     mesh.  That rests on the measured mesh independence of the certified
     dt * m (upwind, within 2 % over m = 2-8 on the triangle and 0.1 % on
-    the tet; see README) and on a factor-2 margin.  The steps are taken
-    in Bloch space (_bloch_solution): the sine datum's modes go through
-    the RK4 propagator of their bloch_symbols, the one the certificate
-    bounds, giving run_to_time's solution to rounding at the cost of T n
-    rhs calls a mesh, not 4 per step.  Raises ValueError for a t that is
-    not positive and finite and for fewer than two meshes.
+    the tet; see README) and on a factor-2 margin.  Steps and errors are
+    taken in Bloch space from one 3-cell problem, so a study builds two
+    problems and calls rhs 2 T n times whatever its meshes; err^2 is
+    m^d sum_(t,f) J_t w_f r_a conj(r_b) over mode pairs with j_a = j_b
+    mod m, r_a mode a's interpolant less its exact value on cell 0.
+    Raises ValueError for a t that is not positive and finite, for fewer
+    than two meshes and, before any certificate, for what build_problem
+    rejects (MeshError for a mesh below 2).
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"t must be positive and finite, not {t}")
     if len(meshes) < 2 or any(a >= b for a, b in zip(meshes, meshes[1:])):
         raise ValueError("need two or more strictly increasing mesh sizes")
+    c = _check_problem(op.dim, meshes[0], c, flux, omega)
     dt_m = _CERT_CELLS * max_stable_dt(
         build_problem(op, _CERT_CELLS, c, flux=flux))
+    symbols = _stencil(build_problem(op, 3, c, flux=flux, omega=omega))
+    interp, xf, wf = _gauss_interpolation(op)
+    x1 = _element_points(op.rule.nodes.coords, 1).reshape(-1, op.dim)
+    xg = _element_points(xf, 1).reshape(-1, op.dim)   # cell 0's, at m = 1
+    w = (_affine_maps(_cell_simplices(op.dim))[1][:, None] * wf).ravel()
     errors = []
     for m in meshes:
-        prob = build_problem(op, m, c, flux=flux, omega=omega)
-        u = _bloch_solution(prob, t, _STEP_MARGIN * dt_m / m)
-        errors.append(l2_error(prob, u, t))
+        s, v = _sine_modes(x1 / m, 0.0, c, omega)       # on cell 0
+        n_steps = max(1, math.ceil(t / (_STEP_MARGIN * dt_m / m)))
+        G = np.linalg.matrix_power(step_matrix(
+            symbols(m, omega // 2 * s), t / n_steps), n_steps)
+        r = (interp((G @ v[..., None]).reshape(-1, op.n_nodes))
+             .reshape(len(s), -1) - _sine_modes(xg / m, t, c, omega)[1])
+        r, j = np.concatenate([r, r.conj()]), omega // 2 * np.vstack([s, -s])
+        alias = np.all((j[:, None] - j) % m == 0, axis=-1)
+        errors.append(math.sqrt(((r * w) @ r.conj().T)[alias].sum().real))
     rates = [math.log(errors[i - 1] / errors[i])
              / math.log(meshes[i] / meshes[i - 1])
              for i in range(1, len(meshes))]
@@ -440,54 +453,41 @@ def _phases(m: int, j: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def bloch_symbols(prob: AdvectionProblem, j: np.ndarray | None = None
                   ) -> np.ndarray:
     """(S, T n, T n) Bloch symbols at the integer wavenumbers j, shape
-    (S, d), theta = 2 pi j / m; by default all m^d, lexicographic.
-
-    Every cell is split alike, so the operator is block-circulant over
-    cells: on a Bloch mode u_c = v exp(i theta.c) it acts as the symbol
-    Lhat(theta) on v.  Block B_k, rhs of cell 0's unit vectors read on
-    the cell at lattice offset k, is zero outside k in {-1, 0, 1}^d, and
-    Lhat is the stencil sum of exp(-i theta.k) B_k over those cells, each
-    taken once (on m = 2, offsets -1 and 1 are one cell, one phase).
+    (S, d), theta = 2 pi j / m; by default all m^d, lexicographic: the
+    sum of exp(-i theta.k) B_k over the cells at offsets k in {-1, 0, 1}^d
+    (B_k is zero elsewhere), each taken once (on m = 2, offsets -1 and 1
+    are one cell, one phase), B_k rhs of cell 0's unit vectors on cell k.
     """
     d, m = prob.dim, prob.m
     j = np.indices((m,) * d).reshape(d, -1).T if j is None else np.asarray(j)
     if j.dtype.kind not in "iu" or j.ndim != 2 or j.shape[1] != d:
         raise ValueError(f"wavenumbers must be an integer array of shape "
                          f"(S, {d}), not {j.dtype} {j.shape}")
-    cells = np.unique((np.indices((3,) * d).reshape(d, -1).T - 1) % m, axis=0)
-    stencil = np.ravel_multi_index(cells.T, (m,) * d)
+    return _stencil(prob)(m, j)
+
+
+def _stencil(prob: AdvectionProblem):
+    """symbols(m, j), bloch_symbols of the m-cell mesh from prob's blocks,
+    probed once, times m / prob.m; for every m if prob.m >= 3."""
+    d, M = prob.dim, prob.m
+    cells = np.unique((np.indices((3,) * d).reshape(d, -1).T - 1) % M, axis=0)
+    stencil = np.ravel_multi_index(cells.T, (M,) * d)
     tn = prob.cell_own.shape[0]
     blocks = np.stack([col.reshape(-1, tn)[stencil]
                        for col in _unit_responses(prob, tn)], axis=-1)
-    return (_phases(m, j, cells) @ blocks.reshape(len(cells), -1)
-            ).reshape(-1, tn, tn)
+    k, blocks = (cells + 1) % M - 1, blocks.reshape(len(cells), -1)
+    return lambda m, j: (m / M * (_phases(m, j, k) @ blocks)
+                         ).reshape(-1, tn, tn)
 
 
-def _bloch_solution(prob: AdvectionProblem, t: float, dt: float
-                    ) -> np.ndarray:
-    """run_to_time(prob, initial_condition(prob), t, dt), stepped per
-    Bloch mode.
-
-    prod_i sin(omega pi x_i) is the sum over s in {-1, 1}^d of
-    prod_i s_i / (2i)^d exp(i omega pi s.x): on cell c, x = c / m + x_0,
-    a Bloch mode of wavenumber j = omega s / 2 on cell 0's values
-    exp(i omega pi s.x_0).  Mode -s is the conjugate of mode s and the
-    operator is real, so only the modes with s_0 = 1 are advanced,
-    through the N-step RK4 propagator of their symbols, and u is twice
-    the real part of their sum.
-    """
-    d, m = prob.dim, prob.m
-    s = np.array([(1, *r) for r in itertools.product((1, -1), repeat=d - 1)])
-    x0 = prob.phys[:len(prob.J)].reshape(-1, d)            # cell 0's nodes
-    v = (s.prod(axis=1)[:, None] / (2j) ** d
-         * np.exp(1j * prob.omega * np.pi * (s @ x0.T)))   # (S, T n)
-    j = prob.omega // 2 * s
-    n_steps = max(1, math.ceil(t / dt))
-    G = np.linalg.matrix_power(
-        step_matrix(bloch_symbols(prob, j), t / n_steps), n_steps)
-    v = (G @ v[..., None])[..., 0]
-    cells = np.indices((m,) * d).reshape(d, -1).T
-    return 2.0 * (_phases(m, -j, cells).T @ v).real.reshape(prob.hw.shape)
+def _sine_modes(x: np.ndarray, t: float, c: np.ndarray, omega: int):
+    """(s, e): exact_solution at points x (P, d) is 2 Re sum_s e_s, e_s =
+    prod_i s_i / (2i)^d exp(i omega pi s.(x - c t)), e (S, P), over the
+    s in {-1, 1}^d with s_0 = 1; mode s has wavenumber j = omega s / 2."""
+    s = np.array([(1, *r) for r in
+                  itertools.product((1, -1), repeat=x.shape[1] - 1)])
+    return s, (s.prod(axis=1)[:, None] / (2j) ** x.shape[1]
+               * np.exp(1j * omega * np.pi * (s @ (x - t * c).T)))
 
 
 def step_matrix(L: np.ndarray, dt: float) -> np.ndarray:

@@ -56,7 +56,8 @@ import numpy as np
 import scipy.special
 
 from sbpquad import basis, search, signatures
-from sbpquad.advection import (MeshError, _cell_simplices, _unit_responses,
+from sbpquad.advection import (MeshError, _cell_simplices, _sine_modes,
+                               _stencil, _unit_responses, build_problem,
                                certification_horizon, step_matrix)
 from sbpquad.operators import (_MATCH_TOL, FacetOperator,
                                SBPConstructionError)
@@ -870,6 +871,33 @@ def bloch_symbols(prob) -> np.ndarray:
         tn, *(m,) * d, tn)
     symbols = np.fft.fftn(cols, axes=range(1, d + 1))
     return np.moveaxis(symbols, 0, -1).reshape(m ** d, tn, tn)
+
+
+# ----------------------------------------------------------------------
+# a convergence study's solution on every cell (reference for the Bloch
+# steps of sbpquad.advection.run_convergence, which stay on cell 0)
+
+
+def bloch_solution(prob, t: float, dt: float) -> np.ndarray:
+    """run_to_time(prob, initial_condition(prob), t, dt) as a study takes
+    it: the sine's modes s (s_0 = 1) on cell 0 go through N = ceil(t / dt)
+    RK4 steps of their symbols, those of a 3-cell problem scaled to
+    prob's m, and are mapped back onto every cell c, where mode s is
+    exp(2 pi i j.c / m) times its cell-0 values, j = omega s / 2; u is
+    twice the real part of their sum.
+    """
+    d, m = prob.dim, prob.m
+    symbols = _stencil(build_problem(prob.op, 3, prob.c, flux=prob.flux,
+                                     omega=prob.omega))
+    s, v = _sine_modes(prob.phys[:len(prob.J)].reshape(-1, d), 0.0, prob.c,
+                       prob.omega)
+    j = prob.omega // 2 * s
+    n_steps = max(1, math.ceil(t / dt))
+    G = np.linalg.matrix_power(step_matrix(symbols(m, j), t / n_steps),
+                               n_steps)
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    u = np.exp(2j * np.pi / m * (cells @ j.T)) @ (G @ v[..., None])[..., 0]
+    return 2.0 * u.real.reshape(prob.hw.shape)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Periodic linear-advection discretization on split simplex meshes."""
 
+import itertools
 import math
 import time
 
@@ -12,7 +13,6 @@ from sbpquad.advection import (
     _STEP_MARGIN,
     MeshError,
     _affine_maps,
-    _bloch_solution,
     _cell_partners,
     _cell_simplices,
     _conjugate_pairs,
@@ -462,19 +462,28 @@ def test_bloch_solution_matches_mesh_stepper(all_operators, study_dt_m,
     t, dt = 0.1, _STEP_MARGIN * study_dt_m(name, flux) / m
     u0 = initial_condition(prob)
     want = run_to_time(prob, u0, t, dt)
-    got = _bloch_solution(prob, t, dt)
+    got = oracles.bloch_solution(prob, t, dt)
     assert np.abs(got - want).max() <= 1e-13
 
 
 def test_run_convergence_errors_match_mesh_stepper(all_operators, study_dt_m):
-    op = all_operators["tri-lgl-q3"]
-    result = run_convergence(op, (3, 5), VELOCITY_2D, t=0.1)
-    assert result.dt_m == study_dt_m("tri-lgl-q3", "upwind")
-    for m, err in zip(result.meshes, result.errors):
-        prob = build_problem(op, m, VELOCITY_2D)
-        u = run_to_time(prob, initial_condition(prob), 0.1,
-                        _STEP_MARGIN * result.dt_m / m)
-        assert err == pytest.approx(l2_error(prob, u, 0.1), rel=1e-12)
+    """The errors summed over Bloch modes are l2_error of the mesh
+    stepper's solution, also where the modes' wavenumbers alias (m = 2;
+    omega = 4 at m = 4), for both fluxes."""
+    for (name, meshes), flux, omega in itertools.product(
+            [("tri-lgl-q3", (3, 5)), ("tri-lgl-q3", (2, 3, 4)),
+             ("tet-q2", (2, 3))], ["upwind", "central"], [2, 4]):
+        op = all_operators[name]
+        c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+        result = run_convergence(op, meshes, c, t=0.1, omega=omega,
+                                 flux=flux)
+        assert result.dt_m == study_dt_m(name, flux)
+        for m, err in zip(result.meshes, result.errors):
+            prob = build_problem(op, m, c, flux=flux, omega=omega)
+            u = run_to_time(prob, initial_condition(prob), 0.1,
+                            _STEP_MARGIN * result.dt_m / m)
+            assert err == pytest.approx(l2_error(prob, u, 0.1), rel=1e-12), \
+                (name, m, flux, omega)
 
 
 @pytest.mark.parametrize("flux", ["upwind", "central"])
@@ -510,8 +519,9 @@ def test_bloch_symbols_reject_bad_wavenumbers(p1_problem, j):
 
 def test_run_convergence_probes_each_problem_once(monkeypatch,
                                                   all_operators):
-    """A study calls rhs T n times per problem it builds: the 2-cell
-    certificate's and one per mesh, each probed once."""
+    """A study builds two problems whatever its meshes, the 2-cell
+    certificate's and the 3-cell stencil's, and probes each once with
+    T n rhs calls."""
     op = all_operators["tri-lgl-q3"]
     calls = {"rhs": 0, "build_problem": 0}
 
@@ -523,9 +533,38 @@ def test_run_convergence_probes_each_problem_once(monkeypatch,
     for name in calls:
         monkeypatch.setattr(advection, name,
                             counted(name, getattr(advection, name)))
-    run_convergence(op, (3, 4), VELOCITY_2D, t=0.05)
-    assert calls["build_problem"] == 3
-    assert calls["rhs"] == 3 * len(_cell_simplices(2)) * op.n_nodes
+    for meshes in ((3, 4), (3, 4, 6, 8)):
+        calls.update(rhs=0, build_problem=0)
+        run_convergence(op, meshes, VELOCITY_2D, t=0.05)
+        assert calls["build_problem"] == 2, meshes
+        assert calls["rhs"] == 2 * len(_cell_simplices(2)) * op.n_nodes
+
+
+@pytest.mark.parametrize("error, kwargs", [
+    (MeshError, {"meshes": (1, 4)}), (MeshError, {"meshes": (0, 4)}),
+    (MeshError, {"meshes": (-2, 4)}),
+    (ValueError, {"omega": 3}), (ValueError, {"omega": 0}),
+    (ValueError, {"omega": -2}), (ValueError, {"flux": "downwind"}),
+    (ValueError, {"c": (0.0, 0.0)}), (ValueError, {"c": (1.0, 1.0, 1.0)}),
+    (ValueError, {"c": (1.0,)}), (TypeError, {"meshes": (2.5, 4)}),
+    (TypeError, {"meshes": (2.0, 4)}), (TypeError, {"omega": 2.0})])
+def test_run_convergence_rejects_what_build_problem_rejects(
+        monkeypatch, p1_problem, error, kwargs):
+    """A study builds none of its meshes, yet rejects every input
+    build_problem rejects, with the same error, before it builds or
+    certifies any problem."""
+    args = {"meshes": (4, 8), "c": VELOCITY_2D, **kwargs}
+    with pytest.raises(error):
+        build_problem(p1_problem.op, args["meshes"][0], args["c"],
+                      flux=args.get("flux", "upwind"),
+                      omega=args.get("omega", 2))
+
+    def too_soon(*_, **__):
+        pytest.fail("built or certified a problem before the checks")
+    for name in ("build_problem", "max_stable_dt"):
+        monkeypatch.setattr(advection, name, too_soon)
+    with pytest.raises(error):
+        run_convergence(p1_problem.op, **args)
 
 
 @pytest.mark.parametrize("name, meshes", [
