@@ -20,9 +20,11 @@ The operator is block-circulant over cells, so it acts on a Bloch mode
 v exp(i theta.c), c a cell's lattice coordinates, as one small symbol
 per wavenumber theta (Gustafsson, Kreiss & Oliger 1995): the sum over
 the 3^d cells k around cell 0 of exp(-i theta.k) B_k, B_k rhs of cell
-0's unit vectors on cell k.  certify_timestep bisects on these symbols
-for the largest step whose RK4 propagator over the horizon raises no
-initial datum's energy at any theta; every step taken rests on it.
+0's unit vectors on cell k; where every phase is +-1 (theta in {0, pi}^d,
+every theta of m = 2, the mesh every study certifies) the symbols are
+real and so is the certificate's arithmetic.  certify_timestep bisects
+on them for the largest step whose RK4 propagator over the horizon
+raises no initial datum's energy at any theta; every step rests on it.
 
 The operator scales as m, so one 3-cell problem's blocks give every
 mesh's symbols, (m / 3) sum_k exp(-2 pi i j.k / m) B_k.  A study's sine
@@ -40,6 +42,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,6 +226,8 @@ def _check_problem(d: int, m: int, c, flux: str, omega: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"velocity must have shape ({d},)")
+    if not np.isfinite(c).all():
+        raise ValueError("velocity must be finite")
     if not np.any(c):
         raise ValueError("velocity must be nonzero")
     return c
@@ -476,8 +481,13 @@ def _stencil(prob: AdvectionProblem):
     blocks = np.stack([col.reshape(-1, tn)[stencil]
                        for col in _unit_responses(prob, tn)], axis=-1)
     k, blocks = (cells + 1) % M - 1, blocks.reshape(len(cells), -1)
-    return lambda m, j: (m / M * (_phases(m, j, k) @ blocks)
-                         ).reshape(-1, tn, tn)
+
+    def symbols(m, j):
+        phases = _phases(m, j, k)
+        if not phases.imag.any():      # 2 j = 0 mod m: every phase is +-1
+            phases = phases.real
+        return (m / M * (phases @ blocks)).reshape(-1, tn, tn)
+    return symbols
 
 
 def _sine_modes(x: np.ndarray, t: float, c: np.ndarray, omega: int):
@@ -504,6 +514,7 @@ def certification_horizon(prob: AdvectionProblem) -> float:
     return _HORIZON_PERIODS / float(np.abs(prob.c).max())
 
 
+@lru_cache(maxsize=None)
 def _conjugate_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(reps, inverse): the wavenumbers j (flat, lexicographic) with j at
     most -j mod m, one of each conjugate pair, and for every wavenumber
@@ -511,7 +522,9 @@ def _conjugate_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(m ** d)
     minus_j = np.ravel_multi_index(np.negative(np.unravel_index(j, (m,) * d)),
                                    (m,) * d, mode="wrap")
-    return np.unique(np.minimum(j, minus_j), return_inverse=True)
+    reps, inverse = np.unique(np.minimum(j, minus_j), return_inverse=True)
+    reps.flags.writeable = inverse.flags.writeable = False
+    return reps, inverse
 
 
 def _rk4_growth(z: np.ndarray) -> np.ndarray:
@@ -533,7 +546,9 @@ def spectral_limit(prob: AdvectionProblem, symbols: np.ndarray | None = None
     modes, and the constants' zero eigenvalue has |R| = 1 at every dt.
     Eigenvalues come from one wavenumber of each conjugate pair (the
     conjugate's are their conjugates, with the same |R|), so j is the
-    representative of its pair: the smaller in lexicographic order.
+    representative of its pair: the smaller in lexicographic order.  A
+    real symbol's (m = 2) eigenvalues come in conjugate pairs alike, so
+    lam is either member of its pair.
     """
     if symbols is None:
         symbols = bloch_symbols(prob)
@@ -599,7 +614,7 @@ class TimestepCertificate:
     """certify_timestep's record; ratios(dt) checks dt on its symbols."""
 
     prob: AdvectionProblem
-    symbols: np.ndarray        # bloch_symbols(prob): every wavenumber
+    symbols: np.ndarray        # bloch_symbols(prob), all j; real on m = 2
     dt: float                  # largest certified step
     ratio: float               # worst-case energy ratio at dt
     ruled_out: float           # smallest step ruled out: failed, or 3 / rho

@@ -509,6 +509,58 @@ def test_probed_symbols_match_bloch_symbols(all_operators, name, m, flux):
     assert np.array_equal(got[minus_j], got.conj())
 
 
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("name", ["tri-lgl-q3", "tet-q2"])
+def test_symbols_are_real_where_every_phase_is(all_operators, name, flux):
+    """On m = 2 every phase is +-1, so the symbols are float64 and still
+    the FFT's (oracles.bloch_symbols); on m = 3 and 4 they are complex,
+    except on m = 4 at the wavenumbers j in {0, 2}^d."""
+    op = all_operators[name]
+    c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+    prob = build_problem(op, 2, c, flux=flux)
+    got, want = bloch_symbols(prob), oracles.bloch_symbols(prob)
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for m in (3, 4):
+        assert bloch_symbols(build_problem(op, m, c, flux=flux)).dtype \
+            == np.complex128
+    prob = build_problem(op, 4, c, flux=flux)
+    j = 2 * np.indices((2,) * op.dim).reshape(op.dim, -1).T
+    got = bloch_symbols(prob, j)
+    assert got.dtype == np.float64
+    want = bloch_symbols(prob)[np.ravel_multi_index(tuple(j.T),
+                                                    (4,) * op.dim)]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("name", ["tri-lgl-q3", "tet-q2"])
+def test_real_certificate_matches_complex_arithmetic(monkeypatch,
+                                                     all_operators, name,
+                                                     flux):
+    """The 2-cell certificate holds real symbols, and certifying the same
+    symbols cast to complex agrees to 1e-13 in dt, limit and rho, and in
+    the worst-case ratio at the real certificate's step.  The ratios at
+    each one's own step are not compared: the ratio moves up to ~400
+    times as much as dt, relative, and the two dt differ by rounding."""
+    op = all_operators[name]
+    c = VELOCITY_2D if op.dim == 2 else VELOCITY_3D
+    prob = build_problem(op, 2, c, flux=flux)
+    real = certify_timestep(prob)
+    assert real.symbols.dtype == np.float64
+    monkeypatch.setattr(advection, "bloch_symbols",
+                        lambda *args: bloch_symbols(*args).astype(complex))
+    cplx = certify_timestep(prob)
+    assert cplx.symbols.dtype == np.complex128
+    for field in ("dt", "limit", "rho"):
+        assert getattr(real, field) == pytest.approx(
+            getattr(cplx, field), rel=1e-13, abs=0), field
+    assert real.ratio == pytest.approx(cplx.ratios(real.dt).max(),
+                                       rel=1e-13, abs=0)
+    assert abs(abs(real.eigenvalue) - abs(cplx.eigenvalue)) \
+        <= 1e-13 * real.rho
+
+
 @pytest.mark.parametrize("j", [[1, 0], np.zeros((2, 3), int),
                                np.zeros((1, 2, 1), int), [[0.0, 1.0]],
                                [[True, False]], [["0", "1"]]])
@@ -547,7 +599,9 @@ def test_run_convergence_probes_each_problem_once(monkeypatch,
     (ValueError, {"omega": -2}), (ValueError, {"flux": "downwind"}),
     (ValueError, {"c": (0.0, 0.0)}), (ValueError, {"c": (1.0, 1.0, 1.0)}),
     (ValueError, {"c": (1.0,)}), (TypeError, {"meshes": (2.5, 4)}),
-    (TypeError, {"meshes": (2.0, 4)}), (TypeError, {"omega": 2.0})])
+    (TypeError, {"meshes": (2.0, 4)}), (TypeError, {"omega": 2.0}),
+    (ValueError, {"c": (np.nan, 1.0)}), (ValueError, {"c": (np.inf, 1.0)}),
+    (ValueError, {"c": (1.0, -np.inf)})])
 def test_run_convergence_rejects_what_build_problem_rejects(
         monkeypatch, p1_problem, error, kwargs):
     """A study builds none of its meshes, yet rejects every input
@@ -888,6 +942,19 @@ def test_conjugate_pairs_cover_every_wavenumber(m, d):
     n_self = np.count_nonzero(minus_j == np.arange(m ** d))
     assert len(reps) == (m ** d + n_self) // 2
     assert reps[0] == 0
+
+
+@pytest.mark.parametrize("m, d", [(2, 2), (3, 2), (6, 2), (2, 3), (3, 3)])
+def test_conjugate_pairs_are_cached_read_only(m, d):
+    """A repeat call returns the same read-only arrays, equal to a fresh
+    computation."""
+    reps, inverse = _conjugate_pairs(m, d)
+    again = _conjugate_pairs(m, d)
+    assert again[0] is reps and again[1] is inverse
+    assert not reps.flags.writeable and not inverse.flags.writeable
+    fresh = _conjugate_pairs.__wrapped__(m, d)
+    assert np.array_equal(fresh[0], reps)
+    assert np.array_equal(fresh[1], inverse)
 
 
 @pytest.mark.parametrize("domain, p, m, flux", [
