@@ -583,8 +583,11 @@ def energy_ratios(prob: AdvectionProblem, dt: float,
     wavenumber of each conjugate pair (j at most -j mod m) and copied to
     the other.  The ratio is at least the spectral growth
     rho(Ghat)^(2N), above 1 + 1e-12 at every dt beyond the RK4 spectral
-    limit (spectral_limit), so no such dt certifies.
+    limit (spectral_limit), so no such dt certifies.  A dt that is not
+    positive and finite raises ValueError.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, not {dt}")
     if symbols is None:
         symbols = bloch_symbols(prob)
     reps, inverse = _conjugate_pairs(prob.m, prob.dim)

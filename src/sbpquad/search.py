@@ -92,8 +92,8 @@ class QuadratureRule:
 
     For symmetric 2-D/3-D rules the orbit signature is the source of
     truth and `nodes` is its expansion; 1-D rules carry nodes directly.
-    `facet_rule` links the facet rule whose nodes are collocated with
-    this rule's facet nodes (SBP mode).
+    `facet_rule`, which find_rule sets, links the facet rule whose nodes
+    are collocated with this rule's facet nodes (SBP mode).
     """
 
     domain: str
@@ -198,16 +198,14 @@ class SearchSpec:
 
     kinds lists the orbit kinds in order (facet orbits first); frozen
     maps orbit index -> fixed parameter values (facet orbits in SBP
-    mode).  All orbit weights are always free.
+    mode).  All orbit weights are always free.  The rules it builds
+    carry no facet rule: find_rule stamps that on the rule it returns.
     """
 
     dim: int
     qv: int
     kinds: tuple[str, ...]
     frozen: dict[int, tuple[float, ...]] = field(default_factory=dict)
-    facet_rule: QuadratureRule | None = None
-    facet_kind: str | None = None
-    sbp_p: int | None = None
 
     def __post_init__(self):
         elem = reference_simplex(self.dim)
@@ -289,9 +287,7 @@ class SearchSpec:
                              self.qv).canonically_ordered()
         nodes = assemble_nodes(sig)
         rule = QuadratureRule(DOMAINS[self.dim - 1], self.qv, nodes,
-                              signature=sig, facet_rule=self.facet_rule,
-                              facet_kind=self.facet_kind, sbp_p=self.sbp_p,
-                              provenance=provenance or {})
+                              signature=sig, provenance=provenance or {})
         validate_rule(rule)
         return rule
 

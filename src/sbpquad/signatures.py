@@ -1,11 +1,12 @@
 """Orbit-layout selection and the two-stage rule search.
 
 A tet rule needs a symmetric triangle rule of degree >= 2p for its faces
-first (the facet stage); the volume stage then searches layouts whose
-facet orbits are frozen to the facet rule (on triangles, to the 1-D LGL
-or LG rule).  Both stages draw layouts from one enumerator and solve them
-in one restart loop; find_rule logs every solve with its stage, and its
-budget caps both stages.
+(the facet stage, find_facet_rule); a triangle rule takes the 1-D LGL or
+LG rule for its edges.  find_rule makes that face rule first, then runs
+the volume stage over the layouts volume_search_specs freezes to it.
+Both stages draw layouts from one enumerator and solve them in one
+restart loop; find_rule logs every solve with its stage, and its budget
+caps both stages.
 
 Volume layouts add interior orbit multisets, fewest nodes first, that
 have at least as many unknowns as permutation-invariant moments of
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -36,7 +38,6 @@ __all__ = [
     "invariant_moment_count",
     "interior_candidates",
     "facet_layout",
-    "facet_quadrature",
     "volume_search_specs",
     "FacetSearchError",
     "find_facet_rule",
@@ -169,24 +170,6 @@ def facet_layout(facet_rule: QuadratureRule, d: int):
     raise ValueError("facet layouts exist for d in {2, 3}")
 
 
-def facet_quadrature(kind: str, p: int, d: int, seed: int = 0
-                     ) -> QuadratureRule:
-    """Facet rule for a degree-p SBP operator on a d-simplex.
-
-    d=2: the 1-D LGL(p+2) or LG(p+1) rule.  d=3: a symmetric triangle
-    rule of degree >= 2p found by the search, preferring layouts with
-    vertex/edge nodes so the induced tet volume rule stays small.
-    """
-    if d == 2:
-        if kind not in EDGE_RULES:
-            raise ValueError(f"unknown facet rule kind {kind!r} for d=2")
-        rule, fewest = EDGE_RULES[kind]
-        return rule(p + fewest)
-    if d == 3:
-        return find_facet_rule(p, seed=seed)
-    raise ValueError("facet rules exist for d in {2, 3}")
-
-
 def check_request(domain: str, qv: int, facet_kind: str | None,
                   sweeps: int = 1) -> None:
     """Raise ValueError for an unknown domain, a facet family of another
@@ -203,27 +186,17 @@ def check_request(domain: str, qv: int, facet_kind: str | None,
                          f"family {facet_kind!r} in {sweeps} sweep(s)")
 
 
-def volume_search_specs(domain: str, qv: int, facet_kind: str | None,
-                        seed: int = 0):
-    """Iterator over the candidate SearchSpecs of one rule request,
-    cheapest first, each built when the iteration reaches it.
-
-    The request check and the facet stage run at the call: a request
-    check_request rejects raises ValueError, a failed facet search
-    FacetSearchError.  facet_kind None requests an interior-only rule
-    (no facet layout, no frozen parameters, not SBP-compatible).
+def volume_search_specs(domain: str, qv: int,
+                        facet_rule: QuadratureRule | None):
+    """Iterator over the candidate SearchSpecs of a degree-qv rule on
+    `domain`, facet orbits frozen to facet_rule (None: interior-only),
+    cheapest first, each built when reached; it runs no search.
     """
-    check_request(domain, qv, facet_kind)
     d = DOMAINS.index(domain) + 1
-    layout, frule, p = [], None, None
-    if facet_kind is not None:
-        p = (qv + 1) // 2
-        frule = facet_quadrature(facet_kind, p, d, seed=seed)
-        layout = facet_layout(frule, d)
+    layout = [] if facet_rule is None else facet_layout(facet_rule, d)
     fkinds = tuple(k for k, _ in layout)
     frozen = {i: params for i, (_, params) in enumerate(layout)}
-    return (SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen),
-                       facet_rule=frule, facet_kind=facet_kind, sbp_p=p)
+    return (SearchSpec(d, qv, fkinds + tuple(combo), frozen=dict(frozen))
             for combo in interior_candidates(d, qv, len(layout))
             if fkinds + tuple(combo))
 
@@ -263,9 +236,9 @@ class _Run:
                           time.monotonic() - self.t0)
 
 
-# The find_rule call in progress.  The facet stage runs deep inside
-# volume_search_specs, so its solves reach the log and the budget of the
-# call through this variable rather than through every signature between.
+# The find_rule call in progress.  find_facet_rule is public and takes no
+# log or budget, so the facet stage's solves reach those of the call
+# through this variable.
 _RUN: ContextVar[_Run | None] = ContextVar("sbpquad_find_rule", default=None)
 
 
@@ -353,30 +326,42 @@ def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
 def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
               seed: int = 0, sweeps: int = 5,
               budget_s: float | None = None) -> FindResult:
-    """Search for a rule, trying candidate layouts in increasing size.
+    """Search for a rule: the face rule, then volume layouts by size.
 
-    Layouts are exhausted in node-count order: each gets `sweeps`
-    restart seeds before the next (larger) layout is attempted, so the
-    returned rule has the smallest reachable node count.  facet_kind
+    The face rule of SBP degree p = (qv + 1) // 2 is the EDGE_RULES rule
+    of p + fewest nodes on the triangle and find_facet_rule(p, seed) on
+    the tet; the rule returned carries it as facet_rule, with facet_kind
+    and sbp_p (all None for an interior-only rule).  Each volume layout,
+    fewest nodes first, gets `sweeps` restart seeds before the next, so
+    the returned rule has the smallest reachable node count.  facet_kind
     defaults to the domain's first FACET_FAMILIES entry; None asks for
     an interior-only rule.  The attempt log holds the facet stage's
     solves, stage "facet", before the volume stage's, stage "volume".
-    Deterministic for fixed arguments; budget_s caps the wall time of
-    both stages (None: no cap).  A request check_request rejects, or a
-    budget_s that is NaN or negative, raises ValueError before any
-    search.
+    Deterministic for fixed arguments; budget_s caps both stages' wall
+    time (None: no cap).  Before any search, a non-integer qv, seed or
+    sweeps raises TypeError, and a request check_request rejects, a
+    negative seed or a NaN or negative budget_s raises ValueError.
     """
     if facet_kind is _FIRST_FAMILY and domain in FACET_FAMILIES:
         facet_kind = FACET_FAMILIES[domain][0]
+    qv, seed, sweeps = map(operator.index, (qv, seed, sweeps))
     check_request(domain, qv, facet_kind, sweeps)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
     if budget_s is not None and not budget_s >= 0.0:
         raise ValueError(f"budget_s must be None or at least 0, "
                          f"not {budget_s!r}")
+    p = None if facet_kind is None else (qv + 1) // 2
     run = _Run(budget_s)
     token = _RUN.set(run)
     try:
+        if facet_kind in EDGE_RULES:
+            edge_rule, fewest = EDGE_RULES[facet_kind]
+            frule = edge_rule(p + fewest)
+        else:
+            frule = None if p is None else find_facet_rule(p, seed=seed)
         rule = _solve_layouts("volume", volume_search_specs(
-            domain, qv, facet_kind, seed=seed), sweeps, seed)
+            domain, qv, frule), sweeps, seed)
     except FacetSearchError as exc:
         run.attempts.append({"stage": "facet", "converged": False,
                              "error": str(exc)})
@@ -387,6 +372,7 @@ def find_rule(domain: str, qv: int, facet_kind: str | None = _FIRST_FAMILY,
         _RUN.reset(token)
     if rule is None:
         return run.result(None, "exhausted")
+    rule.facet_rule, rule.facet_kind, rule.sbp_p = frule, facet_kind, p
     rule.provenance.update(seed=seed, sweep=run.attempts[-1]["sweep"],
                            n_nodes=rule.n_nodes)
     return run.result(rule, "ok")

@@ -37,11 +37,13 @@ from sbpquad.archive import canonical_json, rule_to_dict
 from sbpquad.basis import mode_indices
 from sbpquad.operators import build_operator, verify_operator
 from sbpquad.search import (
+    lgl_rule,
     random_design,
     residual_and_jacobian,
     validate_rule,
 )
-from sbpquad.signatures import find_rule, volume_search_specs
+from sbpquad.signatures import (find_facet_rule, find_rule,
+                                volume_search_specs)
 
 from conftest import TRI_LG_DEGREES, TRI_LGL_DEGREES, VELOCITY_2D
 from oracles import monomial_integral, residual
@@ -188,8 +190,9 @@ def test_sbp_operator_identities(all_operators, key):
 def jacobian_specs():
     specs = []
     for qv in (2, 4, 6, 8):
-        specs.append(next(volume_search_specs("tri", qv, "lgl")))
-    specs.append(next(volume_search_specs("tet", 2, "gen")))
+        specs.append(next(volume_search_specs(
+            "tri", qv, lgl_rule((qv + 1) // 2 + 2))))
+    specs.append(next(volume_search_specs("tet", 2, find_facet_rule(1))))
     return specs
 
 

@@ -663,6 +663,16 @@ def test_certify_stable_at_safe_step(p1_problem, half_certified):
     assert ratio <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_certificate_rejects_bad_step(p1_problem, dt):
+    """A zero, negative or non-finite step has no energy ratio: it used
+    to divide by zero, fail in numpy or score a step backwards."""
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        certify_stable(p1_problem, dt)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        energy_ratios(p1_problem, dt)
+
+
 def test_certify_unstable_at_large_step(p1_problem, half_certified):
     ok, ratio = certify_stable(p1_problem, 8.0 * half_certified["p1_problem"])
     assert not ok

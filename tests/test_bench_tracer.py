@@ -44,3 +44,20 @@ def test_trace_sbpquad_wraps_and_restores_every_attribute():
     finally:
         tracer.uninstall()
     assert {m.__name__: dict(vars(m)) for m in MODULES} == before
+
+
+def test_tet_search_attributes_solves_to_both_stages():
+    """find_rule calls the facet stage through the traced
+    `signatures.find_facet_rule`, so a traced tet search credits its
+    face-rule solves to the facet stage and the rest to the volume
+    stage."""
+    tracer = tracing.Tracer()
+    try:
+        tracing.trace_sbpquad(tracer)
+        assert signatures.find_rule("tet", 2, "gen").status == "ok"
+    finally:
+        tracer.uninstall()
+    end = len(tracer)
+    metrics = tracing.layer_metrics(tracer, (0, end), 1, (end, end), 1)
+    assert metrics["signatures.facet_solves"] > 0
+    assert metrics["signatures.volume_solves"] > 0

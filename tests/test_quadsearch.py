@@ -34,7 +34,7 @@ from sbpquad.search import (
     swarm_objective,
     validate_rule,
 )
-from sbpquad.signatures import facet_quadrature, volume_search_specs
+from sbpquad.signatures import EDGE_RULES, find_rule, volume_search_specs
 
 import oracles
 
@@ -127,8 +127,9 @@ def test_lg_degree_is_sharp(n):
 
 
 @pytest.mark.parametrize("p, n_expected", [(1, 3), (2, 4), (3, 5)])
-def test_facet_quadrature_lgl(p, n_expected):
-    rule = facet_quadrature("lgl", p, 2)
+def test_facet_quadrature_lgl(tri_lgl_results, p, n_expected):
+    """find_rule freezes a degree-p LGL request's edges to LGL(p + 2)."""
+    rule = tri_lgl_results[2 * p - 1].rule.facet_rule
     assert rule.n_nodes == n_expected
     assert rule.qv >= 2 * p
     x = rule.nodes.coords[:, 0]
@@ -137,7 +138,8 @@ def test_facet_quadrature_lgl(p, n_expected):
 
 @pytest.mark.parametrize("p, n_expected", [(1, 2), (2, 3), (3, 4)])
 def test_facet_quadrature_lg(p, n_expected):
-    rule = facet_quadrature("lg", p, 2)
+    """find_rule freezes a degree-p LG request's edges to LG(p + 1)."""
+    rule = find_rule("tri", 2 * p - 1, "lg").rule.facet_rule
     assert rule.n_nodes == n_expected
     assert rule.qv >= 2 * p
     assert np.all(np.abs(rule.nodes.coords[:, 0]) < 1.0)
@@ -145,9 +147,9 @@ def test_facet_quadrature_lg(p, n_expected):
 
 def test_facet_quadrature_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        facet_quadrature("chebyshev", 2, 2)
+        find_rule("tri", 2, "chebyshev")
     with pytest.raises(ValueError):
-        facet_quadrature("lgl", 2, 4)
+        find_rule("interval", 2, "lgl")
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +301,7 @@ def test_jacobian_frozen_columns():
     """Frozen facet parameters never receive finite-difference probes,
     but the analytic Jacobian still fills those columns; only the free
     part is ever used by the step."""
-    from sbpquad.signatures import volume_search_specs
-
-    spec = next(volume_search_specs("tri", 3, "lgl"))
+    spec = next(volume_search_specs("tri", 3, lgl_rule(4)))
     assert spec.frozen  # LGL facet layouts freeze the edge parameter
     tau = random_design(spec, np.random.default_rng(5))
     _, J = residual_and_jacobian(spec, tau)
@@ -324,9 +324,7 @@ def test_lma_step_zero_residual_is_zero():
 
 
 def test_lma_step_respects_frozen_entries():
-    from sbpquad.signatures import volume_search_specs
-
-    spec = next(volume_search_specs("tri", 3, "lgl"))
+    spec = next(volume_search_specs("tri", 3, lgl_rule(4)))
     tau = random_design(spec, np.random.default_rng(2))
     g, J = residual_and_jacobian(spec, tau)
     h = lma_step(g, J, spec.free_mask, 1e-2)
@@ -506,7 +504,8 @@ def test_lma_solve_matches_one_trial_at_a_time(monkeypatch):
 @pytest.mark.parametrize("name", ["tri-lgl-q3", "tri-free", "tet-frozen"])
 @pytest.mark.parametrize("nu", [1e3, 1e-8])
 def test_stacked_damping_steps_match_one_step_per_damping(name, nu):
-    spec = (next(volume_search_specs("tri", 3, "lgl")) if name == "tri-lgl-q3"
+    spec = (next(volume_search_specs("tri", 3, lgl_rule(4)))
+            if name == "tri-lgl-q3"
             else scoring_specs()[name])
     if name != "tri-free":
         assert not spec.free_mask.all()    # frozen facet parameters
@@ -714,7 +713,7 @@ def assert_same_result(a, b):
 @pytest.mark.parametrize("spec_fn, seed", [
     (lambda: SearchSpec(2, 4, ("S21", "S21")), 0),
     (lambda: SearchSpec(2, 4, ("S21", "S21")), 1),
-    (lambda: next(volume_search_specs("tri", 2, "lgl")), 0),
+    (lambda: next(volume_search_specs("tri", 2, lgl_rule(3))), 0),
     (lambda: SearchSpec(3, 4, ("S1", "S31", "S22")), 0),
 ], ids=["tri-unconverged", "tri-converged", "tri-frozen", "tet"])
 def test_solve_coupled_matches_rowwise_scoring(monkeypatch, spec_fn, seed):
@@ -806,11 +805,18 @@ def test_rule_failing_validation_keeps_the_sweep(monkeypatch):
 # the sweep's stop at the weight floor against the all-rounds reference
 
 
-def first_sweep(domain, qv, family):
-    """The first volume layout of a request and the generator of its
-    first sweep, as find_rule at seed 0 draws it."""
+def edge_specs(qv, family):
+    """volume_search_specs of a triangle request, frozen to the edge rule
+    find_rule makes for it."""
+    rule, fewest = EDGE_RULES[family]
+    return volume_search_specs("tri", qv, rule((qv + 1) // 2 + fewest))
+
+
+def first_sweep(qv, family):
+    """The first volume layout of a triangle request and the generator of
+    its first sweep, as find_rule at seed 0 draws it."""
     child = np.random.SeedSequence(0).spawn(5)[0]
-    return (next(volume_search_specs(domain, qv, family)),
+    return (next(edge_specs(qv, family)),
             lambda: np.random.default_rng(child))
 
 
@@ -822,7 +828,7 @@ def test_sweep_ends_at_first_round_stalled_on_floor():
     """tri LGL q6's first sweep stalls with a weight on the floor in
     swarm round 1 and ends there; run through all 10 rounds it fails
     too."""
-    spec, rng = first_sweep("tri", 6, "lgl")
+    spec, rng = first_sweep(6, "lgl")
     res = solve_coupled(spec, rng())
     assert (res.converged, res.rounds, res.message) == (False, 1, "floor")
     assert res.rule is None and res.pso_iterations == 40
@@ -836,7 +842,7 @@ def test_sweep_ends_at_first_round_stalled_on_floor():
 def test_round_zero_floor_stall_keeps_the_sweep():
     """tri LG q7's winning sweep stalls on the floor in round zero and
     converges in swarm round 1, every field as the all-rounds solve."""
-    spec, rng = first_sweep("tri", 7, "lg")
+    spec, rng = first_sweep(7, "lg")
     state = lma_solve(spec, random_design(spec, rng()))
     assert not state.converged and at_floor(spec, state.tau)
     res = solve_coupled(spec, rng())
@@ -962,7 +968,7 @@ def weight_only_specs():
                                                                    combo)
     for family, degrees in (("lgl", range(1, 7)), ("lg", range(1, 5))):
         for q in degrees:
-            for spec in volume_search_specs("tri", q, family):
+            for spec in edge_specs(q, family):
                 if not spec.free_mask[:spec.n_params].any():
                     specs[f"tri-{family}-q{q}-{'-'.join(spec.kinds)}"] = spec
     return specs

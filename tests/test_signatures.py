@@ -227,16 +227,13 @@ def test_facet_candidates_offer_determined_layouts(q):
 
 
 def test_volume_specs_tri_lgl_structure():
-    first = next(volume_search_specs("tri", 2, "lgl"))
+    first = next(volume_search_specs("tri", 2, lgl_rule(3)))
     assert first.kinds[:2] == ("Svert", "SmidEdge")
-    assert first.sbp_p == 1
-    assert first.facet_kind == "lgl"
-    assert first.facet_rule is not None
-    assert first.facet_rule.n_nodes == 3
+    assert first.frozen == {0: (), 1: ()}
 
 
 def test_volume_specs_edge_parameter_frozen():
-    spec = next(volume_search_specs("tri", 3, "lgl"))
+    spec = next(volume_search_specs("tri", 3, lgl_rule(4)))
     assert spec.kinds[0] == "Svert"
     assert spec.kinds[1] == "Sedge"
     (alpha,) = spec.frozen[1]
@@ -247,15 +244,62 @@ def test_volume_specs_edge_parameter_frozen():
 def test_volume_specs_interior_only():
     specs = volume_search_specs("tri", 3, None)
     for spec in specs:
-        assert spec.facet_rule is None
-        assert spec.sbp_p is None
         assert not spec.frozen
+        assert not {"Svert", "SmidEdge", "Sedge"} & set(spec.kinds)
 
 
-def test_volume_specs_check_the_request_when_called():
-    """A bad request raises at the call, before any spec is asked for."""
-    with pytest.raises(ValueError):
-        volume_search_specs("tri", -1, "lgl")
+def fail(what):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+    return raise_
+
+
+@pytest.mark.parametrize("domain, family", [("tri", "lgl"), ("tri", "lg"),
+                                            ("tri", None), ("tet", "gen")])
+def test_volume_specs_run_no_search(monkeypatch, tet_result, domain,
+                                    family):
+    """volume_search_specs only enumerates layouts: with every search
+    entry point failing, each spec freezes the face rule it was given."""
+    facet_rule = {"lgl": lgl_rule(3), "lg": lg_rule(2), None: None,
+                  "gen": tet_result.rule.facet_rule}[family]
+    for name in ("find_facet_rule", "solve_coupled", "floor_residual"):
+        monkeypatch.setattr(sbpquad.signatures, name, fail(name))
+    specs = list(volume_search_specs(domain, 2, facet_rule))
+    layout = [] if facet_rule is None else facet_layout(
+        facet_rule, specs[0].dim)
+    assert specs
+    for spec in specs:
+        assert spec.kinds[:len(layout)] == tuple(k for k, _ in layout)
+        assert spec.frozen == {i: params
+                               for i, (_, params) in enumerate(layout)}
+
+
+@pytest.mark.parametrize("domain, qv, family", [
+    ("tri", 3, "lgl"), ("tri", 3, "lg"), ("tet", 2, "gen"),
+    ("tri", 2, None)])
+def test_find_rule_stamps_the_face_rule_on_the_winner(monkeypatch, domain,
+                                                      qv, family):
+    """The rule find_rule returns carries the face rule its volume specs
+    were frozen to, its facet family and its SBP degree; an
+    interior-only rule carries none of them."""
+    specs = sbpquad.signatures.volume_search_specs
+    frozen = []
+
+    def record(domain, qv, facet_rule):
+        frozen.append(facet_rule)
+        return specs(domain, qv, facet_rule)
+
+    monkeypatch.setattr(sbpquad.signatures, "volume_search_specs", record)
+    rule = find_rule(domain, qv, family).rule
+    assert len(frozen) == 1
+    assert rule.facet_rule is frozen[0]
+    if family is None:
+        assert (rule.facet_rule, rule.facet_kind, rule.sbp_p) \
+            == (None, None, None)
+    else:
+        assert rule.facet_rule is not None
+        assert rule.facet_kind == family
+        assert rule.sbp_p == (qv + 1) // 2
 
 
 @pytest.mark.parametrize("domain, qv, family", [("tri", 3, "lgl"),
@@ -265,11 +309,12 @@ def test_volume_specs_built_only_when_reached(monkeypatch, domain, qv,
     """find_rule builds a volume SearchSpec only for a layout it tries:
     one per distinct volume layout in the attempt log."""
     built = []
+    d = {"tri": 2, "tet": 3}[domain]
 
     class CountedSpec(SearchSpec):
         def __post_init__(self):
             super().__post_init__()
-            if self.facet_kind is not None:   # not a facet-stage layout
+            if self.dim == d:   # not a facet-stage layout
                 built.append(self.kinds)
 
     monkeypatch.setattr(sbpquad.signatures, "SearchSpec", CountedSpec)
@@ -289,7 +334,7 @@ def test_volume_specs_explicit_interior(monkeypatch):
     """A spec lists the frozen facet kinds, then the interior combo."""
     monkeypatch.setattr(sbpquad.signatures, "interior_candidates",
                         only_interior(("S1",)))
-    specs = list(volume_search_specs("tri", 2, "lgl"))
+    specs = list(volume_search_specs("tri", 2, lgl_rule(3)))
     assert len(specs) == 1
     assert specs[0].kinds == ("Svert", "SmidEdge", "S1")
 
@@ -333,11 +378,8 @@ def test_find_rule_budget_exhausted():
 def test_find_rule_rejects_bad_budget(monkeypatch, budget_s):
     """A NaN budget would never run out (every comparison with it is
     false): it and a negative one are rejected before any search."""
-    def no_search(*args, **kwargs):
-        raise AssertionError("find_rule started a search")
-
-    monkeypatch.setattr(sbpquad.signatures, "volume_search_specs",
-                        no_search)
+    for name in ("find_facet_rule", "volume_search_specs"):
+        monkeypatch.setattr(sbpquad.signatures, name, fail(name))
     with pytest.raises(ValueError, match="budget_s"):
         find_rule("tet", 4, "gen", budget_s=budget_s)
 
@@ -594,11 +636,28 @@ def test_find_rule_rejects_unworkable_requests(monkeypatch, domain, qv,
                                                facet_kind, sweeps):
     """Degree 0 with a facet family (SBP degree p = 0), a negative degree
     and fewer than one sweep are refused before any search starts."""
-    def no_search(*args, **kwargs):
-        raise AssertionError("search started")
-    monkeypatch.setattr(sbpquad.signatures, "volume_search_specs", no_search)
+    for name in ("find_facet_rule", "volume_search_specs"):
+        monkeypatch.setattr(sbpquad.signatures, name, fail(name))
     with pytest.raises(ValueError):
         find_rule(domain, qv, facet_kind=facet_kind, sweeps=sweeps)
+
+
+@pytest.mark.parametrize("domain, bad, error, match", [
+    ("tri", dict(seed=-1), ValueError, "seed must be at least 0"),
+    ("tet", dict(seed=-1), ValueError, "seed must be at least 0"),
+    ("tri", dict(seed=1.5), TypeError, "interpreted as an integer"),
+    ("tri", dict(sweeps=2.5), TypeError, "interpreted as an integer"),
+    ("tri", dict(qv=2.0), TypeError, "interpreted as an integer"),
+    ("tet", dict(qv=2.0), TypeError, "interpreted as an integer")])
+def test_find_rule_rejects_non_integer_and_negative_requests(
+        monkeypatch, domain, bad, error, match):
+    """A float degree, seed or sweep count is refused as a TypeError,
+    and a negative seed as a ValueError, before any search: numpy used
+    to raise them from inside the first solve."""
+    for name in ("find_facet_rule", "_solve_layouts"):
+        monkeypatch.setattr(sbpquad.signatures, name, fail(name))
+    with pytest.raises(error, match=match):
+        find_rule(domain, **{"qv": 2, **bad})
 
 
 def test_find_rule_interior_degree0_archives():
@@ -631,7 +690,7 @@ def test_find_rule_reports_facet_stage_failure(monkeypatch):
     def no_facet(*args, **kwargs):
         raise FacetSearchError("nothing reachable")
 
-    monkeypatch.setattr(sbpquad.signatures, "facet_quadrature", no_facet)
+    monkeypatch.setattr(sbpquad.signatures, "find_facet_rule", no_facet)
     res = find_rule("tet", 2, facet_kind="gen", seed=0)
     assert res.status == "exhausted"
     assert res.rule is None
@@ -644,6 +703,6 @@ def test_cli_find_exit_on_facet_stage_failure(monkeypatch):
     def no_facet(*args, **kwargs):
         raise FacetSearchError("nothing reachable")
 
-    monkeypatch.setattr(sbpquad.signatures, "facet_quadrature", no_facet)
+    monkeypatch.setattr(sbpquad.signatures, "find_facet_rule", no_facet)
     code = cli.main(["find", "--domain", "tet", "--qv", "2"])
     assert code == cli.EXIT_SEARCH
