@@ -172,9 +172,11 @@ def facet_layout(facet_rule: QuadratureRule, d: int):
 
 def check_request(domain: str, qv: int, facet_kind: str | None,
                   sweeps: int = 1) -> None:
-    """Raise ValueError for an unknown domain, a facet family of another
-    domain, a negative degree, degree 0 with a facet family (SBP degree
-    p = 0), or fewer than one sweep."""
+    """Raise TypeError for a non-integer degree or sweep count, and
+    ValueError for an unknown domain, a facet family of another domain, a
+    negative degree, degree 0 with a facet family (SBP degree p = 0), or
+    fewer than one sweep."""
+    qv, sweeps = operator.index(qv), operator.index(sweeps)
     if domain not in FACET_FAMILIES:
         raise ValueError(f"unknown domain {domain!r}; use one of "
                          f"{tuple(FACET_FAMILIES)}")
@@ -311,8 +313,14 @@ def find_facet_rule(p: int, seed: int = 0) -> QuadratureRule:
     steps) than the volume stage's, until one converges or the budget of
     the find_rule call runs out.  A layout short of unknowns gets one
     round-zero solve instead of 3 sweeps: for p = 1-3 at seeds 0-3 and
-    p = 4 at seed 0, no such layout converged on a later sweep.
+    p = 4 at seed 0, no such layout converged on a later sweep.  Before
+    any solve, a non-integer p or seed raises TypeError, and p < 1 or a
+    negative seed ValueError.
     """
+    p, seed = operator.index(p), operator.index(seed)
+    if p < 1 or seed < 0:
+        raise ValueError(f"need p >= 1 and seed >= 0, not p = {p}, "
+                         f"seed = {seed}")
     q = 2 * p
     specs = (SearchSpec(2, q, combo) for combo in _tri_facet_candidates(q))
     rule = _solve_layouts("facet", specs, 3, seed, max_rounds=4,

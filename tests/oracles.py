@@ -16,7 +16,9 @@ the mesh from one cell, the Bloch symbols after it come from an FFT over
 every cell, as the package built them before it summed cell 0's
 stencil, and the energy ratios after them are computed at every Bloch
 wavenumber, as the package computed them before it certified
-one wavenumber of each conjugate pair; all are kept verbatim as the
+one wavenumber of each conjugate pair, and the energy check after them
+takes the SVD of every wavenumber's propagator, as the package did before
+it screened them by their Frobenius norm; all are kept verbatim as the
 exact reference.  The d-generic evaluator after the per-dimension one
 runs one recurrence per level and a second per level for derivatives,
 as the package did before one recurrence per call ran every level's
@@ -58,7 +60,9 @@ import scipy.special
 from sbpquad import basis, search, signatures
 from sbpquad.advection import (MeshError, _cell_simplices, _sine_modes,
                                _stencil, _unit_responses, build_problem,
-                               certification_horizon, step_matrix)
+                               certification_horizon,
+                               energy_ratios as package_energy_ratios,
+                               step_matrix)
 from sbpquad.operators import (_MATCH_TOL, FacetOperator,
                                SBPConstructionError)
 from sbpquad.search import (EPS_WEIGHT, MARGIN, MAX_REJECTS, NU_DEC,
@@ -932,6 +936,20 @@ def energy_ratios(prob, dt: float,
         ratios = np.full(len(G), np.inf)
         ratios[finite] = np.linalg.norm(G[finite], ord=2, axis=(1, 2)) ** 2
     return ratios
+
+
+# ----------------------------------------------------------------------
+# the energy check from every wavenumber's SVD (reference for
+# sbpquad.advection.certify_stable, which screens wavenumbers by their
+# Frobenius norm; verbatim, its energy_ratios the package's)
+
+
+def certify_stable(prob, dt: float,
+                   symbols: np.ndarray | None = None) -> tuple[bool, float]:
+    """(energy at the horizon not above the initial energy for every
+    initial datum, worst-case final/initial ratio)."""
+    ratio = float(package_energy_ratios(prob, dt, symbols).max())
+    return ratio <= 1.0 + 1e-12, ratio
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Periodic linear-advection discretization on split simplex meshes."""
 
+import dataclasses
 import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sbpquad.advection as advection
 from sbpquad.advection import (
@@ -17,6 +21,7 @@ from sbpquad.advection import (
     _cell_simplices,
     _conjugate_pairs,
     _sat_metrics,
+    _worst_ratio,
     assemble_dense,
     bloch_symbols,
     build_problem,
@@ -901,6 +906,146 @@ def test_certificate_record_matches_its_parts(tri_lgl_results, tet_result,
     assert not certify_stable(prob, cert.ruled_out)[0]
     assert np.array_equal(cert.ratios(cert.ruled_out),
                           energy_ratios(prob, cert.ruled_out))
+
+
+_SCREEN_GRID = [(name, m) for name in ("tri-lgl-q1", "tri-lgl-q3",
+                                        "tri-lgl-q5", "tri-lg-q3")
+                for m in (2, 3, 4, 5)] + [("tet-q2", 2), ("tet-q2", 3)]
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("name, m", _SCREEN_GRID)
+def test_screened_certificate_matches_every_svd(monkeypatch, all_operators,
+                                                name, m, flux):
+    """Screening the propagators by Frobenius norm changes no certificate:
+    every record field, and certify_stable's (ok, ratio) from 0.3 to 50
+    times the certified step (ratios up to 1e264), equal those of the
+    check that takes every SVD (oracles.certify_stable)."""
+    op = all_operators[name]
+    prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
+                         flux=flux)
+    got = certify_timestep(prob)
+    monkeypatch.setattr(advection, "certify_stable", oracles.certify_stable)
+    want = certify_timestep(prob)
+    monkeypatch.undo()
+    assert got.prob is want.prob
+    assert np.array_equal(got.symbols, want.symbols)
+    for field in dataclasses.fields(advection.TimestepCertificate)[2:]:
+        assert getattr(got, field.name) == getattr(want, field.name), field
+    for scale in (0.3, 0.9, 0.99, 1.0, 1.001, 1.01, 1.5, 3.0, 50.0):
+        dt = scale * got.dt
+        assert certify_stable(prob, dt, symbols=got.symbols) \
+            == oracles.certify_stable(prob, dt, symbols=got.symbols), scale
+    assert certify_stable(prob, got.dt) == oracles.certify_stable(prob, got.dt)
+
+
+def test_screened_check_overflows_like_every_svd(p1_problem):
+    """Where the propagator overflows, both checks fail with ratio inf."""
+    prob = build_problem(p1_problem.op, 8, VELOCITY_2D, flux="upwind")
+    dt = 4.0 * max_stable_dt(prob)
+    assert certify_stable(prob, dt) == oracles.certify_stable(prob, dt) \
+        == (False, np.inf)
+
+
+_ENTRIES = {np.float64: st.floats(-1e100, 1e100),
+            np.complex128: st.complex_numbers(max_magnitude=1e100)}
+
+
+@st.composite
+def _stacks(draw):
+    """(S, n, n) real or complex stacks: dense, rank 1, copies of one
+    slice up to sign and transposition (tied norms), all zero, or any of
+    these with an inf or a nan put in."""
+    dtype = draw(st.sampled_from(list(_ENTRIES)))
+    s, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dense", "rank 1", "tied", "zero"]))
+    if kind == "rank 1":
+        u, v = (draw(arrays(dtype, (s, n, 1), elements=_ENTRIES[dtype]))
+                for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = u @ v.transpose(0, 2, 1).conj()
+    elif kind == "tied":
+        A = draw(arrays(dtype, (n, n), elements=_ENTRIES[dtype]))
+        G = np.stack([A, -A, A.T, A.conj(), -A.T][:s])
+    else:
+        G = draw(arrays(dtype, (s, n, n), elements=_ENTRIES[dtype]))
+        G *= kind == "dense"
+    bad = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if bad is not None:
+        G.flat[draw(st.integers(0, G.size - 1))] = bad
+    return G
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+def test_worst_ratio_is_the_largest_spectral_norm(G):
+    """_worst_ratio's Frobenius screen returns exactly the largest squared
+    spectral norm over the stack, or inf where an entry is not finite."""
+    if np.isfinite(G).all():
+        with np.errstate(over="ignore"):
+            want = np.max(np.linalg.norm(G, 2, axis=(1, 2)) ** 2)
+    else:
+        want = np.inf
+    assert _worst_ratio(G) == want
+
+
+def test_worst_ratio_where_frobenius_norms_overflow():
+    """A finite slice whose ||G||_F^2 overflows keeps its finite ratio."""
+    G = np.stack([np.eye(2), 1.2e154 * np.eye(2), 2.0 * np.eye(2)])
+    with np.errstate(over="ignore"):
+        assert np.isinf((G[1] ** 2).sum())
+    assert _worst_ratio(G) == 1.2e154 ** 2 < np.inf
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[0.21549624390370908, -1.0118394473077321, -0.7871662613979983],
+      [0.07088292873501552, -0.33282317192887734, -0.2589216823389957],
+      [-0.0022440086063274045, 0.010536501179086373, 0.008196931107425545]],
+     1.3685422008119938),
+    ([[1.282288993811151e-162, -7.852611887951518e-162],
+      [-8.506251447313804e-163, 5.209144861998137e-162]],
+     9.1646691043928e-162)])
+def test_worst_ratio_keeps_a_ratio_rounded_above_its_frobenius_norm(A, b):
+    """Rank-1 A's rounded ||A||_2^2 can exceed its rounded ||A||_F^2, by an
+    ulp or, subnormal, by 7 %; b^2 rounds to ||A||_F^2, so the slice b e_00
+    put first ties A's Frobenius norm and is decomposed first.  A is still
+    decomposed: the screen keeps a slice whose ||.||_F^2 reaches the ratio
+    to within its relative and subnormal rounding."""
+    A = np.asarray(A)
+    B = np.zeros_like(A)
+    B[0, 0] = b
+    G = np.stack([B, A])
+    assert b * b == (A * A).sum()
+    assert _worst_ratio(G) == np.max(np.linalg.norm(G, 2, axis=(1, 2)) ** 2)
+
+
+@pytest.mark.parametrize("domain, p, m", [
+    ("tri", 1, 4), ("tri", 1, 6), ("tri", 2, 4), ("tri", 2, 6),
+    ("tet", 1, 3)])
+def test_upwind_checks_take_at_most_two_svds(monkeypatch, tri_lgl_results,
+                                             tet_result, domain, p, m):
+    """On the timestep benchmark's upwind problems every energy check of a
+    certificate takes the spectral norm of at most 2 of its 10-20
+    propagators."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
+    slices, per_check = [0], []
+    norm, certify = np.linalg.norm, advection.certify_stable
+
+    def counted_norm(x, ord=None, axis=None, **kwargs):
+        if ord == 2:
+            slices[0] += x.shape[0]
+        return norm(x, ord=ord, axis=axis, **kwargs)
+
+    def counted_certify(*args, **kwargs):
+        slices[0] = 0
+        out = certify(*args, **kwargs)
+        per_check.append(slices[0])
+        return out
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    monkeypatch.setattr(advection, "certify_stable", counted_certify)
+    certify_timestep(prob)
+    assert len(_conjugate_pairs(m, prob.dim)[0]) >= 10
+    assert per_check and max(per_check) <= 2, per_check
 
 
 @pytest.mark.parametrize("where", ["below the first probe",

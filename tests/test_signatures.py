@@ -14,6 +14,7 @@ from sbpquad.search import SearchSpec, lg_rule, lgl_rule
 from sbpquad.signatures import (
     FACET_FAMILIES,
     FacetSearchError,
+    check_request,
     facet_layout,
     find_facet_rule,
     find_rule,
@@ -658,6 +659,35 @@ def test_find_rule_rejects_non_integer_and_negative_requests(
         monkeypatch.setattr(sbpquad.signatures, name, fail(name))
     with pytest.raises(error, match=match):
         find_rule(domain, **{"qv": 2, **bad})
+
+
+@pytest.mark.parametrize("args, error, match", [
+    (dict(p=-1), ValueError, "need p >= 1"),
+    (dict(p=0), ValueError, "need p >= 1"),
+    (dict(p=1, seed=-1), ValueError, "seed >= 0"),
+    (dict(p=1.5), TypeError, "interpreted as an integer"),
+    (dict(p=1.0), TypeError, "interpreted as an integer"),
+    (dict(p=1, seed=0.5), TypeError, "interpreted as an integer")])
+def test_find_facet_rule_rejects_bad_arguments(monkeypatch, args, error,
+                                               match):
+    """find_facet_rule is public: a degree below 1 or a negative seed is a
+    ValueError and a non-integer one a TypeError, before any solve.  p = -1
+    used to raise IndexError, p = 0 to return a degree-0 face rule, and a
+    float p or seed to fail inside numpy."""
+    monkeypatch.setattr(sbpquad.signatures, "_solve_layouts",
+                        fail("_solve_layouts"))
+    with pytest.raises(error, match=match):
+        find_facet_rule(**args)
+
+
+@pytest.mark.parametrize("qv, sweeps", [(2.5, 1), (2.0, 1), (2, 1.5),
+                                        (2.5, 1.5), ("2", 1)])
+def test_check_request_rejects_non_integers(qv, sweeps):
+    """A float or string degree or sweep count is a TypeError: a float
+    used to pass the check."""
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        check_request("tri", qv, "lgl", sweeps)
+    assert check_request("tri", 2, "lgl", np.int64(1)) is None
 
 
 def test_find_rule_interior_degree0_archives():
