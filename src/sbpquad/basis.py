@@ -25,6 +25,10 @@ lowered by one and stays finite at vertices and edges.
 Mode ordering is graded: total degree ascending, and within one degree
 the multi-indices in lexicographic order.  The first mode is the
 constant 1/sqrt(|Omega|).
+
+simplex_gauss_rule's Gauss-Jacobi levels come from the same recurrence:
+the eigenvalues of its Jacobi matrix (Golub & Welsch 1969), one Newton
+step each, with the Christoffel numbers as weights.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ def mode_indices(q: int, d: int) -> list[tuple[int, ...]]:
 def _recurrence(rows, n: int) -> np.ndarray:
     """Per (alpha, beta) row: P~_0, the terms and norm of P~_1, and the
     a_i, b_i of P~_{i+1} = ((x - b_i) P~_i - a_{i-1} P~_{i-1}) / a_i for
-    i < max(n, 1), stacked as shape (4 + 2 max(n, 1), len(rows), 1)."""
+    i < max(n, 1), stacked as shape (4 + 2 max(n, 1), len(rows), 1).
+    The a_i and b_i are also the Jacobi matrix of _gauss_jacobi."""
     cols = []
     for alpha, beta in rows:
         gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1)
@@ -77,7 +82,8 @@ def _recurrence(rows, n: int) -> np.ndarray:
         gamma1 = (alpha + 1) * (beta + 1) / (alpha + beta + 3) * gamma0
         a = [2.0 / (2 + alpha + beta)
              * math.sqrt((alpha + 1) * (beta + 1) / (alpha + beta + 3))]
-        b = [0.0]
+        h0 = alpha + beta
+        b = [(beta ** 2 - alpha ** 2) / h0 / (h0 + 2) if h0 else 0.0]
         for i in range(1, n):
             h1 = 2.0 * i + alpha + beta
             a.append(2.0 / (h1 + 2)
@@ -105,6 +111,24 @@ def _jacobi_table(x: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
     for i in range(1, n):
         vals[i + 1] = ((x - b[i]) * vals[i] - a[i - 1] * vals[i - 1]) / a[i]
     return vals
+
+
+def _gauss_jacobi(n: int, alpha: float):
+    """n-point Gauss rule (x, w) of the weight (1 - x)^alpha on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (b_i on the diagonal, a_i beside it) of
+    _recurrence, each polished by one Newton step on P~_n, and the
+    weights are the Christoffel numbers 1 / sum_{i<n} P~_i(x)^2.
+    """
+    coeffs = _recurrence([(alpha, 0.0), (alpha + 1, 1.0)], n)
+    a, b = coeffs[4:3 + n, 0, 0], coeffs[4 + n:, 0, 0]
+    x = np.linalg.eigvalsh(np.diag(b) + np.diag(a, 1) + np.diag(a, -1))
+    # P~_n' = sqrt(n (n + alpha + 1)) P~_{n-1} of row (alpha + 1, 1)
+    table = _jacobi_table(np.stack([x, x]), coeffs, n)
+    x = x - table[n, 0] / (math.sqrt(n * (n + alpha + 1)) * table[n - 1, 1])
+    P = _jacobi_table(x[None], coeffs[:, :1], n - 1)[:, 0]
+    return x, 1.0 / (P * P).sum(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -212,20 +236,19 @@ def simplex_gauss_rule(degree: int, d: int):
     """Positive-weight interior rule exact to the given total degree.
 
     Duffy-type product rule: level l of the collapsed coordinates carries
-    the Gauss-Jacobi rule of weight (1 - a_l)^l (Gauss-Legendre at level
-    0), mapped back by x_l = 2^{l+1-d} (1 + a_l) prod_{m>l} (1 - a_m) - 1
-    and x_{d-1} = a_{d-1}, with the weights scaled by 2^{-d(d-1)/2}; node
-    count grows like ceil((degree+1)/2)^d.
+    the Gauss-Jacobi rule of weight (1 - a_l)^l, mapped back by x_l =
+    2^{l+1-d} (1 + a_l) prod_{m>l} (1 - a_m) - 1 and x_{d-1} = a_{d-1},
+    with the weights scaled by 2^{-d(d-1)/2}; node count grows like
+    ceil((degree+1)/2)^d.  Level 0 is numpy's Gauss-Legendre rule, the
+    others _gauss_jacobi's, from the recurrence of the basis.
 
     Returns (coords (n, d), weights (n,)), read-only: they are cached.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {d}")
-    # imported here: scipy.special is slow to import and only this uses it
-    from scipy.special import roots_jacobi
     n1 = max(1, (degree + 2) // 2)
     rules = [np.polynomial.legendre.leggauss(n1),
-             *(roots_jacobi(n1, float(l), 0.0) for l in range(1, d))]
+             *(_gauss_jacobi(n1, float(l)) for l in range(1, d))]
     a = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     w = math.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"),
                   start=2.0 ** (-d * (d - 1) / 2)).ravel()

@@ -19,7 +19,6 @@ layouts (the 3-point mid-edge degree-2 rule) would otherwise be lost.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
@@ -91,20 +90,20 @@ def invariant_moment_count(q: int, d: int) -> int:
     return count(q, 0)
 
 
-def _layouts(d: int, kinds, node_cap: int):
+def _layouts(d: int, kinds, node_cap: int) -> list:
     """(kinds, nodes, unknowns) of every orbit multiset over `kinds` with
     at most node_cap nodes; a kind without parameters appears at most
-    once.  Unknowns are the orbit weights plus the orbit parameters."""
-    structs = [orbit_structure(k, d) for k in kinds]
-    ranges = [range(node_cap // st.size + 1 if st.n_params else 2)
-              for st in structs]
-    for counts in itertools.product(*ranges):
-        nodes = sum(c * st.size for c, st in zip(counts, structs))
-        if nodes <= node_cap:
-            combo = tuple(k for c, k in zip(counts, kinds) for _ in range(c))
-            unknowns = sum(c * (1 + st.n_params)
-                           for c, st in zip(counts, structs))
-            yield combo, nodes, unknowns
+    once.  Unknowns are the orbit weights plus the orbit parameters.
+    Each kind's count comes out of the nodes the earlier kinds left."""
+    layouts = [((), 0, 0)]
+    for kind in kinds:
+        st = orbit_structure(kind, d)
+        layouts = [(combo + (kind,) * c, nodes + c * st.size,
+                    unknowns + c * (1 + st.n_params))
+                   for combo, nodes, unknowns in layouts
+                   for c in range(min((node_cap - nodes) // st.size,
+                                      node_cap if st.n_params else 1) + 1)]
+    return layouts
 
 
 def interior_candidates(d: int, qv: int, n_facet_orbits: int) -> list:

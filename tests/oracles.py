@@ -7,9 +7,13 @@ arithmetic; the package itself needs no monomial moments, so these are
 the suite's only exact moments.  Jacobi polynomials come through scipy's
 unnormalized evaluations plus the explicit norm formula.  The
 per-dimension basis evaluator, reference simplex and collapsed Gauss
-rule are the ones the package used before each became d-generic, the two
+rule are the ones the package used before each became d-generic (the
+rule's Gauss-Jacobi levels come from scipy's roots_jacobi, as the
+package's did before it computed them from its own recurrence), the two
 orbit-layout enumerators are the ones it used before both search stages
-shared one, and the swarm objective at the end scores one design per
+shared one, the shared enumerator after them scans the whole product of
+orbit counts, as the package's did before it drew each count from the
+node budget left, and the swarm objective at the end scores one design per
 call as the package did before it scored whole swarms, the periodic mesh
 at the end is built per element, as the package built it before it built
 the mesh from one cell, the Bloch symbols after it come from an FFT over
@@ -80,7 +84,7 @@ from sbpquad.signatures import invariant_moment_count
 from sbpquad.simplex import (_SYMMETRY_TOL, CLOSURE_TOL, Facet, NodeSet,
                              NodeSetError,
                              ReferenceSimplex, facet_restriction,
-                             pairwise_distances)
+                             orbit_structure, pairwise_distances)
 
 
 def _even_moment(m: int) -> Fraction:
@@ -723,6 +727,28 @@ def _tri_facet_candidates(q: int, max_candidates: int = 24):
         out.append(combo)
         extra += 1
     return out
+
+
+# ----------------------------------------------------------------------
+# the shared layout enumerator over the whole product of orbit counts
+# (reference for sbpquad.signatures._layouts, which draws each count from
+# the node budget left; verbatim)
+
+
+def _layouts(d: int, kinds, node_cap: int):
+    """(kinds, nodes, unknowns) of every orbit multiset over `kinds` with
+    at most node_cap nodes; a kind without parameters appears at most
+    once.  Unknowns are the orbit weights plus the orbit parameters."""
+    structs = [orbit_structure(k, d) for k in kinds]
+    ranges = [range(node_cap // st.size + 1 if st.n_params else 2)
+              for st in structs]
+    for counts in itertools.product(*ranges):
+        nodes = sum(c * st.size for c, st in zip(counts, structs))
+        if nodes <= node_cap:
+            combo = tuple(k for c, k in zip(counts, kinds) for _ in range(c))
+            unknowns = sum(c * (1 + st.n_params)
+                           for c, st in zip(counts, structs))
+            yield combo, nodes, unknowns
 
 
 # ----------------------------------------------------------------------

@@ -367,7 +367,7 @@ def test_simplex_gauss_rule_quality(degree, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("degree", [2, 4, 6])
+@pytest.mark.parametrize("degree", range(20))
 def test_simplex_gauss_rule_exactness(degree, d):
     pts, w = simplex_gauss_rule(degree, d)
     for powers in mode_indices(degree, d):
@@ -378,14 +378,36 @@ def test_simplex_gauss_rule_exactness(degree, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_simplex_gauss_rule_matches_per_dimension_reference(d):
+    # the reference takes its Gauss-Jacobi levels from scipy's
+    # roots_jacobi: d = 1 (Gauss-Legendre only) is bit for bit, the
+    # package's Golub-Welsch levels agree to rounding
     for degree in range(20):
         pts, w = simplex_gauss_rule(degree, d)
         ref_pts, ref_w = oracles.simplex_gauss_rule(degree, d)
-        assert np.array_equal(pts, ref_pts) and pts.shape == ref_pts.shape
-        assert np.array_equal(w, ref_w)
+        assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
+        if d == 1:
+            assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+        else:
+            assert np.abs(pts - ref_pts).max() <= 1e-15
+            assert np.abs(w / ref_w - 1.0).max() <= 1e-13
         # cached: one rule per (degree, d) that every caller shares
         assert simplex_gauss_rule(degree, d)[0] is pts
         assert not (pts.flags.writeable or w.flags.writeable)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("n", range(1, 25))
+def test_gauss_jacobi_orthonormalizes_the_recurrence(n, alpha):
+    # exact to degree 2n - 1, so the Gram matrix of P~_0..P~_{n-1} of
+    # weight (1 - x)^alpha is the identity; scipy's roots_jacobi misses
+    # this bound by up to tenfold
+    x, w = basis._gauss_jacobi(n, alpha)
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0.0)
+    assert w.sum() == pytest.approx(2.0 ** (alpha + 1) / (alpha + 1),
+                                    rel=0, abs=1e-14)
+    P = _jacobi_table(x[None], _recurrence([(alpha, 0.0)], n), n - 1)[:, 0]
+    assert np.abs((P * w) @ P.T - np.eye(n)).max() <= 4e-15
 
 
 def test_simplex_gauss_rule_bad_dimension():
@@ -393,11 +415,26 @@ def test_simplex_gauss_rule_bad_dimension():
         simplex_gauss_rule(2, 4)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special takes about a quarter second to import, and only
-    # simplex_gauss_rule needs it
+def test_operator_pipeline_leaves_scipy_unloaded():
+    # numpy is the only run-time dependency: finding, building and
+    # checking operators and convergence studies import no scipy module
     src = Path(sbpquad.__file__).resolve().parents[1]
-    code = "import sys, sbpquad; sys.exit('scipy.special' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code],
+    code = (
+        "import sys\n"
+        "from sbpquad import (build_operator, find_rule, run_convergence,\n"
+        "                     verify_operator)\n"
+        "cases = [('tri', 3, (1.25, 0.75), (4, 6)),\n"
+        "         ('tet', 2, (1.5, 0.5, 0.75), (2, 3))]\n"
+        "for domain, qv, c, meshes in cases:\n"
+        "    res = find_rule(domain, qv)\n"
+        "    assert res.status == 'ok'\n"
+        "    op = build_operator(res.rule)\n"
+        "    assert verify_operator(op).passed\n"
+        "    conv = run_convergence(op, meshes, c)\n"
+        "    assert len(conv.errors) == 2\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.returncode == 0
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -22,7 +22,7 @@ from sbpquad.signatures import (
     invariant_moment_count,
     volume_search_specs,
 )
-from sbpquad.simplex import orbit_structure
+from sbpquad.simplex import orbit_kinds, orbit_structure
 
 import oracles
 from conftest import TRI_LG_DEGREES, TRI_LGL_DEGREES
@@ -126,6 +126,25 @@ def test_facet_candidates_match_reference(q):
             if -neg_unknowns >= need and combo not in head]
     assert got[:len(head)] == head
     assert got[len(head):] == tail
+
+
+def test_pruned_layouts_match_the_full_product(monkeypatch):
+    # the budget-pruned enumerator lists the reference's layouts in the
+    # reference's order, so every candidate list is unchanged
+    for d in (2, 3):
+        for cap in (0, 1, 7, 30):
+            kinds = orbit_kinds(d)
+            assert sbpquad.signatures._layouts(d, kinds, cap) == list(
+                oracles._layouts(d, kinds, cap))
+    requests = ([(2, qv, n) for qv in range(21) for n in (0, 2, 4)]
+                + [(3, qv, n) for qv in range(11) for n in (0, 2, 4)])
+    degrees = [2 * p for p in range(1, 7)]
+    got = ([interior_candidates(*r) for r in requests],
+           [sbpquad.signatures._tri_facet_candidates(q) for q in degrees])
+    monkeypatch.setattr(sbpquad.signatures, "_layouts", oracles._layouts)
+    assert got == ([interior_candidates(*r) for r in requests],
+                   [sbpquad.signatures._tri_facet_candidates(q)
+                    for q in degrees])
 
 
 def test_interior_candidates_at_most_one_centroid():
