@@ -25,6 +25,10 @@ every theta of m = 2, the mesh every study certifies) the symbols are
 real and so is the certificate's arithmetic.  certify_timestep bisects
 on them for the largest step whose RK4 propagator over the horizon
 raises no initial datum's energy at any theta; every step rests on it.
+A step it tries is first checked at the wavenumber that sets the RK4
+spectral limit alone, which rules out every failing step the tests and
+benchmark try for one propagator's cost; a step passes only once every
+theta's propagator is checked.
 
 The operator scales as m, so one 3-cell problem's blocks give every
 mesh's symbols, (m / 3) sum_k exp(-2 pi i j.k / m) B_k.  A study's sine
@@ -92,8 +96,10 @@ class MeshError(ValueError):
 # the periodic mesh: an integer lattice of cells, each split alike
 
 
+@lru_cache(maxsize=None)
 def _cell_simplices(d: int) -> np.ndarray:
-    """(T, d+1, d) integer vertices of the simplices splitting a unit cell.
+    """(T, d+1, d) integer vertices of the simplices splitting a unit cell,
+    computed once per d and read-only.
 
     Squares split into 2 triangles, cubes into the 6 Kuhn tetrahedra (one
     per axis order of the walk from 0 to (1,1,1)), conforming across
@@ -111,6 +117,7 @@ def _cell_simplices(d: int) -> np.ndarray:
         raise MeshError(f"no periodic mesh in dimension {d}")
     neg = np.linalg.det(simp[:, 1:] - simp[:, :1]) < 0
     simp[neg, d - 1:] = simp[neg, d - 1:][:, ::-1]
+    simp.flags.writeable = False
     return simp
 
 
@@ -527,6 +534,20 @@ def _conjugate_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, inverse
 
 
+def _symbols(prob: AdvectionProblem, symbols: np.ndarray | None
+             ) -> np.ndarray:
+    """bloch_symbols(prob) if symbols is None, else symbols once their
+    shape is prob's (m^d, T n, T n): another mesh's or operator's raise
+    ValueError."""
+    if symbols is None:
+        return bloch_symbols(prob)
+    tn = prob.cell_own.shape[0]
+    if np.shape(symbols) != (prob.m ** prob.dim, tn, tn):
+        raise ValueError(f"symbols of shape {np.shape(symbols)} are not the "
+                         f"problem's {(prob.m ** prob.dim, tn, tn)}")
+    return symbols
+
+
 def _rk4_growth(z: np.ndarray) -> np.ndarray:
     """|R(z)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
     return np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0
@@ -548,9 +569,10 @@ def spectral_limit(prob: AdvectionProblem, symbols: np.ndarray | None = None
     conjugate's are their conjugates, with the same |R|), so j is the
     representative of its pair: the smaller in lexicographic order.  A
     real symbol's (m = 2) eigenvalues come in conjugate pairs alike, so
-    lam is either member of its pair.
+    lam is either member of its pair.  Symbols not of prob's shape raise
+    ValueError.
     """
-    symbols = bloch_symbols(prob) if symbols is None else symbols
+    symbols = _symbols(prob, symbols)
     reps = _conjugate_pairs(prob.m, prob.dim)[0]
     eigs = np.linalg.eigvals(symbols[reps])
     rho = float(np.abs(eigs).max())
@@ -565,20 +587,28 @@ def spectral_limit(prob: AdvectionProblem, symbols: np.ndarray | None = None
     return rho, lo, complex(eigs[k]), tuple(map(int, j))
 
 
-def _propagators(prob: AdvectionProblem, dt: float, symbols) -> np.ndarray:
-    """energy_ratios' H^1/2 Ghat^N H^-1/2, one per conjugate pair."""
+def _propagators(prob: AdvectionProblem, dt: float, symbols: np.ndarray,
+                 reps: np.ndarray) -> np.ndarray:
+    """energy_ratios' H^1/2 Ghat^N H^-1/2 at the flat wavenumbers reps, in
+    their order; wavenumber 0's slice, wherever it sits, with the
+    constants projected out."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, not {dt}")
-    symbols = bloch_symbols(prob) if symbols is None else symbols
-    reps = _conjugate_pairs(prob.m, prob.dim)[0]
     n_steps = max(1, math.ceil(certification_horizon(prob) / dt))
     h = np.sqrt(prob.hw.ravel()[:symbols.shape[-1]])      # cell 0's norm
     e = h / np.linalg.norm(h)          # the constants, scaled by H^1/2
     with np.errstate(over="ignore", invalid="ignore"):
         G = np.linalg.matrix_power(step_matrix(symbols[reps], dt), n_steps)
         G = h[:, None] * G / h
-        G[0] -= np.outer(G[0] @ e, e)
+        for i in np.flatnonzero(reps == 0):
+            G[i] -= np.outer(G[i] @ e, e)
     return G
+
+
+def _spectral_norms(G: np.ndarray) -> np.ndarray:
+    """||G_j||_2 of a stack G, possibly empty: np.linalg.norm(G, 2,
+    axis=(1, 2)) without its moveaxis."""
+    return np.linalg.svd(G, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def energy_ratios(prob: AdvectionProblem, dt: float,
@@ -599,27 +629,65 @@ def energy_ratios(prob: AdvectionProblem, dt: float,
     the other.  The ratio is at least the spectral growth
     rho(Ghat)^(2N), above 1 + 1e-12 at every dt beyond the RK4 spectral
     limit (spectral_limit), so no such dt certifies.  A dt that is not
-    positive and finite raises ValueError.
+    positive and finite, or symbols not of prob's shape, raise ValueError.
     """
-    G = _propagators(prob, dt, symbols)
+    reps, inverse = _conjugate_pairs(prob.m, prob.dim)
+    G = _propagators(prob, dt, _symbols(prob, symbols), reps)
     finite = np.isfinite(G).all(axis=(1, 2))
     ratios = np.full(len(G), np.inf)
     with np.errstate(over="ignore"):
-        ratios[finite] = np.linalg.norm(G[finite], ord=2, axis=(1, 2)) ** 2
-    return ratios[_conjugate_pairs(prob.m, prob.dim)[1]]
+        ratios[finite] = _spectral_norms(G[finite]) ** 2
+    return ratios[inverse]
 
 
-def _worst_ratio(G: np.ndarray) -> float:
-    """max_j ||G_j||_2^2 of a stack G, inf if not finite (certify_stable)."""
+def _worst_ratio(G: np.ndarray, seed: tuple[int, float] | None = None
+                 ) -> float:
+    """max_j ||G_j||_2^2 of a stack G, inf if not finite (certify_stable),
+    from the SVD of the largest-||G||_F slice, besides seed (k, ||G_k||_2^2)
+    if one is already known, and of every other slice whose ||G||_F^2
+    reaches the larger ratio."""
     with np.errstate(over="ignore", invalid="ignore"):
         F = (G.conj() * G).real.sum(axis=(1, 2))
         if not (np.isfinite(F).all() or np.isfinite(G).all()):
             return math.inf
-        worst = np.linalg.norm(G[[F.argmax()]], ord=2, axis=(1, 2))[0] ** 2
+        a = F.argmax()
+        k, worst = seed or (a, _spectral_norms(G[[a]])[0] ** 2)
+        if a != k:
+            worst = max(worst, _spectral_norms(G[[a]])[0] ** 2)
         others = F * (1.0 + 1e-8) + np.finfo(float).tiny > worst
-        others[F.argmax()] = False
-        rest = np.linalg.norm(G[others], ord=2, axis=(1, 2)) ** 2
+        others[[k, a]] = False
+        rest = _spectral_norms(G[others]) ** 2
     return float(rest.max(initial=worst))
+
+
+def _check_step(prob: AdvectionProblem, dt: float,
+                symbols: np.ndarray | None, first=None) -> tuple[bool, float]:
+    """certify_stable's (ok, ratio), or with first, a wavenumber j of d
+    integers in [0, m), its decision: j's pair's propagator is powered
+    alone first, and a ratio there above 1 + 1e-12 fails dt with that
+    ratio.  Otherwise the other pairs' are powered and j's slice put back
+    in its place, its ratio kept, so a passing step's ratio is
+    certify_stable's."""
+    symbols = _symbols(prob, symbols)
+    reps, inverse = _conjugate_pairs(prob.m, prob.dim)
+    seed = None
+    if first is not None:
+        j = np.asarray(first)
+        if (j.dtype.kind not in "iu" or j.shape != (prob.dim,)
+                or not np.all((0 <= j) & (j < prob.m))):
+            raise ValueError(f"first must be {prob.dim} integers in "
+                             f"[0, {prob.m}), not {first!r}")
+        k = inverse[np.ravel_multi_index(j, (prob.m,) * prob.dim)]
+        G = _propagators(prob, dt, symbols, reps[[k]])
+        seed = k, _worst_ratio(G)
+        if seed[1] > 1.0 + 1e-12:
+            return False, seed[1]
+        G = np.insert(_propagators(prob, dt, symbols, np.delete(reps, k)),
+                      k, G[0], axis=0)
+    else:
+        G = _propagators(prob, dt, symbols, reps)
+    ratio = _worst_ratio(G, seed)
+    return ratio <= 1.0 + 1e-12, ratio
 
 
 def certify_stable(prob: AdvectionProblem, dt: float,
@@ -627,9 +695,11 @@ def certify_stable(prob: AdvectionProblem, dt: float,
     """(energy at the horizon not above the initial energy for every
     initial datum, worst-case final/initial ratio), energy_ratios' max bit
     for bit from SVDs of the largest-||G||_F propagator and those whose
-    ||G||_F^2 >= ||G||_2^2 reaches its ratio: bench upwind 1-2, central all."""
-    ratio = _worst_ratio(_propagators(prob, dt, symbols))
-    return ratio <= 1.0 + 1e-12, ratio
+    ||G||_F^2 >= ||G||_2^2 reaches its ratio: bench upwind 1-2, central all.
+    Every wavenumber is checked, so a failing step reports its largest
+    ratio.  A dt that is not positive and finite, or symbols not of prob's
+    shape, raise ValueError."""
+    return _check_step(prob, dt, symbols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -657,8 +727,12 @@ def certify_timestep(prob: AdvectionProblem, rel_tol: float = 1e-4
 
     Every step it returns or rules out is decided by an energy check.
     No step above the RK4 spectral limit of the Bloch symbols
-    (spectral_limit) certifies (energy_ratios).  The first two checks
-    probe at (1 - 2^-8) limit and at the limit: a passed probe becomes
+    (spectral_limit) certifies (energy_ratios).  A check powers the
+    propagator at the wavenumber j that sets that limit first and fails
+    the step if its ratio is above 1 + 1e-12; only otherwise does it
+    power the other wavenumbers', so a passed step's ratio is
+    certify_stable's and a failed step fails certify_stable too.  The
+    first two checks probe at (1 - 2^-8) limit and at the limit: a passed probe becomes
     the bracket's lower edge and a failed one its upper edge, so at
     rel_tol = 1e-4 six bisection checks follow.  A probe that misses
     leaves the rest of (0, 3 / rho), past which the fastest mode grows
@@ -675,7 +749,7 @@ def certify_timestep(prob: AdvectionProblem, rel_tol: float = 1e-4
     top = 3.0 / rho
     lo, hi, ratio = 0.0, top, math.inf
     for probe in ((1.0 - _PROBE_GAP) * limit, limit):
-        ok, r = certify_stable(prob, probe, symbols=symbols)
+        ok, r = _check_step(prob, probe, symbols, j)
         if not ok:
             hi = probe
             break
@@ -684,7 +758,7 @@ def certify_timestep(prob: AdvectionProblem, rel_tol: float = 1e-4
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        ok, r = certify_stable(prob, mid, symbols=symbols)
+        ok, r = _check_step(prob, mid, symbols, j)
         if ok:
             lo, ratio = mid, r
         elif lo == 0.0 and mid < 1e-12 * top:

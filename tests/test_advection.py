@@ -19,6 +19,7 @@ from sbpquad.advection import (
     _affine_maps,
     _cell_partners,
     _cell_simplices,
+    _check_step,
     _conjugate_pairs,
     _sat_metrics,
     _worst_ratio,
@@ -228,6 +229,18 @@ def test_upwind_stencil_drops_only_zero_lifts(mesh_operators, name):
     want = (u.reshape(len(partners), -1) @ prob.cell_own
             + u.reshape(-1)[partners] @ full).reshape(u.shape)
     assert np.array_equal(rhs(prob, u), want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cell_simplices_are_cached_read_only(d):
+    """A repeat call returns the same array, which callers cannot write
+    into, equal to a fresh computation."""
+    cell = _cell_simplices(d)
+    assert _cell_simplices(d) is cell
+    assert not cell.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cell[0, 0, 0] = 1
+    assert np.array_equal(_cell_simplices.__wrapped__(d), cell)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -824,47 +837,36 @@ def test_max_stable_dt_bisects_from_the_spectral_bracket(monkeypatch,
     """One bisection of (0, 3 / rho) to rel_tol 1e-4 needs at most
     ceil(log2(1e4)) + 2 energy checks."""
     prob = _rule_problem(tri_lgl_results, None, "tri", 2, 4)
-    calls = []
-    certify = advection.certify_stable
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return certify(*args, **kwargs)
-    monkeypatch.setattr(advection, "certify_stable", counted)
+    calls = _counted_checks(monkeypatch)
     dt = max_stable_dt(prob)
     assert 0 < len(calls) <= math.ceil(math.log2(1e4)) + 2
     rho = np.abs(np.linalg.eigvals(bloch_symbols(prob))).max()
     assert max(calls) < 3.0 / rho
-    assert certify(prob, dt)[0]
+    assert certify_stable(prob, dt)[0]
 
 
 def test_max_stable_dt_gives_up_when_nothing_certifies(monkeypatch,
                                                        p1_problem):
     """With no step certified the bisection halves down to 1e-12 of the
     bracket, about 40 checks, and raises."""
-    calls = []
-
-    def never(prob, dt, symbols=None):
-        calls.append(dt)
-        return False, np.inf
-    monkeypatch.setattr(advection, "certify_stable", never)
+    calls = _counted_checks(monkeypatch, lambda dt: False)
     with pytest.raises(RuntimeError, match="no stable timestep"):
         max_stable_dt(p1_problem)
     assert len(calls) <= 41
 
 
-def _counted_certify(monkeypatch, passes=None):
-    """Steps handed to certify_stable from now on; with passes given,
-    certify_stable answers passes(dt) instead of checking."""
+def _counted_checks(monkeypatch, passes=None):
+    """Steps handed to the energy check (_check_step) from now on; with
+    passes given, the check answers passes(dt) instead of checking."""
     calls = []
-    certify = advection.certify_stable
+    check = advection._check_step
 
-    def counted(prob, dt, symbols=None):
+    def counted(prob, dt, symbols, first=None):
         calls.append(dt)
         if passes is None:
-            return certify(prob, dt, symbols=symbols)
-        return passes(dt), 1.0
-    monkeypatch.setattr(advection, "certify_stable", counted)
+            return check(prob, dt, symbols, first)
+        return (True, 1.0) if passes(dt) else (False, np.inf)
+    monkeypatch.setattr(advection, "_check_step", counted)
     return calls
 
 
@@ -879,11 +881,11 @@ def test_max_stable_dt_certifies_in_nine_checks(monkeypatch, tri_lgl_results,
     the certified step, leaving 6 bisection checks to rel_tol 1e-4."""
     prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m, flux)
     limit = spectral_limit(prob)[1]
-    calls = _counted_certify(monkeypatch)
+    calls = _counted_checks(monkeypatch)
     dt = max_stable_dt(prob)
     assert len(calls) <= 9
     assert calls[:2] == [(1.0 - _PROBE_GAP) * limit, limit]
-    assert advection.certify_stable(prob, dt)[0]
+    assert certify_stable(prob, dt)[0]
     assert (1.0 - _PROBE_GAP) * limit <= dt < limit
 
 
@@ -920,12 +922,15 @@ def test_screened_certificate_matches_every_svd(monkeypatch, all_operators,
     """Screening the propagators by Frobenius norm changes no certificate:
     every record field, and certify_stable's (ok, ratio) from 0.3 to 50
     times the certified step (ratios up to 1e264), equal those of the
-    check that takes every SVD (oracles.certify_stable)."""
+    check that takes every SVD at every step (oracles.certify_stable)."""
     op = all_operators[name]
     prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
                          flux=flux)
     got = certify_timestep(prob)
-    monkeypatch.setattr(advection, "certify_stable", oracles.certify_stable)
+
+    def every_svd(prob, dt, symbols, first=None):
+        return oracles.certify_stable(prob, dt, symbols=symbols)
+    monkeypatch.setattr(advection, "_check_step", every_svd)
     want = certify_timestep(prob)
     monkeypatch.undo()
     assert got.prob is want.prob
@@ -937,6 +942,65 @@ def test_screened_certificate_matches_every_svd(monkeypatch, all_operators,
         assert certify_stable(prob, dt, symbols=got.symbols) \
             == oracles.certify_stable(prob, dt, symbols=got.symbols), scale
     assert certify_stable(prob, got.dt) == oracles.certify_stable(prob, got.dt)
+
+
+@pytest.mark.parametrize("flux", ["upwind", "central"])
+@pytest.mark.parametrize("name, m", _SCREEN_GRID)
+def test_check_from_any_first_wavenumber_decides_alike(all_operators, name,
+                                                       m, flux):
+    """Powering one wavenumber's propagator first changes no decision:
+    from 0.3 to 50 times the certified step, the check started at any
+    wavenumber passes where certify_stable does, with its ratio bit for
+    bit, and fails where it fails, with a ratio above 1 + 1e-12."""
+    op = all_operators[name]
+    prob = build_problem(op, m, VELOCITY_2D if op.dim == 2 else VELOCITY_3D,
+                         flux=flux)
+    cert = certify_timestep(prob)
+    wavenumbers = [tuple(j) for j in np.ndindex((m,) * prob.dim)]
+    for scale in (0.3, 0.9, 0.99, 1.0, 1.001, 1.01, 1.5, 3.0, 50.0):
+        dt = scale * cert.dt
+        ok, ratio = certify_stable(prob, dt, symbols=cert.symbols)
+        for j in wavenumbers:
+            got = _check_step(prob, dt, cert.symbols, j)
+            assert got[0] == ok, (scale, j)
+            assert got[1] == ratio if ok else got[1] > 1.0 + 1e-12, (scale, j)
+
+
+def test_step_failing_away_from_first_still_fails(p1_problem,
+                                                  half_certified):
+    """A step whose only failing wavenumbers are not first passes first's
+    propagator, then fails on the others with certify_stable's ratio."""
+    prob = p1_problem
+    symbols = bloch_symbols(prob)
+    dt = 2.02 * half_certified["p1_problem"]
+    ratios = energy_ratios(prob, dt, symbols=symbols)
+    j = np.unravel_index(ratios.argmin(), (prob.m,) * prob.dim)
+    assert ratios.min() <= 1.0 + 1e-12 < ratios.max()
+    assert _check_step(prob, dt, symbols, j) \
+        == certify_stable(prob, dt, symbols) == (False, ratios.max())
+
+
+@pytest.mark.parametrize("first", [(0,), (0, 0, 0), (0, 3), (-1, 0),
+                                   (0.0, 1.0), "ab"])
+def test_check_rejects_a_wavenumber_off_the_mesh(p1_problem, first):
+    with pytest.raises(ValueError, match="first must be 2 integers"):
+        _check_step(p1_problem, 0.01, None, first)
+
+
+@pytest.mark.parametrize("other", [("tri", 1, 6), ("tri", 2, 4)],
+                         ids=["other mesh", "other operator"])
+def test_certifier_rejects_another_problems_symbols(tri_lgl_results, other):
+    """Symbols of another mesh or operator, handed to tri p1 at m = 4, used
+    to give a wrong answer without an error; now every function that
+    takes symbols raises."""
+    prob = _rule_problem(tri_lgl_results, None, "tri", 1, 4)
+    wrong = bloch_symbols(_rule_problem(tri_lgl_results, None, *other))
+    for call in (lambda: certify_stable(prob, 0.01, symbols=wrong),
+                 lambda: energy_ratios(prob, 0.01, symbols=wrong),
+                 lambda: spectral_limit(prob, wrong),
+                 lambda: _check_step(prob, 0.01, wrong, (1, 0))):
+        with pytest.raises(ValueError, match="not the problem's"):
+            call()
 
 
 def test_screened_check_overflows_like_every_svd(p1_problem):
@@ -980,13 +1044,15 @@ def _stacks(draw):
 @given(_stacks())
 def test_worst_ratio_is_the_largest_spectral_norm(G):
     """_worst_ratio's Frobenius screen returns exactly the largest squared
-    spectral norm over the stack, or inf where an entry is not finite."""
-    if np.isfinite(G).all():
-        with np.errstate(over="ignore"):
-            want = np.max(np.linalg.norm(G, 2, axis=(1, 2)) ** 2)
-    else:
-        want = np.inf
+    spectral norm over the stack, or inf where an entry is not finite,
+    also when seeded with any finite slice's known ratio."""
+    finite = np.isfinite(G).all(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        known = np.linalg.norm(G[finite], 2, axis=(1, 2)) ** 2
+    want = known.max() if finite.all() else np.inf
     assert _worst_ratio(G) == want
+    for k, ratio in zip(np.flatnonzero(finite), known):
+        assert _worst_ratio(G, (k, ratio)) == want, k
 
 
 def test_worst_ratio_where_frobenius_norms_overflow():
@@ -1025,27 +1091,50 @@ def test_worst_ratio_keeps_a_ratio_rounded_above_its_frobenius_norm(A, b):
 def test_upwind_checks_take_at_most_two_svds(monkeypatch, tri_lgl_results,
                                              tet_result, domain, p, m):
     """On the timestep benchmark's upwind problems every energy check of a
-    certificate takes the spectral norm of at most 2 of its 10-20
-    propagators."""
+    certificate takes the SVD of at most 2 of its 10-20 propagators."""
     prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
-    slices, per_check = [0], []
-    norm, certify = np.linalg.norm, advection.certify_stable
-
-    def counted_norm(x, ord=None, axis=None, **kwargs):
-        if ord == 2:
-            slices[0] += x.shape[0]
-        return norm(x, ord=ord, axis=axis, **kwargs)
-
-    def counted_certify(*args, **kwargs):
-        slices[0] = 0
-        out = certify(*args, **kwargs)
-        per_check.append(slices[0])
-        return out
-    monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    monkeypatch.setattr(advection, "certify_stable", counted_certify)
+    per_check = _counted_per_check(monkeypatch, np.linalg, "svd",
+                                   lambda G, **kwargs: len(G))
     certify_timestep(prob)
     assert len(_conjugate_pairs(m, prob.dim)[0]) >= 10
-    assert per_check and max(per_check) <= 2, per_check
+    assert per_check and max(n for ok, n in per_check) <= 2, per_check
+
+
+@pytest.mark.parametrize("domain, p, m", [
+    ("tri", 1, 4), ("tri", 1, 6), ("tri", 2, 4), ("tri", 2, 6),
+    ("tet", 1, 3)])
+def test_failed_checks_power_one_propagator(monkeypatch, tri_lgl_results,
+                                            tet_result, domain, p, m):
+    """On the timestep benchmark's problems every check of a certificate
+    that fails does so at the spectral-limit wavenumber, from its
+    propagator alone; a passing one powers every pair's once."""
+    prob = _rule_problem(tri_lgl_results, tet_result, domain, p, m)
+    per_check = _counted_per_check(monkeypatch, advection, "_propagators",
+                                   lambda prob, dt, symbols, reps: len(reps))
+    certify_timestep(prob)
+    n_pairs = len(_conjugate_pairs(m, prob.dim)[0])
+    assert {ok for ok, n in per_check} == {True, False}
+    assert all(n == (n_pairs if ok else 1) for ok, n in per_check), per_check
+
+
+def _counted_per_check(monkeypatch, module, attr, size):
+    """(ok, sum of size(*args) over the calls of module.attr) for every
+    energy check (_check_step) made from now on."""
+    fn, check, count, per_check = getattr(module, attr), \
+        advection._check_step, [0], []
+
+    def counted_fn(*args, **kwargs):
+        count[0] += size(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    def counted_check(*args):
+        count[0] = 0
+        ok, ratio = check(*args)
+        per_check.append((ok, count[0]))
+        return ok, ratio
+    monkeypatch.setattr(module, attr, counted_fn)
+    monkeypatch.setattr(advection, "_check_step", counted_check)
+    return per_check
 
 
 @pytest.mark.parametrize("where", ["below the first probe",
@@ -1058,7 +1147,7 @@ def test_max_stable_dt_falls_back_when_a_probe_misses(monkeypatch,
     rho, limit = spectral_limit(p1_problem)[:2]
     x = (0.5 * limit if where == "below the first probe"
          else 0.5 * (limit + 3.0 / rho))
-    calls = _counted_certify(monkeypatch, lambda dt: dt < x)
+    calls = _counted_checks(monkeypatch, lambda dt: dt < x)
     dt = max_stable_dt(p1_problem, rel_tol=1e-4)
     assert dt < x <= dt * (1.0 + 1e-4)
     assert calls[0] == (1.0 - _PROBE_GAP) * limit
